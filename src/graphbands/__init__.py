@@ -15,10 +15,9 @@ from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
 from .bond_system import BondSystem, bond_matrices, unitary_at, vertex_scattering
 from .secular import (SecularValue, eval_phi, eval_secular,
                       real_secular_values, scattering_parity, secular_values)
-from .spectrum import (AlphaPolynomial, Band, BandList, DensitySeries,
-                       alpha_polynomial, band_intervals, density, in_spectrum,
-                       measure_below, membership_from_phases,
-                       momentum_membership)
+from .spectrum import (Band, BandList, DensitySeries, band_intervals,
+                       density, in_spectrum, measure_below,
+                       membership_from_phases, momentum_membership)
 from .torus import (RationalDependency, TorusPoint, VolumeEstimate,
                     flow_point, mc_volume, sigma_membership)
 from .reference_models import (InteriorResonanceError, ReferenceValue,
@@ -30,11 +29,11 @@ from .reference_models import (InteriorResonanceError, ReferenceValue,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaPolynomial", "Band", "BandList", "BondSystem", "DensitySeries",
+    "Band", "BandList", "BondSystem", "DensitySeries",
     "EXAMPLE_NAMES", "Edge", "FundamentalCell", "GraphError",
     "Identification", "InteriorResonanceError", "MagneticGraph",
     "RationalDependency", "ReferenceValue", "SecularValue", "TorusPoint",
-    "VolumeEstimate", "alpha_polynomial", "as_magnetic", "band_intervals",
+    "VolumeEstimate", "as_magnetic", "band_intervals",
     "bind_lengths", "bloch_reduce", "bond_matrices", "build_example",
     "density", "dihedral_density", "dihedral_membership", "dihedral_secular",
     "effective_reflection", "eval_phi", "eval_secular", "flow_point",

@@ -132,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_magnetic(args):
     obj = load_graph(args.file)
     if isinstance(obj, FundamentalCell):
-        report = validate_cell(obj)
-        if report:
-            raise GraphError(report)
         obj = bloch_reduce(obj)
     if getattr(args, "lengths", None) is not None:
         obj = bind_lengths(obj, args.lengths)

@@ -11,7 +11,7 @@ function Phi(kappa; alpha), whose zero set lifts the spectrum to the
 torus of edge phases.
 
 The batched evaluator here is the kernel everything else is built on:
-band scans, quasi-momentum polynomial extraction and Monte Carlo torus
+band scans, the quasi-momentum sign test and Monte Carlo torus
 sampling all reduce to evaluating stacks of these determinants.
 """
 

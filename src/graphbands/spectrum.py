@@ -1,13 +1,28 @@
-"""Momentum spectrum of a periodic graph via the quasi-momentum
-polynomial criterion, plus band-interval scans and band-density series.
+"""Momentum spectrum of a periodic graph via a sign change of the real
+secular function, plus band-interval scans and band-density series.
 
-For a single lattice generator the secular determinant at fixed k is a
-Laurent polynomial of degree m in z = exp(i alpha), where m is the total
-flux weight of the graph.  A momentum k belongs to the spectrum iff that
-polynomial has a root on the unit circle (some quasi-momentum solves the
-secular equation), or vanishes identically (flat band).  This turns
-membership into a small root-finding problem per k, robust and
-vectorizable, with no root-chasing along dispersion branches.
+The bond evolution U = exp(i(A + p)) S is unitary of even size 2E, so
+det(I - U) = det(-U) conj(det(I - U)).  The flux phases A cancel between
+a bond and its reversal, hence
+
+    G = exp(-i sum(p) / 2) F,       p = flux-free bond phase row,
+
+is real when det S = +1 and purely imaginary when det S = -1, at every
+momentum or torus point and every quasi-momentum (Kottos-Smilansky,
+Ann. Phys. 274, 1999).  A point belongs to the spectrum iff G vanishes
+for some quasi-momentum, and since G is continuous on the connected
+torus of quasi-momenta that holds iff min G <= 0 <= max G.
+
+Along the heaviest-flux generator G is a real trigonometric polynomial
+of degree m, its flux weight.  2m + 1 equispaced samples give its
+Laurent coefficients by FFT, and its critical points make the minimum
+and maximum along that axis exact.  Further generators are sampled on a
+grid of GRID_FALLBACK_POINTS points each; the extremes are taken over
+the whole grid.  Extra evaluation points never create a false member.
+
+The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
+edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
+identically in alpha, evaluate to noise of either sign.
 """
 
 from __future__ import annotations
@@ -17,152 +32,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond_system import BondSystem
-from .secular import secular_values
+from .secular import scattering_parity, secular_values
 
-UNIT_CIRCLE_TOL = 1e-8       # |  |z| - 1  | for a root to count as on-circle
-FLAT_BAND_TOL = 1e-12        # max |coefficient| below which P_k vanishes
-GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per generator, J >= 2
-_TRIM_RTOL = 1e-12
-_EDGE_EVAL_RTOL = 1e-12           # relative size below which a coefficient is noise
-
-
-# ---------------------------------------------------------------------------
-# quasi-momentum polynomial
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlphaPolynomial:
-    """Laurent polynomial alpha -> F(k; alpha) at fixed momentum.
-
-    ``coefficients[j]`` multiplies exp(i (j - m) alpha) where
-    m = (len - 1) // 2, so the array runs from exponent -m to +m.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.ndim != 1 or len(c) % 2 != 1:
-            raise ValueError("coefficient array must be 1-D of odd length")
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def degree(self) -> int:
-        return (len(self.coefficients) - 1) // 2
-
-    def __call__(self, alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        j = np.arange(-self.degree, self.degree + 1)
-        return np.exp(1j * alpha[..., None] * j) @ self.coefficients
-
-    def is_flat(self, tol: float = FLAT_BAND_TOL) -> bool:
-        """True when the polynomial vanishes identically (flat band)."""
-        return bool(np.abs(self.coefficients).max() <= tol)
-
-    def has_unit_circle_root(self, tol: float = UNIT_CIRCLE_TOL) -> bool:
-        """True when z^m P(z) has a root with ||z| - 1| <= tol, or the
-        polynomial is flat."""
-        return bool(_roots_on_circle(self.coefficients[None, :], tol,
-                                     FLAT_BAND_TOL)[0])
-
-
-def _laurent_coefficients(F: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients c_{-m}..c_{+m} from values on N equispaced alpha
-    samples; rows are independent polynomials."""
-    N = F.shape[1]
-    c = np.fft.fft(F, axis=1) / N
-    if m == 0:
-        return c[:, :1]
-    return np.concatenate([c[:, N - m:], c[:, :m + 1]], axis=1)
-
-
-def _quadratic_unit_roots(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """On-circle root test for rows a z^2 + b z + c with a bounded away
-    from zero; numerically stable two-branch formula."""
-    c0, b, a = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    disc = np.sqrt(b * b - 4.0 * a * c0)
-    # pick the branch that avoids cancellation in b + disc
-    flip = np.real(np.conj(b) * disc) < 0
-    disc = np.where(flip, -disc, disc)
-    q = -0.5 * (b + disc)
-    r1 = q / a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(q != 0, c0 / np.where(q != 0, q, 1.0), 0.0)
-    hit1 = np.abs(np.abs(r1) - 1.0) <= tol
-    hit2 = np.abs(np.abs(r2) - 1.0) <= tol
-    return hit1 | hit2
-
-
-def _companion_unit_roots(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """On-circle root test via batched companion eigenvalues; leading
-    coefficients must be bounded away from zero."""
-    r, D1 = coeffs.shape
-    D = D1 - 1
-    monic = coeffs / coeffs[:, -1:]
-    C = np.zeros((r, D, D), dtype=complex)
-    idx = np.arange(D - 1)
-    C[:, idx + 1, idx] = 1.0
-    C[:, :, -1] = -monic[:, :-1]
-    roots = np.linalg.eigvals(C)
-    return np.any(np.abs(np.abs(roots) - 1.0) <= tol, axis=1)
-
-
-def _single_row_unit_roots(c: np.ndarray, tol: float, scale: float) -> bool:
-    """Fallback for a row whose leading coefficient is noise-level: trim
-    and use a dense root finder."""
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= _TRIM_RTOL * scale:
-        keep -= 1
-    if keep <= 1:
-        return False
-    roots = np.polynomial.polynomial.polyroots(c[:keep])
-    return bool(np.any(np.abs(np.abs(roots) - 1.0) <= tol))
-
-
-def _roots_on_circle(coeffs: np.ndarray, circle_tol: float,
-                     flat_tol: float) -> np.ndarray:
-    """Row-wise test: flat polynomial, or some root of z^m P(z) on the
-    unit circle within circle_tol."""
-    n, D1 = coeffs.shape
-    scale = np.abs(coeffs).max(axis=1)
-    member = scale <= flat_tol
-    if D1 == 1:
-        return member
-    # Band edges are double roots pinned at z = +-1 by the alpha-reversal
-    # symmetry; root extraction only locates a double root to sqrt(eps),
-    # but the polynomial value there is computed to machine precision.
-    signs = np.where(np.arange(D1) % 2 == 0, 1.0, -1.0)
-    member |= np.abs(coeffs.sum(axis=1)) <= _EDGE_EVAL_RTOL * scale
-    member |= np.abs(coeffs @ signs) <= _EDGE_EVAL_RTOL * scale
-    active = ~member
-    lead_bad = active & (np.abs(coeffs[:, -1]) <= _TRIM_RTOL * scale)
-    regular = np.nonzero(active & ~lead_bad)[0]
-    if regular.size:
-        block = coeffs[regular]
-        if D1 == 2:
-            root = -block[:, 0] / block[:, 1]
-            member[regular] = np.abs(np.abs(root) - 1.0) <= circle_tol
-        elif D1 == 3:
-            member[regular] = _quadratic_unit_roots(block, circle_tol)
-        else:
-            member[regular] = _companion_unit_roots(block, circle_tol)
-    for i in np.nonzero(lead_bad)[0]:
-        member[i] = _single_row_unit_roots(coeffs[i], circle_tol, scale[i])
-    return member
+ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
+GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
+_BLOCK_ROWS = 65536          # rows per critical-point eigensolve; bounds memory
 
 
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
 
-def _alpha_samples(m: int, generators: int) -> np.ndarray:
-    """Equispaced quasi-momentum samples, enough to overdetermine a
-    degree-m Laurent polynomial twice over."""
-    N = 4 * m + 4
-    s = 2.0 * np.pi * np.arange(N) / N
-    if generators == 0:
-        return np.zeros((N, 0))
-    return s[:, None]
+def _alpha_grid(bs: BondSystem) -> tuple[np.ndarray, int]:
+    """Quasi-momentum rows and the flux weight m of the heaviest-flux
+    generator, which takes 2m + 1 equispaced samples and varies fastest;
+    every other generator takes GRID_FALLBACK_POINTS."""
+    J = bs.generators
+    if J == 0:
+        return np.zeros((1, 0)), 0
+    weights = np.abs(bs.bond_flux[:bs.n_edges]).sum(axis=0)
+    main = int(np.argmax(weights))
+    m = int(round(weights[main]))
+    axes = [np.linspace(0.0, 2.0 * np.pi, GRID_FALLBACK_POINTS,
+                        endpoint=False)] * J
+    axes[main] = np.linspace(0.0, 2.0 * np.pi, 2 * m + 1, endpoint=False)
+    order = [j for j in range(J) if j != main] + [main]
+    mesh = np.meshgrid(*(axes[j] for j in order), indexing="ij")
+    alphas = np.stack([a.ravel() for a in mesh], axis=1)
+    return alphas[:, np.argsort(order)], m
+
+
+def _critical_values(G: np.ndarray, m: int) -> np.ndarray:
+    """Values of the real trigonometric polynomials of degree m >= 1
+    sampled at 2m + 1 equispaced points (rows of G) at the arguments of
+    the 2m roots of sum_j j c_j z^(j+m), their critical points when on
+    the unit circle.  Non-finite entries mark failed roots."""
+    N = G.shape[1]
+    c = np.fft.rfft(G, axis=1) / N            # c_0..c_m; c_{-j} = conj(c_j)
+    j = np.arange(1, m + 1)
+    P = np.zeros((len(G), N), dtype=complex)
+    P[:, m + 1:] = j * c[:, 1:]
+    P[:, m - 1::-1] = -j * np.conj(c[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = P[:, :-1] / P[:, -1:]
+    C = np.zeros((len(G), 2 * m, 2 * m), dtype=complex)
+    idx = np.arange(2 * m - 1)
+    C[:, idx + 1, idx] = 1.0
+    # a row with a vanishing lead gets arbitrary, hence harmless, points
+    C[:, :, -1] = -np.where(np.isfinite(monic), monic, 0.0)
+    z = np.linalg.eigvals(C)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= np.abs(z)
+    vals = np.repeat(c[:, :1].real, 2 * m, axis=1)
+    w = np.ones_like(z)
+    for jj in range(1, m + 1):
+        w *= z
+        vals += 2.0 * (c[:, jj:jj + 1] * w).real
+    return vals
 
 
 def membership_from_phases(bs: BondSystem, bond_phases,
@@ -170,54 +96,29 @@ def membership_from_phases(bs: BondSystem, bond_phases,
     """Spectrum membership for rows of flux-free bond phases.
 
     This is the kernel shared by momentum scans (phases = k L) and torus
-    sampling (phases = lifted kappa).  For one generator the decision is
-    the unit-circle root criterion on the quasi-momentum polynomial; for
-    J >= 2 the same root test runs along the heaviest-flux generator on a
-    grid over the remaining ones.  The feasible set of the gridded
-    quasi-momenta has positive measure whenever the point belongs to the
-    spectrum, so a modest grid is reliable where a pointwise near-zero
-    test would not be.
+    sampling (phases = lifted kappa).  A row is a member iff the real
+    secular function G = exp(-i sum(p) / 2) F changes sign or touches
+    zero over the quasi-momenta: min G <= ZERO_TOL and max G >= -ZERO_TOL
+    over 2m + 1 samples and the critical points along the heaviest-flux
+    generator, for every point of the GRID_FALLBACK_POINTS grid over the
+    other generators together.  ZERO_TOL is absolute; it lets the noise
+    of touching zeros (band edges, flat bands) count as zero.
     """
     bond_phases = np.asarray(bond_phases, dtype=float)
-    if bs.generators <= 1:
-        m = bs.flux_weight
-        F = secular_values(bs, bond_phases,
-                           _alpha_samples(m, bs.generators), threads)
-        coeffs = _laurent_coefficients(F, m)
-        return _roots_on_circle(coeffs, UNIT_CIRCLE_TOL, FLAT_BAND_TOL)
-    n = bond_phases.shape[0]
-    weights = np.abs(bs.bond_flux[:bs.n_edges]).sum(axis=0)
-    main = int(np.argmax(weights))
-    m = int(round(weights[main]))
-    N = 4 * m + 4
-    base = np.linspace(0.0, 2.0 * np.pi, GRID_FALLBACK_POINTS,
-                       endpoint=False)
-    axes = [base] * bs.generators
-    axes[main] = 2.0 * np.pi * np.arange(N) / N
-    mesh = np.meshgrid(*axes, indexing="ij")
-    order = [j for j in range(bs.generators) if j != main] + [main]
-    alphas = np.stack([mesh[j].transpose(order).ravel()
-                       for j in range(bs.generators)], axis=1)
+    alphas, m = _alpha_grid(bs)
     F = secular_values(bs, bond_phases, alphas, threads)
-    coeffs = _laurent_coefficients(F.reshape(-1, N), m)
-    hit = _roots_on_circle(coeffs, UNIT_CIRCLE_TOL, FLAT_BAND_TOL)
-    return hit.reshape(n, -1).any(axis=1)
-
-
-def alpha_polynomial(bs: BondSystem, k: float) -> AlphaPolynomial:
-    """Quasi-momentum polynomial of F(k; .) at fixed momentum k.
-
-    Only defined for single-generator graphs.  Coefficients are extracted
-    by a discrete Fourier transform over 4m + 4 equispaced quasi-momentum
-    samples, twice the minimum, so truncation error is pure roundoff.
-    """
-    if bs.generators != 1:
-        raise ValueError("quasi-momentum polynomial requires exactly one "
-                         "generator, got %d" % bs.generators)
-    m = bs.flux_weight
-    F = secular_values(bs, (k * bs.bond_lengths)[None, :],
-                       _alpha_samples(m, 1))
-    return AlphaPolynomial(_laurent_coefficients(F, m)[0])
+    F *= np.exp(-0.5j * bond_phases.sum(axis=1))[:, None]
+    G = F.real if scattering_parity(bs) == 1 else F.imag
+    G = G.reshape(-1, 2 * m + 1)
+    lo, hi = G.min(axis=1), G.max(axis=1)
+    for i in range(0, len(G) if m else 0, _BLOCK_ROWS):
+        block = slice(i, i + _BLOCK_ROWS)
+        vals = _critical_values(G[block], m)
+        np.fmin(lo[block], np.fmin.reduce(vals, axis=1), out=lo[block])
+        np.fmax(hi[block], np.fmax.reduce(vals, axis=1), out=hi[block])
+    shape = (bond_phases.shape[0], len(alphas) // (2 * m + 1))
+    return ((lo.reshape(shape).min(axis=1) <= ZERO_TOL)
+            & (hi.reshape(shape).max(axis=1) >= -ZERO_TOL))
 
 
 def momentum_membership(bs: BondSystem, ks,

@@ -51,7 +51,7 @@ def flow_point(lengths, k: float) -> TorusPoint:
 def sigma_membership(bs: BondSystem, point: TorusPoint,
                      threads: int | None = None) -> bool:
     """True iff the torus point solves the secular equation for some
-    quasi-momentum; same criterion and tolerances as momentum membership."""
+    quasi-momentum; same criterion and tolerance as momentum membership."""
     if point.dim != bs.n_edges:
         raise ValueError("torus point has dimension %d, expected %d"
                          % (point.dim, bs.n_edges))

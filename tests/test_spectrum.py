@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import graphbands as gb
+from conftest import random_magnetic_graph
 from graphbands.secular import secular_values
+from graphbands.spectrum import ZERO_TOL
 
 UNIT_LASSO = gb.bond_matrices(gb.bind_lengths(gb.build_example("lasso"), [1.0, 1.0]))
 
@@ -20,34 +22,6 @@ def circle_system(length=1.0):
 
 # ------------------------------------------------------------ polynomial
 
-def test_polynomial_constant_in_gap():
-    p = gb.alpha_polynomial(UNIT_LASSO, np.pi / 2)
-    assert p.degree == 1
-    c = p.coefficients
-    assert abs(c[1] - 4.0 / 3.0) <= 1e-12
-    assert abs(c[0]) <= 1e-12 and abs(c[2]) <= 1e-12
-    assert not p.has_unit_circle_root()
-
-
-def test_polynomial_root_at_band_point():
-    p = gb.alpha_polynomial(UNIT_LASSO, 2 * np.pi)
-    # -(4/3)(z - 1)^2 / z: double root at z = 1, alpha = 0
-    expected = np.array([-4 / 3, 8 / 3, -4 / 3])
-    assert np.abs(p.coefficients - expected).max() <= 1e-12
-    assert p.has_unit_circle_root()
-
-
-def test_polynomial_reconstructs_secular_values():
-    rng = np.random.default_rng(0)
-    for name in ("lasso", "fig1c", "fig1d"):
-        bs = gb.bond_matrices(gb.with_random_lengths(gb.build_example(name), 5))
-        for k in rng.uniform(0, 25, 4):
-            p = gb.alpha_polynomial(bs, k)
-            alphas = rng.uniform(0, 2 * np.pi, 9)
-            direct = np.array([gb.eval_secular(bs, k, [a]).value for a in alphas])
-            assert np.abs(p(alphas) - direct).max() <= 1e-9
-
-
 def test_polynomial_degree_bound_from_oversampling():
     # coefficients beyond +-m must vanish: extract with extra samples
     bs = gb.bond_matrices(gb.with_random_lengths(gb.build_example("fig1d"), 2))
@@ -62,45 +36,15 @@ def test_polynomial_degree_bound_from_oversampling():
 
 
 def test_polynomial_m0_for_fluxless_graph():
+    # a single Neumann edge of length 1 without flux: the real secular
+    # function is constant in alpha and vanishes exactly at k = n pi
     g = gb.MagneticGraph(vertices=(0, 1),
                          edges=(gb.Edge(1, 0, 1, 1.0, (0,)),),
                          generators=1)
-    p = gb.alpha_polynomial(gb.bond_matrices(g), 2.0)
-    assert p.degree == 0 and len(p.coefficients) == 1
-
-
-def test_polynomial_rejects_multiple_generators():
-    g = gb.MagneticGraph(vertices=(0, 1),
-                         edges=(gb.Edge(1, 0, 1, 1.0, (1, 0)),
-                                gb.Edge(2, 1, 0, 1.0, (0, 1))),
-                         generators=2)
-    with pytest.raises(ValueError):
-        gb.alpha_polynomial(gb.bond_matrices(g), 1.0)
-
-
-def test_polynomial_higher_flux_weight():
-    # two flux-carrying edges: degree-2 Laurent polynomial, values still match
-    g = gb.MagneticGraph(
-        vertices=(0, 1, 2),
-        edges=(gb.Edge(1, 0, 1, 1.1, (1,)), gb.Edge(2, 1, 0, 0.8, (1,)),
-               gb.Edge(3, 0, 2, 0.6, (0,))),
-        generators=1)
     bs = gb.bond_matrices(g)
-    assert bs.flux_weight == 2
-    p = gb.alpha_polynomial(bs, 3.7)
-    assert p.degree == 2
-    rng = np.random.default_rng(1)
-    alphas = rng.uniform(0, 2 * np.pi, 7)
-    direct = np.array([gb.eval_secular(bs, 3.7, [a]).value for a in alphas])
-    assert np.abs(p(alphas) - direct).max() <= 1e-9
-
-
-def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        gb.AlphaPolynomial(np.array([1.0, 2.0]))  # even length
-    flat = gb.AlphaPolynomial(np.zeros(3))
-    assert flat.is_flat()
-    assert flat.has_unit_circle_root()  # flat band counts as member
+    assert bs.flux_weight == 0
+    assert gb.momentum_membership(bs, [np.pi, 2 * np.pi, 2.0]).tolist() == \
+        [True, True, False]
 
 
 # ------------------------------------------------------------ membership
@@ -132,23 +76,53 @@ def test_flat_band_detected_via_zero_polynomial():
     g = gb.bind_lengths(gb.build_example("fig1d"),
                         [0.73, 0.61, 0.89, 1.0, 1.0, 1.0])
     bs = gb.bond_matrices(g)
+    N = 2 * bs.flux_weight + 1
+    alphas = 2 * np.pi * np.arange(N) / N
     for k in (2 * np.pi / 3, 4 * np.pi / 3, 2 * np.pi):
-        assert gb.alpha_polynomial(bs, k).is_flat()
+        F = secular_values(bs, (k * bs.bond_lengths)[None, :], alphas[:, None])
+        assert np.abs(F).max() <= 1e-12
         assert gb.in_spectrum(bs, k)
 
 
-def test_two_generator_fallback_runs():
+def test_membership_matches_dense_alpha_reference():
+    # seeds cover flux weights m = 2..5 and both signs of det S
+    alphas = 2 * np.pi * np.arange(1024) / 1024
+    rng = np.random.default_rng(4)
+    for seed in (1, 2, 3, 7, 12, 17, 19):
+        bs = gb.bond_matrices(random_magnetic_graph(seed))
+        kappas = rng.uniform(0, 2 * np.pi, (300, bs.n_edges))
+        G = np.stack([gb.real_secular_values(bs, kappas, [a]) for a in alphas],
+                     axis=1)
+        dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
+        member = gb.membership_from_phases(bs, kappas[:, bs.edge_of_bond])
+        assert np.array_equal(member, dense)
+
+
+def test_two_generator_flower_closed_form():
+    # flower with pendant: loops of phase kappa_j and a pendant of phase
+    # kappa_p at one vertex.  The vertex Dirichlet-to-Neumann sum puts the
+    # point in the spectrum iff -tan kappa_p lies in the sum over loops of
+    # [min, max] of (2 tan(kappa_j / 2), -2 cot(kappa_j / 2)).
     cell = gb.FundamentalCell(
-        vertices=(0, 1, 2),
-        edges=(gb.Edge(1, 0, 1, 0.9), gb.Edge(2, 0, 2, 1.3)),
+        vertices=(0, 1, 2, 3),
+        edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
+               gb.Edge(3, 0, 3, 1.236)),
         identifications=(gb.Identification(1, plus=1, minus=0),
                          gb.Identification(2, plus=2, minus=0)),
         generators=2)
     bs = gb.bond_matrices(gb.bloch_reduce(cell))
     assert bs.generators == 2
-    ks = np.linspace(0.1, 6.0, 40)
-    mem = gb.momentum_membership(bs, ks)
-    assert mem.dtype == bool and mem.any()
+    # reduced edges: two halves of loop 1, two halves of loop 2, pendant
+    assert bs.edge_ids == (1, 4, 2, 5, 3)
+    kappas = np.random.default_rng(1).uniform(0, 2 * np.pi, (4000, 5))
+    loops = kappas[:, [0, 2]] + kappas[:, [1, 3]]
+    ends = np.stack([2 * np.tan(loops / 2), -2 / np.tan(loops / 2)])
+    target = -np.tan(kappas[:, 4])
+    expected = ((ends.min(axis=0).sum(axis=1) <= target)
+                & (target <= ends.max(axis=0).sum(axis=1)))
+    member = gb.membership_from_phases(bs, kappas[:, bs.edge_of_bond])
+    assert member.dtype == bool
+    assert np.array_equal(member, expected)
     # k = 0 is always in the spectrum
     assert gb.in_spectrum(bs, 0.0)
 
