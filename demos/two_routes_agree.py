@@ -18,15 +18,12 @@ g = gb.with_random_lengths(gb.build_example("lasso"), seed=21)
 bs = gb.bond_matrices(g)
 print("graph: loop + pendant, lengths", np.round(g.lengths, 4))
 
-# a random draw admits no integer relations with probability one; the
-# torus route below relies on that (compare: equal lengths would carry
-# the relation (1, -1) and the flow would fill only a subtorus)
-generic = gb.RationalDependency(np.empty((0, 2)))
-degenerate = gb.RationalDependency([[1, -1]])
-print("relations: random draw rank %d, equal-length rank %d"
-      % (generic.rank, degenerate.rank))
 print()
 
+# a random draw admits no integer relations among the lengths with
+# probability one; the torus route below relies on that (compare: equal
+# lengths would carry the relation (1, -1) and the flow would fill only
+# a subtorus)
 series = gb.density(bs, k_max=4000.0, checkpoints=1)
 print("direct band measurement:   %.6f  (%d bands below K=4000)"
       % (series.final, len(series.bands.bands)))

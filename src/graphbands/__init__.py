@@ -12,14 +12,13 @@ from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
                           bind_lengths, bloch_reduce, build_example,
                           from_payload, load_graph, save_graph, to_payload,
                           validate_cell, with_random_lengths)
-from .bond_system import BondSystem, bond_matrices, unitary_at, vertex_scattering
-from .secular import (SecularValue, eval_phi, eval_secular,
-                      real_secular_values, scattering_parity, secular_values)
+from .bond_system import BondSystem, bond_matrices, vertex_scattering
+from .secular import real_secular_values, scattering_parity, secular_values
 from .spectrum import (Band, BandList, DensitySeries, band_intervals,
                        density, in_spectrum, measure_below,
                        membership_from_phases, momentum_membership)
-from .torus import (RationalDependency, TorusPoint, VolumeEstimate,
-                    flow_point, mc_volume, sigma_membership)
+from .torus import (TorusPoint, VolumeEstimate, flow_point, mc_volume,
+                    sigma_membership)
 from .reference_models import (InteriorResonanceError, ReferenceValue,
                                dihedral_density, dihedral_membership,
                                dihedral_secular, effective_reflection,
@@ -32,15 +31,14 @@ __all__ = [
     "Band", "BandList", "BondSystem", "DensitySeries",
     "EXAMPLE_NAMES", "Edge", "FundamentalCell", "GraphError",
     "Identification", "InteriorResonanceError", "MagneticGraph",
-    "RationalDependency", "ReferenceValue", "SecularValue", "TorusPoint",
-    "VolumeEstimate", "as_magnetic", "band_intervals",
-    "bind_lengths", "bloch_reduce", "bond_matrices", "build_example",
-    "density", "dihedral_density", "dihedral_membership", "dihedral_secular",
-    "effective_reflection", "eval_phi", "eval_secular", "flow_point",
+    "ReferenceValue", "TorusPoint", "VolumeEstimate", "as_magnetic",
+    "band_intervals", "bind_lengths", "bloch_reduce", "bond_matrices",
+    "build_example", "density", "dihedral_density", "dihedral_membership",
+    "dihedral_secular", "effective_reflection", "flow_point",
     "from_payload", "in_spectrum", "lasso_membership",
     "lasso_reference_density", "load_graph", "mc_volume", "measure_below",
     "membership_from_phases", "momentum_membership", "phi_lasso",
     "real_secular_values", "save_graph", "scattering_parity",
-    "secular_values", "sigma_membership", "to_payload", "unitary_at",
-    "validate_cell", "vertex_scattering", "with_random_lengths",
+    "secular_values", "sigma_membership", "to_payload", "validate_cell",
+    "vertex_scattering", "with_random_lengths",
 ]

@@ -63,14 +63,6 @@ class BondSystem:
         e = np.arange(self.n_edges)
         return np.concatenate([e, e])
 
-    def reversal(self, b: int) -> int:
-        """Index of the reversed bond."""
-        return (b + self.n_edges) % self.n_bonds
-
-    def bond_index(self, edge_id, forward: bool = True) -> int:
-        i = self.edge_ids.index(edge_id)
-        return i if forward else i + self.n_edges
-
     @property
     def total_length(self) -> float:
         return float(self.bond_lengths[:self.n_edges].sum())
@@ -131,16 +123,3 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
         generators=g.generators,
     )
 
-
-def unitary_at(bs: BondSystem, k: float, alpha=()) -> np.ndarray:
-    """Bond evolution operator U(k; alpha) = exp(i(A + kL)) S.
-
-    ``alpha`` holds one quasi-momentum per generator; the diagonal phase
-    on bond b is ``flux[b] . alpha + k * length[b]``.
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.shape != (bs.generators,):
-        raise ValueError("expected %d quasi-momenta, got shape %r"
-                         % (bs.generators, alpha.shape))
-    phase = bs.bond_flux @ alpha + k * bs.bond_lengths
-    return np.exp(1j * phase)[:, None] * bs.scattering

@@ -104,27 +104,22 @@ def _connected(vertices, adjacency_pairs) -> bool:
     return all(find(i) == root for i in range(len(verts)))
 
 
-def validate_cell(cell: FundamentalCell) -> list[str]:
-    """Check a fundamental cell against its structural invariants.
-
-    Returns a list of human-readable violation strings, empty when the
-    cell is valid.  Checks: vertex set nonempty and duplicate-free,
-    edge endpoints and identification vertices exist, edge ids unique,
-    bound lengths strictly positive and finite, generator indices in
-    1..J, identifications glue two distinct vertices, and the graph is
-    connected after all identifications are applied.
-    """
+def _structure_violations(vertices, edges, generators, edge_rule) -> list[str]:
+    """Checks shared by cells and magnetic graphs: generator count, vertex
+    set, edge ids, edge endpoints and bound lengths.  ``edge_rule(e)``
+    returns the caller's own violations for edge ``e``, reported after
+    the shared ones for that edge."""
     report = []
-    if cell.generators < 0:
-        report.append("generator count %d is negative" % cell.generators)
-    if not cell.vertices:
+    if generators < 0:
+        report.append("generator count %d is negative" % generators)
+    if not vertices:
         report.append("vertex set is empty")
-    if len(set(cell.vertices)) != len(cell.vertices):
+    if len(set(vertices)) != len(vertices):
         report.append("duplicate vertex ids")
-    vset = set(cell.vertices)
+    vset = set(vertices)
 
     seen_ids = set()
-    for e in cell.edges:
+    for e in edges:
         if e.id in seen_ids:
             report.append("duplicate edge id %r" % (e.id,))
         seen_ids.add(e.id)
@@ -136,10 +131,30 @@ def validate_cell(cell: FundamentalCell) -> list[str]:
                 report.append("edge %r has non-finite length" % (e.id,))
             elif e.length <= 0:
                 report.append("edge %r has nonpositive length" % (e.id,))
-        if e.flux and any(f != 0 for f in e.flux):
-            report.append("cell edge %r carries flux; flux belongs to the "
-                          "reduced graph" % (e.id,))
+        report += edge_rule(e)
+    return report
 
+
+def validate_cell(cell: FundamentalCell) -> list[str]:
+    """Check a fundamental cell against its structural invariants.
+
+    Returns a list of human-readable violation strings, empty when the
+    cell is valid.  Checks: vertex set nonempty and duplicate-free,
+    edge endpoints and identification vertices exist, edge ids unique,
+    bound lengths strictly positive and finite, cell edges carry no
+    flux, generator indices in 1..J, identifications glue two distinct
+    vertices, and the graph is connected after all identifications are
+    applied.
+    """
+    def no_flux(e):
+        if e.flux and any(f != 0 for f in e.flux):
+            return ["cell edge %r carries flux; flux belongs to the "
+                    "reduced graph" % (e.id,)]
+        return []
+
+    report = _structure_violations(cell.vertices, cell.edges,
+                                   cell.generators, no_flux)
+    vset = set(cell.vertices)
     for ident in cell.identifications:
         if not 1 <= ident.generator <= cell.generators:
             report.append("identification generator %d outside 1..%d"
@@ -179,33 +194,16 @@ class MagneticGraph:
             raise GraphError(report)
 
     def _violations(self) -> list[str]:
-        report = []
-        if self.generators < 0:
-            report.append("generator count %d is negative" % self.generators)
-        if not self.vertices:
-            report.append("vertex set is empty")
-        if len(set(self.vertices)) != len(self.vertices):
-            report.append("duplicate vertex ids")
-        vset = set(self.vertices)
-        seen_ids = set()
-        for e in self.edges:
-            if e.id in seen_ids:
-                report.append("duplicate edge id %r" % (e.id,))
-            seen_ids.add(e.id)
-            for v in (e.tail, e.head):
-                if v not in vset:
-                    report.append("edge %r references unknown vertex %r"
-                                  % (e.id, v))
-            if e.length is not None:
-                if not np.isfinite(e.length):
-                    report.append("edge %r has non-finite length" % (e.id,))
-                elif e.length <= 0:
-                    report.append("edge %r has nonpositive length" % (e.id,))
+        def integer_flux(e):
             if len(e.flux) != self.generators:
-                report.append("edge %r flux vector has length %d, expected %d"
-                              % (e.id, len(e.flux), self.generators))
-            elif any(f != int(f) for f in e.flux):
-                report.append("edge %r has non-integer flux" % (e.id,))
+                return ["edge %r flux vector has length %d, expected %d"
+                        % (e.id, len(e.flux), self.generators)]
+            if any(f != int(f) for f in e.flux):
+                return ["edge %r has non-integer flux" % (e.id,)]
+            return []
+
+        report = _structure_violations(self.vertices, self.edges,
+                                       self.generators, integer_flux)
         if not report:
             if not _connected(self.vertices, [(e.tail, e.head) for e in self.edges]):
                 report.append("graph is disconnected")

@@ -9,22 +9,26 @@ universal.  The reflection coefficient of a pendant decoration explains
 why whole families of graphs share one band set: a decoration enters the
 secular equation only through a unimodular phase, which a change of
 variables absorbs into one torus coordinate.
+
+Nothing here has its own numerical machinery: the reflection coefficient
+eliminates the interior bonds of the :func:`bond_matrices` system of the
+decoration with its lead attached, and the dihedral Monte Carlo runs on
+the torus sampling loop :func:`torus.mc_fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from .bond_system import vertex_scattering
-from .graph_model import GraphError, MagneticGraph
+from .bond_system import bond_matrices
+from .graph_model import Edge, GraphError, MagneticGraph
+from .torus import mc_fraction
 
-TWO_PI = 2.0 * np.pi
 UNITARITY_TOL = 1e-10
 _RESONANCE_RTOL = 1e-10
-_MC_CHUNK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -141,22 +145,14 @@ def dihedral_membership(kappa1, kappa2, kappa3):
 def dihedral_density(samples: int, seed: int) -> ReferenceValue:
     """Monte Carlo band density of the dihedral graph.
 
-    Uniform torus sampling of the closed-form indicator; the Philox
-    stream makes the value a pure function of (samples, seed).
+    Uniform torus sampling of the closed-form indicator by
+    :func:`torus.mc_fraction`, so the value is a pure function of
+    (samples, seed).
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    hits = 0
-    done = 0
-    while done < samples:
-        n = min(_MC_CHUNK, samples - done)
-        kappa = rng.uniform(0.0, TWO_PI, size=(n, 3))
-        hits += int(np.count_nonzero(
-            dihedral_membership(kappa[:, 0], kappa[:, 1], kappa[:, 2])))
-        done += n
-    p = hits / samples
-    se = float(np.sqrt(p * (1.0 - p) / samples))
+    def member(kappa):
+        return dihedral_membership(kappa[:, 0], kappa[:, 1], kappa[:, 2])
+
+    p, se = mc_fraction(member, 3, samples, seed)
     return ReferenceValue(value=p, method="monte_carlo", error_bound=se)
 
 
@@ -194,43 +190,29 @@ def effective_reflection(decoration: MagneticGraph, entry_vertex, k: float):
     if not decoration.is_bound:
         raise GraphError("decoration has unbound length slots")
 
-    n = 2 * E
-    tails = [e.tail for e in decoration.edges] + [e.head for e in decoration.edges]
-    heads = [e.head for e in decoration.edges] + [e.tail for e in decoration.edges]
+    # the lead is one more edge into the entry vertex; its bonds are
+    # E (arriving) and 2E + 1 (leaving), the others are the interior
+    lead = Edge(max(e.id for e in decoration.edges) + 1,
+                max(decoration.vertices) + 1, entry_vertex, 1.0,
+                (0,) * decoration.generators)
+    bs = bond_matrices(replace(decoration,
+                               vertices=decoration.vertices + (lead.tail,),
+                               edges=decoration.edges + (lead,)))
+    arrive, leave = E, 2 * E + 1
+    interior = np.r_[0:E, E + 1:2 * E + 1]
+    S = bs.scattering[np.ix_(interior, interior)]
+    source = bs.scattering[interior, arrive]
 
-    S = np.zeros((n, n))
-    entry_degree = None
-    for v in decoration.vertices:
-        incoming = [b for b in range(n) if heads[b] == v]
-        outgoing = [b for b in range(n) if tails[b] == v]
-        d = len(incoming) + (1 if v == entry_vertex else 0)
-        if v == entry_vertex:
-            entry_degree = d
-        if not incoming:
-            continue
-        back, fwd = vertex_scattering(d)
-        for b in incoming:
-            rev = (b + E) % n
-            for bp in outgoing:
-                S[bp, b] = back if bp == rev else fwd
-
-    back_w, fwd_w = vertex_scattering(entry_degree)
-    source = np.array([fwd_w if tails[b] == entry_vertex else 0.0
-                       for b in range(n)], dtype=complex)
-
-    lengths = np.concatenate([decoration.lengths] * 2)
-    phases = np.exp(1j * k * lengths)
-    M = np.eye(n, dtype=complex) - S * phases[None, :]
+    phases = np.exp(1j * k * bs.bond_lengths[interior])
+    M = np.eye(2 * E, dtype=complex) - S * phases[None, :]
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= _RESONANCE_RTOL * sv[0]:
         raise InteriorResonanceError(
             "decoration is resonant at k=%r (singular interior system)" % (k,))
     x = np.linalg.solve(M, source)
 
-    returning = phases * x
-    theta = back_w + fwd_w * sum(returning[b] for b in range(n)
-                                 if heads[b] == entry_vertex)
-    theta = complex(theta)
+    theta = complex(bs.scattering[leave, arrive]
+                    + bs.scattering[leave, interior] @ (phases * x))
     if abs(abs(theta) - 1.0) > UNITARITY_TOL:
         raise InteriorResonanceError(
             "reflection lost unitarity at k=%r (|Theta| = %.12f), "

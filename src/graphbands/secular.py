@@ -10,51 +10,22 @@ arbitrary phase vector kappa in place of kL gives the torus secular
 function Phi(kappa; alpha), whose zero set lifts the spectrum to the
 torus of edge phases.
 
-The batched evaluator here is the kernel everything else is built on:
-band scans, the quasi-momentum sign test and Monte Carlo torus
-sampling all reduce to evaluating stacks of these determinants.
+:func:`secular_values` is the one determinant kernel everything else is
+built on: band scans, the quasi-momentum sign test and Monte Carlo torus
+sampling all reduce to evaluating stacks of these determinants.  There
+is no scalar path; a single point is a batch of one row.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bond_system import BondSystem, unitary_at
+from .bond_system import BondSystem
 
 # target number of scratch matrix entries per chunk of the batched kernel
 _CHUNK_BUDGET = 4_000_000
-
-
-@dataclass(frozen=True)
-class SecularValue:
-    """Value of the secular determinant at one evaluation point."""
-
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
-def eval_secular(bs: BondSystem, k: float, alpha=()) -> SecularValue:
-    """F(k; alpha) at a single momentum and quasi-momentum."""
-    U = unitary_at(bs, k, alpha)
-    return SecularValue(complex(np.linalg.det(np.eye(bs.n_bonds) - U)))
-
-
-def eval_phi(bs: BondSystem, kappa, alpha=()) -> SecularValue:
-    """Torus secular function Phi(kappa; alpha) for per-edge phases kappa."""
-    kappa = np.asarray(kappa, dtype=float)
-    if kappa.shape != (bs.n_edges,):
-        raise ValueError("expected %d edge phases, got shape %r"
-                         % (bs.n_edges, kappa.shape))
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    phase = bs.bond_flux @ alpha + kappa[bs.edge_of_bond]
-    U = np.exp(1j * phase)[:, None] * bs.scattering
-    return SecularValue(complex(np.linalg.det(np.eye(bs.n_bonds) - U)))
 
 
 def _secular_block(S, bond_phases, alpha_phases):

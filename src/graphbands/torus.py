@@ -69,15 +69,14 @@ class VolumeEstimate:
     seed: int
 
 
-def mc_volume(bs: BondSystem, samples: int, seed: int,
-              threads: int | None = None) -> VolumeEstimate:
-    """Monte Carlo volume of the secular zero-set union on the torus.
+def mc_fraction(indicator, dim: int, samples: int, seed: int):
+    """Fraction of uniform points of the ``dim``-torus where ``indicator``
+    holds, with its binomial standard error sqrt(p(1-p)/n).
 
-    Draws uniform torus points from a counter-based Philox stream, so the
-    result depends only on (samples, seed), not on chunking.  The
-    estimate converges to the band density of any graph with the same
-    shape and rationally independent lengths; the reported standard error
-    is the binomial one, sqrt(p(1-p)/n).
+    ``indicator`` maps an (n, dim) array of phases in [0, 2 pi) to n
+    booleans.  Points come from a counter-based Philox stream in chunks
+    of ``_MC_CHUNK`` rows; chunking does not change the stream, so the
+    result depends only on (samples, seed).
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -86,44 +85,24 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
-        kappa = rng.uniform(0.0, TWO_PI, size=(n, bs.n_edges))
-        phases = kappa[:, bs.edge_of_bond]
-        hits += int(membership_from_phases(bs, phases, threads).sum())
+        kappa = rng.uniform(0.0, TWO_PI, size=(n, dim))
+        hits += int(np.count_nonzero(indicator(kappa)))
         done += n
     p = hits / samples
-    se = float(np.sqrt(p * (1.0 - p) / samples))
+    return p, float(np.sqrt(p * (1.0 - p) / samples))
+
+
+def mc_volume(bs: BondSystem, samples: int, seed: int,
+              threads: int | None = None) -> VolumeEstimate:
+    """Monte Carlo volume of the secular zero-set union on the torus.
+
+    Samples :func:`mc_fraction` with the secular membership test.  The
+    estimate converges to the band density of any graph with the same
+    shape and rationally independent lengths.
+    """
+    def member(kappa):
+        return membership_from_phases(bs, kappa[:, bs.edge_of_bond], threads)
+
+    p, se = mc_fraction(member, bs.n_edges, samples, seed)
     return VolumeEstimate(value=p, std_error=se, samples=samples,
                           seed=int(seed))
-
-
-@dataclass(frozen=True)
-class RationalDependency:
-    """Integer dependency relations among edge lengths.
-
-    Rows are integer vectors q with q . lengths = 0.  A generic length
-    draw admits none; the torus-volume route to the band density assumes
-    an empty (rank 0) relation set, and this record exists to document a
-    deliberate departure from that assumption.
-    """
-
-    relations: np.ndarray
-
-    def __post_init__(self):
-        rel = np.asarray(self.relations)
-        if rel.ndim != 2:
-            raise ValueError("relations must be a 2-D integer array")
-        if not np.issubdtype(rel.dtype, np.integer):
-            if not np.all(rel == np.round(rel)):
-                raise ValueError("relations must be integer vectors")
-            rel = rel.astype(int)
-        object.__setattr__(self, "relations", rel)
-
-    @property
-    def rank(self) -> int:
-        if self.relations.size == 0:
-            return 0
-        return int(np.linalg.matrix_rank(self.relations))
-
-    @property
-    def is_generic(self) -> bool:
-        return self.rank == 0

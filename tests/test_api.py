@@ -1,0 +1,31 @@
+import graphbands as gb
+
+# The public API.  A name retired from the package leaves this set with
+# it, so a stale ``__all__`` entry or an accidental export fails here.
+PUBLIC = frozenset((
+    "Band", "BandList", "BondSystem", "DensitySeries", "EXAMPLE_NAMES",
+    "Edge", "FundamentalCell", "GraphError", "Identification",
+    "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
+    "TorusPoint", "VolumeEstimate", "as_magnetic", "band_intervals",
+    "bind_lengths", "bloch_reduce", "bond_matrices", "build_example",
+    "density", "dihedral_density", "dihedral_membership", "dihedral_secular",
+    "effective_reflection", "flow_point", "from_payload", "in_spectrum",
+    "lasso_membership", "lasso_reference_density", "load_graph",
+    "mc_volume", "measure_below", "membership_from_phases",
+    "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
+    "scattering_parity", "secular_values", "sigma_membership", "to_payload",
+    "validate_cell", "vertex_scattering", "with_random_lengths",
+))
+
+
+def test_all_names_resolve():
+    assert [name for name in gb.__all__ if not hasattr(gb, name)] == []
+
+
+def test_all_has_no_duplicates():
+    assert len(gb.__all__) == len(set(gb.__all__))
+
+
+def test_all_is_the_public_api():
+    assert set(gb.__all__) == PUBLIC
+

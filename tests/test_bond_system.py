@@ -38,6 +38,7 @@ def test_lasso_matrix_fixture():
     assert np.abs(bs.scattering - LASSO_S).max() <= 1e-15
     assert bs.bond_lengths.tolist() == [1.3, 0.9, 1.3, 0.9]
     assert bs.bond_flux[:, 0].tolist() == [1.0, 0.0, -1.0, 0.0]
+    assert bs.edge_of_bond.tolist() == [0, 1, 0, 1]
 
 
 def test_single_edge_full_reflection():
@@ -45,15 +46,6 @@ def test_single_edge_full_reflection():
                          generators=0)
     bs = gb.bond_matrices(g)
     assert np.array_equal(bs.scattering, [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_bond_index_and_reversal():
-    bs = lasso_system()
-    assert bs.bond_index(1) == 0
-    assert bs.bond_index(2) == 1
-    assert bs.bond_index(1, forward=False) == 2
-    assert bs.reversal(0) == 2 and bs.reversal(3) == 1
-    assert bs.edge_of_bond.tolist() == [0, 1, 0, 1]
 
 
 def test_random_corpus_invariants():
@@ -85,34 +77,6 @@ def test_random_corpus_invariants():
         assert np.array_equal(bs.bond_flux[:5], -bs.bond_flux[5:])
         # determinant is +-1
         assert gb.scattering_parity(bs) in (-1, 1)
-
-
-def test_unitary_at_k0_is_s():
-    bs = lasso_system()
-    assert np.abs(gb.unitary_at(bs, 0.0, [0.0]) - bs.scattering).max() == 0.0
-
-
-def test_unitary_at_phase_pattern():
-    l1, l2, k, a = 1.3, 0.9, 2.7, 0.8
-    bs = lasso_system(l1, l2)
-    phases = np.exp(1j * np.array([a + k * l1, k * l2, -a + k * l1, k * l2]))
-    expected = phases[:, None] * LASSO_S
-    assert np.abs(gb.unitary_at(bs, k, [a]) - expected).max() <= 1e-12
-
-
-def test_unitary_at_is_unitary():
-    rng = np.random.default_rng(3)
-    for seed in range(10):
-        bs = gb.bond_matrices(random_magnetic_graph(seed))
-        U = gb.unitary_at(bs, rng.uniform(0, 30), rng.uniform(-np.pi, np.pi, 1))
-        assert np.abs(U.conj().T @ U - np.eye(10)).max() <= 1e-10
-        assert abs(abs(np.linalg.det(U)) - 1.0) <= 1e-10
-
-
-def test_unitary_at_alpha_shape_checked():
-    bs = lasso_system()
-    with pytest.raises(ValueError):
-        gb.unitary_at(bs, 1.0, [0.1, 0.2])
 
 
 def test_self_loop_degree_and_scattering():

@@ -92,10 +92,12 @@ def test_mc_volume_deterministic():
 
 def test_mc_volume_chunk_independent(monkeypatch):
     full = gb.mc_volume(LASSO, 30_000, seed=5)
+    dihedral = gb.dihedral_density(30_000, seed=5)
     monkeypatch.setattr(torus_mod, "_MC_CHUNK", 1234)
     chunked = gb.mc_volume(LASSO, 30_000, seed=5)
     assert chunked.value == full.value
     assert chunked.std_error == full.std_error
+    assert gb.dihedral_density(30_000, seed=5) == dihedral
 
 
 def test_mc_volume_frozen_regression():
@@ -128,15 +130,3 @@ def test_cross_route_agreement():
     series = gb.density(LASSO, 1500.0, checkpoints=1)
     assert abs(est.value - series.final) < 0.02
 
-
-# ------------------------------------------------------- rational metadata
-
-def test_rational_dependency_ranks():
-    none = gb.RationalDependency(np.zeros((0, 3), dtype=int))
-    assert none.rank == 0 and none.is_generic
-    rel = gb.RationalDependency(np.array([[1, -2, 0], [2, -4, 0]]))
-    assert rel.rank == 1 and not rel.is_generic
-    with pytest.raises(ValueError):
-        gb.RationalDependency(np.array([[0.5, 1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        gb.RationalDependency(np.array([1, 2, 3]))
