@@ -70,8 +70,6 @@ def _add_length_options(p):
 
 def _add_common(p, seed_help="seed for random draws"):
     p.add_argument("--seed", type=int, default=0, help=seed_help)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker threads for batched evaluation")
     p.add_argument("-o", "--output", default=None,
                    help="write CSV here instead of stdout")
 
@@ -117,10 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, required=True)
     _add_length_options(p)
     _add_common(p, seed_help="seed for sampling (and random lengths if asked)")
+    for name in ("bands", "density", "torus"):    # the commands that use it
+        sub.choices[name].add_argument(
+            "--threads", type=_positive_int,
+            help="worker threads for batched evaluation")
 
     p = sub.add_parser("reference", help="closed-form reference band densities")
     ref = p.add_subparsers(dest="model", required=True)
-    q = ref.add_parser("lasso", help="loop-with-pendant density by quadrature")
+    q = ref.add_parser("lasso", help="loop-with-pendant density in closed form")
     q.add_argument("-o", "--output", default=None)
     q = ref.add_parser("dihedral", help="dihedral graph density by Monte Carlo")
     q.add_argument("--samples", type=_positive_int, default=10_000_000)
@@ -243,10 +245,7 @@ def run(argv=None) -> int:
         for line in exc.violations:
             print("error: %s" % line, file=sys.stderr)
         return FAILURE_EXIT
-    except InteriorResonanceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return FAILURE_EXIT
-    except OSError as exc:
+    except (InteriorResonanceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAILURE_EXIT
 

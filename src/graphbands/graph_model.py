@@ -47,14 +47,6 @@ class Edge:
     length: float | None = None
     flux: tuple[int, ...] = ()
 
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.head
-
-    def reversed(self) -> "Edge":
-        return replace(self, tail=self.head, head=self.tail,
-                       flux=tuple(-f for f in self.flux))
-
 
 @dataclass(frozen=True)
 class Identification:
@@ -410,6 +402,13 @@ EXAMPLE_NAMES = ("lasso", "loop_pendant", "loop_path2", "loop_triangle")
 # file interface
 # ---------------------------------------------------------------------------
 
+def _integer(value, field):
+    """``int(value)`` that refuses, not truncates, a fractional number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise GraphError("%s: %r is not an integer" % (field, value))
+    return int(value)
+
+
 def from_payload(payload: dict) -> FundamentalCell | MagneticGraph:
     """Build a cell or magnetic graph from a parsed JSON payload.
 
@@ -420,18 +419,9 @@ def from_payload(payload: dict) -> FundamentalCell | MagneticGraph:
     flux is rejected: flux is derived by reduction, never supplied.
     Otherwise the result is a validated :class:`MagneticGraph`.
     """
-    try:
-        generators = int(payload["generators"])
-        vertices = tuple(int(v) for v in payload["vertices"])
-        raw_edges = payload["edges"]
-        idents = payload.get("identifications", [])
-        graph_name = str(payload.get("name", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError("malformed graph payload: %s" % exc) from None
-
     def parse_edge(obj, with_flux):
         length = obj.get("length")
-        flux = tuple(int(f) for f in obj.get("flux", ()))
+        flux = tuple(_integer(f, "flux") for f in obj.get("flux", ()))
         if not with_flux and any(flux):
             raise GraphError("edge %r: nonzero flux together with "
                              "identifications is not allowed" % (obj.get("id"),))
@@ -439,17 +429,24 @@ def from_payload(payload: dict) -> FundamentalCell | MagneticGraph:
             flux = ()
         elif not flux:
             flux = (0,) * generators
-        return Edge(id=int(obj["id"]), tail=int(obj["from"]),
-                    head=int(obj["to"]),
+        return Edge(id=_integer(obj["id"], "id"),
+                    tail=_integer(obj["from"], "from"),
+                    head=_integer(obj["to"], "to"),
                     length=None if length is None else float(length),
                     flux=flux)
 
     try:
+        generators = _integer(payload["generators"], "generators")
+        vertices = tuple(_integer(v, "vertices") for v in payload["vertices"])
+        raw_edges = payload["edges"]
+        idents = payload.get("identifications", [])
+        graph_name = str(payload.get("name", ""))
         if idents:
             edges = tuple(parse_edge(o, with_flux=False) for o in raw_edges)
             identifications = tuple(
-                Identification(generator=int(i["generator"]),
-                               plus=int(i["plus"]), minus=int(i["minus"]))
+                Identification(generator=_integer(i["generator"], "generator"),
+                               plus=_integer(i["plus"], "plus"),
+                               minus=_integer(i["minus"], "minus"))
                 for i in idents)
             return FundamentalCell(vertices=vertices, edges=edges,
                                    identifications=identifications,

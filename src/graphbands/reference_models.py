@@ -2,13 +2,13 @@
 
 Two small graphs admit pencil-and-paper band sets on the torus and serve
 as ground truth for the numerical pipeline: the loop-with-pendant graph
-(band density expressible by a one-dimensional quadrature, about 0.64)
-and a dihedral-symmetric three-edge graph whose band density (about
-0.43) shows the universal constant is shape-dependent, not literally
-universal.  The reflection coefficient of a pendant decoration explains
-why whole families of graphs share one band set: a decoration enters the
-secular equation only through a unimodular phase, which a change of
-variables absorbs into one torus coordinate.
+(band density about 0.64, in closed form through Legendre's chi
+function) and a dihedral-symmetric three-edge graph whose band density
+(about 0.43) shows the universal constant is shape-dependent, not
+literally universal.  The reflection coefficient of a pendant
+decoration explains why whole families of graphs share one band set: a
+decoration enters the secular equation only through a unimodular phase,
+which a change of variables absorbs into one torus coordinate.
 
 Nothing here has its own numerical machinery: the reflection coefficient
 eliminates the interior bonds of the :func:`bond_matrices` system of the
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bond_system import bond_matrices
 from .graph_model import Edge, GraphError, MagneticGraph
@@ -35,7 +34,7 @@ _RESONANCE_RTOL = 1e-10
 class ReferenceValue:
     """Reference number with provenance and an error scale.
 
-    ``error_bound`` is a rigorous bound for quadrature values and one
+    ``error_bound`` is a rigorous bound for closed-form values and one
     standard error for Monte Carlo values; ``method`` says which.
     """
 
@@ -85,25 +84,28 @@ def lasso_membership(kappa1, kappa2):
 
 
 def lasso_reference_density() -> ReferenceValue:
-    """Band density of the loop-with-pendant graph by quadrature.
+    """Band density of the loop-with-pendant graph in closed form.
 
-    Integrating the membership indicator over the torus reduces to
+    The torus volume of the band set is (2/pi^2) int_0^pi arctan(2
+    cot(kappa/2)) dkappa = (4/pi^2) int_0^(pi/2) arctan(2 cot u) du.  On
+    (0, pi/2), arctan(2 cot u) = pi/2 - arctan(tan(u)/2), and
+    int_0^(pi/2) arctan(b tan u) du = int_0^b ln s / (s^2 - 1) ds =
+    chi2(b) - ln(b) artanh(b) (differentiate in b), with Legendre's chi
+    function chi2(x) = sum_k x^(2k+1) / (2k+1)^2.  So at b = 1/2
 
-        p = (2 / pi^2) * integral_0^pi arctan(2 cot(kappa / 2)) dkappa,
+        p = 1 - (4/pi^2) (ln(2) ln(3) / 2 + chi2(1/2)).
 
-    evaluated adaptively with absolute error below 1e-8.
+    ``error_bound`` is the tail of the series after n = 24 terms times
+    4/pi^2, plus 16 ulps for rounding (a worst-case count gives 5).
     """
-    def integrand(kappa):
-        return np.arctan2(2.0, np.tan(0.5 * kappa))
-
-    val, err = quad(integrand, 0.0, np.pi, epsabs=1e-11, epsrel=1e-11,
-                    limit=200)
-    scale = 2.0 / np.pi ** 2
-    bound = scale * err
-    if bound > 1e-8:
-        raise ArithmeticError("quadrature failed to reach 1e-8 accuracy")
-    return ReferenceValue(value=scale * val, method="quadrature",
-                          error_bound=bound)
+    x, n = 0.5, 24
+    k = np.arange(n)
+    chi2 = np.sum(x ** (2 * k + 1) / (2 * k + 1) ** 2)
+    tail = x ** (2 * n + 1) / ((2 * n + 1) ** 2 * (1.0 - x * x))
+    scale = 4.0 / np.pi ** 2
+    value = 1.0 - scale * (0.5 * np.log(2.0) * np.log(3.0) + chi2)
+    return ReferenceValue(value=float(value), method="closed_form",
+                          error_bound=scale * tail + 16 * 2.0 ** -52)
 
 
 # ---------------------------------------------------------------------------

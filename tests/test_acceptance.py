@@ -2,8 +2,8 @@
 
 Each test exercises one published claim or contract at its stated
 tolerance and records a single PASS/FAIL line (printed in the terminal
-summary).  Reference: band density of the loop-with-pendant graph by
-quadrature; everything else must agree with it through independent
+summary).  Reference: band density of the loop-with-pendant graph in
+closed form; everything else must agree with it through independent
 routes.
 """
 
@@ -47,7 +47,7 @@ def test_criterion_01_quadrature_reference(record_criterion):
     ok = (round(ref.value, 2) == 0.64 and ref.error_bound <= 1e-8
           and elapsed < 1.0)
     _record(record_criterion, 1, ok,
-            "quadrature %.10f rounds to 0.64, bound %.1e" %
+            "closed form %.10f rounds to 0.64, bound %.1e" %
             (ref.value, ref.error_bound), t0)
 
 

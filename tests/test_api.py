@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import graphbands as gb
 
 # The public API.  A name retired from the package leaves this set with
@@ -29,3 +33,14 @@ def test_all_has_no_duplicates():
 def test_all_is_the_public_api():
     assert set(gb.__all__) == PUBLIC
 
+
+def test_numpy_is_the_only_dependency():
+    # a fresh interpreter, so modules loaded by other tests do not count;
+    # it imports the same package directory as this test
+    code = ("import sys, graphbands, graphbands.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gb.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60, env=env).stdout
+    assert out.strip() == "[]"

@@ -51,6 +51,11 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert run(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert "violation" in err and "nonpositive length" in err
+    # a fractional flux is an error, not flux 0
+    path.write_text(json.dumps(gb.to_payload(gb.build_example("lasso")))
+                    .replace('"flux": [1]', '"flux": [0.5]'))
+    assert run(["validate", str(path)]) == 1
+    assert "flux: 0.5 is not an integer" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):
@@ -67,6 +72,7 @@ def test_usage_errors_exit_2(lasso_file):
                  ["bands", lasso_file, "--kmax", "-3"],
                  ["density", lasso_file, "--kmax", "5", "--checkpoints", "0"],
                  ["torus", lasso_file, "--samples", "zero"],
+                 ["scattering", lasso_file, "--threads", "2"],
                  ["nonsense"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -153,8 +159,8 @@ def test_cell_file_reduced_before_computation(cell_file, capsys):
 def test_reference_commands(capsys):
     assert run(["reference", "lasso"]) == 0
     value, bound = capsys.readouterr().out.strip().split(",")
-    assert round(float(value), 2) == 0.64
-    assert float(bound) <= 1e-8
+    assert float(value) == 0.6368335201743935
+    assert float(bound) <= 1e-14
     assert run(["reference", "dihedral", "--samples", "100000",
                 "--seed", "0"]) == 0
     value, se = capsys.readouterr().out.strip().split(",")

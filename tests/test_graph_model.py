@@ -245,6 +245,32 @@ def test_missing_flux_defaults_to_zero():
 def test_malformed_payload_and_file(tmp_path):
     with pytest.raises(gb.GraphError):
         gb.from_payload({"vertices": [0]})
+
+    def payload(generators=1, vertex=1, edge_id=1, head=1, flux=1, plus=None):
+        out = {"generators": generators, "vertices": [0, vertex],
+               "edges": [{"id": edge_id, "from": 0, "to": head,
+                          "length": 1.0, "flux": [flux]}]}
+        if plus is not None:
+            del out["edges"][0]["flux"]
+            out["identifications"] = [{"generator": 1, "plus": plus,
+                                       "minus": 0}]
+        return out
+
+    # integral floats are integers; any other number is refused by name,
+    # never truncated
+    assert gb.from_payload(payload(1.0, 1.0, 1.0, 1.0, 1.0)) == \
+        gb.from_payload(payload())
+    for field, value, bad in (
+            ("generators", 1.5, payload(generators=1.5)),
+            ("generators", float("inf"), payload(generators=float("inf"))),
+            ("vertices", 1.9, payload(vertex=1.9)),
+            ("id", 1.2, payload(edge_id=1.2)),
+            ("to", 0.9, payload(head=0.9)),
+            ("flux", 0.5, payload(flux=0.5)),
+            ("plus", 1.5, payload(plus=1.5))):
+        with pytest.raises(gb.GraphError) as err:
+            gb.from_payload(bad)
+        assert "%s: %r is not an integer" % (field, value) in str(err.value)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(gb.GraphError):

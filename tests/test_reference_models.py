@@ -10,17 +10,21 @@ TRIANGLE = gb.MagneticGraph(
     generators=0)
 
 
-# ------------------------------------------------------------- quadrature
-
-def test_quadrature_reference_value():
-    ref = gb.lasso_reference_density()
-    assert ref.method == "quadrature"
-    assert ref.error_bound <= 1e-8
-    assert ref.value == pytest.approx(0.6368335201743935, abs=1e-11)
-    assert round(ref.value, 2) == 0.64
-
-
 # ------------------------------------------------------------ closed forms
+
+def test_closed_form_reference_value():
+    ref = gb.lasso_reference_density()
+    assert ref.method == "closed_form"
+    assert ref.error_bound <= 1e-14
+    assert ref.value == pytest.approx(0.6368335201743935, abs=1e-15)
+    assert round(ref.value, 2) == 0.64
+    # independent route: Gauss-Legendre on the defining integral
+    #   (2 / pi^2) * integral_0^pi arctan(2 cot(kappa / 2)) dkappa
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    kappa = 0.5 * np.pi * (nodes + 1.0)
+    integral = 0.5 * np.pi * weights @ np.arctan2(2.0, np.tan(0.5 * kappa))
+    assert abs(2.0 / np.pi ** 2 * integral - ref.value) <= 1e-14
+
 
 def test_phi_lasso_values():
     assert gb.phi_lasso(0.0, 0.0, 0.0) == 0.0
