@@ -13,7 +13,7 @@ from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
                           from_payload, load_graph, save_graph, to_payload,
                           validate_cell, with_random_lengths)
 from .bond_system import BondSystem, bond_matrices, vertex_scattering
-from .secular import real_secular_values, scattering_parity, secular_values
+from .secular import real_secular_values, secular_values
 from .spectrum import (Band, BandList, DensitySeries, band_intervals,
                        density, in_spectrum, measure_below,
                        membership_from_phases, momentum_membership)
@@ -38,7 +38,7 @@ __all__ = [
     "from_payload", "in_spectrum", "lasso_membership",
     "lasso_reference_density", "load_graph", "mc_volume", "measure_below",
     "membership_from_phases", "momentum_membership", "phi_lasso",
-    "real_secular_values", "save_graph", "scattering_parity",
-    "secular_values", "sigma_membership", "to_payload", "validate_cell",
-    "vertex_scattering", "with_random_lengths",
+    "real_secular_values", "save_graph", "secular_values",
+    "sigma_membership", "to_payload", "validate_cell", "vertex_scattering",
+    "with_random_lengths",
 ]

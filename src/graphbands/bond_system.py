@@ -40,7 +40,7 @@ class BondSystem:
     direction, bond b + E is its reversal.  ``scattering`` is the real
     orthogonal 2E x 2E bond scattering matrix; ``bond_lengths`` and
     ``bond_flux`` repeat the edge data on both bond copies, with flux
-    negated on reversals.
+    negated on reversals.  ``parity`` is det S, +1 or -1.
     """
 
     scattering: np.ndarray
@@ -48,6 +48,7 @@ class BondSystem:
     bond_flux: np.ndarray
     edge_ids: tuple[int, ...]
     generators: int
+    parity: int
 
     @property
     def n_bonds(self) -> int:
@@ -111,6 +112,8 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
     if defect > ORTHOGONALITY_TOL:
         raise GraphError("scattering matrix failed orthogonality check "
                          "(defect %.3e)" % defect)
+    # orthogonal, so |det S| = 1 and its sign is exact
+    parity = 1 if np.linalg.det(S) > 0 else -1
 
     lengths = g.lengths
     flux = np.array([e.flux for e in g.edges], dtype=float)
@@ -121,5 +124,6 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
         bond_flux=np.vstack([flux, -flux]),
         edge_ids=tuple(e.id for e in g.edges),
         generators=g.generators,
+        parity=parity,
     )
 

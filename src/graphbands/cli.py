@@ -41,14 +41,21 @@ def _positive_float(text):
     return v
 
 
-def _positive_int(text):
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1, got %r" % text)
-    return v
+def _int_at_least(low):
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not an integer" % text)
+        if v < low:
+            raise argparse.ArgumentTypeError("value must be at least %d, got %r"
+                                             % (low, text))
+        return v
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)                # numpy refuses negative seeds
 
 
 def _length_list(text):
@@ -63,13 +70,14 @@ def _length_list(text):
 
 def _add_length_options(p):
     p.add_argument("--lengths", type=_length_list, default=None,
-                   help="override edge lengths, comma separated, edge order")
+                   help="override edge lengths, comma separated, one per "
+                        "edge of the file, in file order")
     p.add_argument("--random-lengths", action="store_true",
                    help="bind uniform [1, 2] lengths drawn with --seed")
 
 
 def _add_common(p, seed_help="seed for random draws"):
-    p.add_argument("--seed", type=int, default=0, help=seed_help)
+    p.add_argument("--seed", type=_seed, default=0, help=seed_help)
     p.add_argument("-o", "--output", default=None,
                    help="write CSV here instead of stdout")
 
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", default=None)
     q = ref.add_parser("dihedral", help="dihedral graph density by Monte Carlo")
     q.add_argument("--samples", type=_positive_int, default=10_000_000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("-o", "--output", default=None)
 
     return parser

@@ -236,11 +236,9 @@ def bloch_reduce(cell: FundamentalCell) -> MagneticGraph:
     Each identification merges ``plus`` into ``minus``; an edge whose head
     sat at ``plus`` gains flux +1 for that generator, an edge whose tail
     sat there gains -1 (quasi-momentum enters as a phase where the wave
-    crosses into the next cell).  Edges whose endpoints merge into the
-    same vertex would become self-loops; they are split at an artificial
-    midpoint into two half-length edges, the first keeping the full flux,
-    so downstream code may assume identification-created loops carry a
-    marker vertex.  Total metric length is preserved.
+    crosses into the next cell).  Every cell edge becomes exactly one
+    reduced edge, in the same order and with the same id and length; an
+    edge whose endpoints merge becomes a self-loop.
 
     Raises :class:`GraphError` with the full violation report when the
     cell is invalid.
@@ -273,31 +271,11 @@ def bloch_reduce(cell: FundamentalCell) -> MagneticGraph:
         if a != b:
             target[a] = b
 
-    new_vertices = sorted({resolve(v) for v in cell.vertices})
-    next_vertex = max(cell.vertices) + 1
-    next_edge_id = max((e.id for e in cell.edges), default=0) + 1
-
-    new_edges = []
-    for e in cell.edges:
-        tail, head = resolve(e.tail), resolve(e.head)
-        f = tuple(flux[e.id])
-        if tail == head and e.tail != e.head:
-            # identification-created loop: split at a marker midpoint
-            half = e.length / 2 if e.length is not None else None
-            mid = next_vertex
-            next_vertex += 1
-            new_vertices.append(mid)
-            new_edges.append(Edge(e.id, tail, mid, half, f))
-            new_edges.append(Edge(next_edge_id, mid, head, half,
-                                  (0,) * cell.generators))
-            next_edge_id += 1
-        else:
-            new_edges.append(Edge(e.id, tail, head, e.length, f))
-
-    return MagneticGraph(vertices=tuple(new_vertices),
-                         edges=tuple(new_edges),
-                         generators=cell.generators,
-                         name=cell.name)
+    vertices = tuple(sorted({resolve(v) for v in cell.vertices}))
+    edges = tuple(Edge(e.id, resolve(e.tail), resolve(e.head), e.length,
+                       tuple(flux[e.id])) for e in cell.edges)
+    return MagneticGraph(vertices=vertices, edges=edges,
+                         generators=cell.generators, name=cell.name)
 
 
 def bind_lengths(g: MagneticGraph, values) -> MagneticGraph:
@@ -338,13 +316,13 @@ def build_example(name: str) -> MagneticGraph:
     ``loop_pendant`` (alias ``fig1b``)
         Same periodic graph described as a cell: a backbone edge whose
         endpoints are identified by the one generator, plus a pendant.
-        Reduction splits the backbone loop, giving three edges.
+        Reduction glues the backbone into the lasso's loop: two edges.
     ``loop_path2`` (alias ``fig1c``)
-        As above with the pendant subdivided into a two-edge path.  Four
+        As above with the pendant subdivided into a two-edge path.  Three
         edges.
     ``loop_triangle`` (alias ``fig1d``)
         Loop with a triangle decoration hanging off a connector edge.
-        Six edges after reduction.
+        Five edges.
 
     All four are single-generator graphs in the same universality class:
     for generic lengths their band densities coincide.

@@ -93,15 +93,6 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
     return out
 
 
-def scattering_parity(bs: BondSystem) -> int:
-    """det S, always +1 or -1 for the real orthogonal bond matrix."""
-    d = np.linalg.det(bs.scattering)
-    sign = int(np.sign(d.real))
-    if abs(d - sign) > 1e-8:
-        raise ValueError("bond scattering determinant %r is not +-1" % (d,))
-    return sign
-
-
 def real_secular_values(bs: BondSystem, kappas, alpha=()) -> np.ndarray:
     """Real-valued secular function on torus phase rows ``kappas``.
 
@@ -118,5 +109,5 @@ def real_secular_values(bs: BondSystem, kappas, alpha=()) -> np.ndarray:
     phases = kappas[:, bs.edge_of_bond]
     vals = secular_values(bs, phases, alpha[None, :])[:, 0]
     vals = vals * np.exp(-1j * kappas.sum(axis=1))
-    out = vals.real if scattering_parity(bs) == 1 else vals.imag
+    out = vals.real if bs.parity == 1 else vals.imag
     return out[0] if single else out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond_system import BondSystem
-from .secular import scattering_parity, secular_values
+from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
@@ -108,7 +108,7 @@ def membership_from_phases(bs: BondSystem, bond_phases,
     alphas, m = _alpha_grid(bs)
     F = secular_values(bs, bond_phases, alphas, threads)
     F *= np.exp(-0.5j * bond_phases.sum(axis=1))[:, None]
-    G = F.real if scattering_parity(bs) == 1 else F.imag
+    G = F.real if bs.parity == 1 else F.imag
     G = G.reshape(-1, 2 * m + 1)
     lo, hi = G.min(axis=1), G.max(axis=1)
     for i in range(0, len(G) if m else 0, _BLOCK_ROWS):
@@ -194,7 +194,8 @@ def band_intervals(bs: BondSystem, k_max: float,
     of the secular function (L = total graph length), fine enough that
     generically no band or gap falls between grid points.  Bisection runs
     simultaneously on all detected edges, so the cost is a handful of
-    batched membership sweeps.
+    batched membership sweeps.  A ``bisect_tol`` below two float spacings
+    at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
@@ -204,6 +205,7 @@ def band_intervals(bs: BondSystem, k_max: float,
     tol = bisect_tol if bisect_tol is not None else 1e-10 * max(1.0, k_max)
     if tol <= 0:
         raise ValueError("bisect_tol must be positive")
+    tol = max(tol, 2.0 * np.spacing(float(k_max)))  # else it never ends
 
     n = int(np.ceil(k_max / step))
     grid = np.linspace(0.0, k_max, n + 1)

@@ -221,7 +221,7 @@ def test_criterion_09_decoration_reduction(record_criterion):
     # reproduces the secular roots of the full subdivided-pendant graph
     l1, l2, l3 = 1.37, 0.81, 0.59
     full = gb.bond_matrices(gb.bind_lengths(gb.build_example("fig1c"),
-                                            [l1 / 2, l1 / 2, l2, l3]))
+                                            [l1, l2, l3]))
     lasso = gb.bond_matrices(gb.bind_lengths(gb.build_example("lasso"),
                                              [l1, l2]))
     dec = gb.MagneticGraph(vertices=(0, 1), edges=(gb.Edge(1, 0, 1, l3),),

@@ -17,7 +17,7 @@ PUBLIC = frozenset((
     "lasso_membership", "lasso_reference_density", "load_graph",
     "mc_volume", "measure_below", "membership_from_phases",
     "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
-    "scattering_parity", "secular_values", "sigma_membership", "to_payload",
+    "secular_values", "sigma_membership", "to_payload",
     "validate_cell", "vertex_scattering", "with_random_lengths",
 ))
 

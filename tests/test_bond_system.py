@@ -75,8 +75,9 @@ def test_random_corpus_invariants():
         # bond data symmetry
         assert np.array_equal(bs.bond_lengths[:5], bs.bond_lengths[5:])
         assert np.array_equal(bs.bond_flux[:5], -bs.bond_flux[5:])
-        # determinant is +-1
-        assert gb.scattering_parity(bs) in (-1, 1)
+        # determinant is +-1, and parity is its sign
+        assert bs.parity in (-1, 1)
+        assert abs(np.linalg.det(S) - bs.parity) <= 1e-8
 
 
 def test_self_loop_degree_and_scattering():

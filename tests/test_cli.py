@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_validate_ok(lasso_file, cell_file, capsys):
     assert "magnetic graph" in capsys.readouterr().out
     assert run(["validate", cell_file]) == 0
     out = capsys.readouterr().out
-    assert "reduces to 3 edges" in out
+    assert "reduces to 2 edges" in out
 
 
 def test_validate_reports_violations(tmp_path, capsys):
@@ -73,6 +74,10 @@ def test_usage_errors_exit_2(lasso_file):
                  ["density", lasso_file, "--kmax", "5", "--checkpoints", "0"],
                  ["torus", lasso_file, "--samples", "zero"],
                  ["scattering", lasso_file, "--threads", "2"],
+                 ["torus", lasso_file, "--samples", "10", "--seed", "-1"],
+                 ["reference", "dihedral", "--seed", "-1"],
+                 ["scattering", lasso_file, "--random-lengths",
+                  "--seed", "-2"],
                  ["nonsense"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -139,7 +144,7 @@ def test_length_overrides(unbound_file, capsys):
     assert run(["scattering", unbound_file]) == 1
     assert "unbound" in capsys.readouterr().err
     assert run(["scattering", unbound_file,
-                "--lengths", "1.0,1.0,0.5,0.5"]) == 0
+                "--lengths", "2.0,0.5,0.5"]) == 0
     capsys.readouterr()
     assert run(["scattering", unbound_file, "--random-lengths",
                 "--seed", "3"]) == 0
@@ -148,6 +153,19 @@ def test_length_overrides(unbound_file, capsys):
     assert ("%.17g" % g.lengths[0]) in out
     # wrong count is a data error, not a usage error
     assert run(["scattering", unbound_file, "--lengths", "1.0"]) == 1
+
+
+def test_cell_lengths_follow_cell_edges(capsys):
+    # one --lengths value per cell edge, in file order
+    ladder = str(pathlib.Path(__file__).parents[1]
+                 / "demos" / "graphs" / "ladder_cell.json")
+    assert run(["scattering", ladder, "--lengths", "1.1,1.2,1.3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("# bond lengths")
+    assert [float(x) for x in out[i + 1].split(",")] == [1.1, 1.2, 1.3] * 2
+    assert run(["scattering", ladder,
+                "--lengths", "1.1,1.2,1.3,1.4,1.5"]) == 1
+    assert "expected 3 lengths" in capsys.readouterr().err
 
 
 def test_cell_file_reduced_before_computation(cell_file, capsys):

@@ -85,13 +85,14 @@ def test_bloch_reduce_rejects_invalid_cell():
 
 def test_reduce_assigns_unit_flux_and_preserves_length():
     g = gb.bloch_reduce(lasso_style_cell())
-    assert g.edge_count == 3  # split loop halves + pendant
+    assert g.edge_count == 2  # glued backbone loop + pendant
     fluxes = sorted(e.flux for e in g.edges)
-    assert fluxes == [(0,), (0,), (1,)]
+    assert fluxes == [(0,), (1,)]
     assert g.total_length == pytest.approx(1.9, abs=0)
-    # flux sits on an edge of the split backbone loop
+    # flux sits on the glued backbone, now a self-loop
     flux_edge = [e for e in g.edges if e.flux == (1,)][0]
-    assert flux_edge.length == pytest.approx(0.6)
+    assert flux_edge.length == 1.2
+    assert flux_edge.tail == flux_edge.head
 
 
 def test_reduce_compact_cell_is_identity_with_zero_flux():
@@ -112,23 +113,71 @@ def test_reduce_is_deterministic():
 
 
 def test_split_loop_matches_analytic_circle():
-    # gluing the two ends of a single edge gives the circle graph, whose
-    # secular condition cos(kappa) = cos(alpha) is solvable for every k:
-    # the whole axis is one band
+    # gluing the two ends of a single edge gives the circle graph, one
+    # self-loop whose secular condition cos(kappa) = cos(alpha) is
+    # solvable for every k: the whole axis is one band
     cell = gb.FundamentalCell(
         vertices=(0, 1), edges=(gb.Edge(1, 0, 1, 1.0),),
         identifications=(gb.Identification(1, plus=1, minus=0),),
         generators=1)
     g = gb.bloch_reduce(cell)
-    assert g.edge_count == 2
-    assert sorted(e.length for e in g.edges) == [0.5, 0.5]
-    assert sorted(e.flux for e in g.edges) == [(0,), (1,)]
+    assert g.vertices == (0,)
+    assert g.edges == (gb.Edge(1, 0, 0, 1.0, (1,)),)
     bs = gb.bond_matrices(g)
     ks = np.random.default_rng(0).uniform(0.0, 40.0, 50)
     assert gb.momentum_membership(bs, ks).all()
     bands = gb.band_intervals(bs, 25.0)
     assert len(bands.bands) == 1
     assert bands.total_measure == pytest.approx(25.0, abs=1e-9)
+
+
+def split_loops(g):
+    """``g`` with every self-loop cut at a new degree-2 vertex into two
+    half-length edges, the first keeping the flux."""
+    vertices, edges = list(g.vertices), []
+    next_id = max(e.id for e in g.edges) + 1
+    for e in g.edges:
+        if e.tail != e.head:
+            edges.append(e)
+            continue
+        mid = max(vertices) + 1
+        vertices.append(mid)
+        edges += [gb.Edge(e.id, e.tail, mid, e.length / 2, e.flux),
+                  gb.Edge(next_id, mid, e.head, e.length / 2,
+                          (0,) * g.generators)]
+        next_id += 1
+    return gb.MagneticGraph(tuple(vertices), tuple(edges), g.generators)
+
+
+@pytest.mark.parametrize("cell", [
+    # ladder rung: two rails glued by one generator
+    gb.FundamentalCell(
+        vertices=(0, 1, 2, 3),
+        edges=(gb.Edge(1, 0, 1, 1.0), gb.Edge(2, 0, 2, 1.35),
+               gb.Edge(3, 1, 3, 0.8)),
+        identifications=(gb.Identification(1, plus=2, minus=0),
+                         gb.Identification(1, plus=3, minus=1)),
+        generators=1),
+    # flower with pendant: two generator loops at one vertex
+    gb.FundamentalCell(
+        vertices=(0, 1, 2, 3),
+        edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
+               gb.Edge(3, 0, 3, 1.236)),
+        identifications=(gb.Identification(1, plus=1, minus=0),
+                         gb.Identification(2, plus=2, minus=0)),
+        generators=2)], ids=["ladder", "flower"])
+def test_reduce_keeps_cell_edges_one_to_one(cell):
+    g = gb.bloch_reduce(cell)
+    assert [(e.id, e.length) for e in g.edges] == \
+        [(e.id, e.length) for e in cell.edges]
+    # a degree-2 vertex is transparent (back-scattering -1 + 2/2 = 0), so
+    # cutting the glued loops there leaves the spectrum unchanged
+    split = split_loops(g)
+    assert split.edge_count == 5
+    ks = np.random.default_rng(6).uniform(0.0, 40.0, 10_000)
+    assert np.array_equal(
+        gb.momentum_membership(gb.bond_matrices(g), ks),
+        gb.momentum_membership(gb.bond_matrices(split), ks))
 
 
 def test_flux_sign_orientation_convention():
@@ -155,8 +204,8 @@ def test_lasso_builder_shape():
 
 
 @pytest.mark.parametrize("name,n_edges", [
-    ("fig1b", 3), ("fig1c", 4), ("fig1d", 6),
-    ("loop_pendant", 3), ("loop_path2", 4), ("loop_triangle", 6)])
+    ("fig1b", 2), ("fig1c", 3), ("fig1d", 5),
+    ("loop_pendant", 2), ("loop_path2", 3), ("loop_triangle", 5)])
 def test_builders_edge_counts(name, n_edges):
     g = gb.build_example(name)
     assert g.edge_count == n_edges
@@ -165,8 +214,8 @@ def test_builders_edge_counts(name, n_edges):
 
 
 def test_fig1b_bound_to_ones_is_valid():
-    g = gb.bind_lengths(gb.build_example("fig1b"), [1.0, 1.0, 1.0])
-    assert g.is_bound and g.total_length == pytest.approx(3.0)
+    g = gb.bind_lengths(gb.build_example("fig1b"), [1.0, 1.0])
+    assert g.is_bound and g.total_length == pytest.approx(2.0)
 
 
 def test_unknown_example_rejected():

@@ -123,7 +123,7 @@ def test_realified_is_real_section_of_phi():
     # exp(-i sum kappa) Phi is real (det S = +1) or imaginary (det S = -1);
     # on the loop-with-pendant graph it equals 4/3 times the closed form
     bs = gb.bond_matrices(UNIT_LASSO)
-    assert gb.scattering_parity(bs) == 1
+    assert bs.parity == 1
     rng = np.random.default_rng(10)
     kappas = rng.uniform(0, 2 * np.pi, (40, 2))
     a = 0.7

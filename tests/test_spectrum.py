@@ -74,7 +74,7 @@ def test_flat_band_detected_via_zero_polynomial():
     # equilateral triangle decoration supports standing waves that do not
     # couple to the loop: F vanishes identically in alpha at those k
     g = gb.bind_lengths(gb.build_example("fig1d"),
-                        [0.73, 0.61, 0.89, 1.0, 1.0, 1.0])
+                        [0.73 + 0.61, 0.89, 1.0, 1.0, 1.0])
     bs = gb.bond_matrices(g)
     N = 2 * bs.flux_weight + 1
     alphas = 2 * np.pi * np.arange(N) / N
@@ -112,12 +112,16 @@ def test_two_generator_flower_closed_form():
         generators=2)
     bs = gb.bond_matrices(gb.bloch_reduce(cell))
     assert bs.generators == 2
-    # reduced edges: two halves of loop 1, two halves of loop 2, pendant
-    assert bs.edge_ids == (1, 4, 2, 5, 3)
-    kappas = np.random.default_rng(1).uniform(0, 2 * np.pi, (4000, 5))
-    loops = kappas[:, [0, 2]] + kappas[:, [1, 3]]
+    # reduced edges: loop 1, loop 2, pendant
+    assert bs.edge_ids == (1, 2, 3)
+    # a loop's phase is the sum of two draws: the torus points of the
+    # five-column draw, when each loop was cut into two halves
+    draws = np.random.default_rng(1).uniform(0, 2 * np.pi, (4000, 5))
+    kappas = np.column_stack([draws[:, 0] + draws[:, 1],
+                              draws[:, 2] + draws[:, 3], draws[:, 4]])
+    loops = kappas[:, :2]
     ends = np.stack([2 * np.tan(loops / 2), -2 / np.tan(loops / 2)])
-    target = -np.tan(kappas[:, 4])
+    target = -np.tan(kappas[:, 2])
     expected = ((ends.min(axis=0).sum(axis=1) <= target)
                 & (target <= ends.max(axis=0).sum(axis=1)))
     member = gb.membership_from_phases(bs, kappas[:, bs.edge_of_bond])
@@ -167,6 +171,17 @@ def test_band_intervals_grid_robustness():
     change = coarse.total_measure - fine.total_measure
     assert -2 * coarse.bisect_tol * len(coarse.bands) <= change
     assert change <= extra * coarse.grid_step + 1e-6
+
+
+def test_bisect_tol_below_float_spacing():
+    # a tolerance no bracket can reach is raised to two float spacings
+    bs = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 4))
+    default = gb.band_intervals(bs, 100.0)
+    tiny = gb.band_intervals(bs, 100.0, bisect_tol=1e-20)
+    assert tiny.bisect_tol == 2 * np.spacing(100.0)
+    assert len(tiny.bands) == len(default.bands)
+    assert max(max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+               for a, b in zip(tiny.bands, default.bands)) <= 1e-8
 
 
 def test_band_validation():
