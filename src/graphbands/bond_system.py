@@ -11,6 +11,7 @@ determines the graph spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +71,21 @@ class BondSystem:
 
     @property
     def flux_weight(self) -> int:
-        """Total |flux| over edges, the degree of the quasi-momentum
-        dependence (single-generator graphs)."""
+        """Total |flux| over edges: an upper bound on the degree of the
+        secular function in the quasi-momentum (single-generator graphs).
+        Summed per generator, the same bound sizes the grid that compiles
+        the real secular function and the quasi-momentum samples of the
+        membership test."""
         return int(np.abs(self.bond_flux[:self.n_edges]).sum())
+
+    @cached_property
+    def secular_polynomial(self):
+        """The real secular function compiled to its nonzero monomials
+        (:class:`graphbands.spectrum.SecularPolynomial`), or None above
+        ``spectrum.COMPILE_BUDGET`` determinants.  Compiled on first use
+        and kept with the system."""
+        from .spectrum import compile_secular   # spectrum imports this module
+        return compile_secular(self)
 
 
 def bond_matrices(g: MagneticGraph) -> BondSystem:

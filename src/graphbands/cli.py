@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bands", "density", "torus"):    # the commands that use it
         sub.choices[name].add_argument(
             "--threads", type=_positive_int,
-            help="worker threads for batched evaluation")
+            help="worker threads for LU determinant batches "
+                 "(graphs too large to compile)")
 
     p = sub.add_parser("reference", help="closed-form reference band densities")
     ref = p.add_subparsers(dest="model", required=True)
@@ -260,3 +261,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,10 +10,13 @@ arbitrary phase vector kappa in place of kL gives the torus secular
 function Phi(kappa; alpha), whose zero set lifts the spectrum to the
 torus of edge phases.
 
-:func:`secular_values` is the one determinant kernel everything else is
-built on: band scans, the quasi-momentum sign test and Monte Carlo torus
-sampling all reduce to evaluating stacks of these determinants.  There
-is no scalar path; a single point is a batch of one row.
+:func:`secular_values` is the one determinant kernel: band scans, the
+quasi-momentum sign test and Monte Carlo torus sampling all rest on
+stacks of these determinants.  There is no scalar path; a single point
+is a batch of one row.  :func:`real_form` turns determinant values into
+the real secular function G, which the membership test uses either
+directly or through its compiled trigonometric polynomial (see
+:mod:`graphbands.spectrum`).
 """
 
 from __future__ import annotations
@@ -93,21 +96,29 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
     return out
 
 
-def real_secular_values(bs: BondSystem, kappas, alpha=()) -> np.ndarray:
-    """Real-valued secular function on torus phase rows ``kappas``.
+def real_form(bs: BondSystem, values, phase_sum) -> np.ndarray:
+    """The real secular function G from determinant values.
 
-    exp(-i sum_e kappa_e) * Phi(kappa; alpha) is real when det S = +1 and
-    purely imaginary when det S = -1 (a consequence of time-reversal
-    symmetry of the bond matrix), so the appropriate component is a real
-    analytic function with exactly the zeros of Phi.  Useful for
+    ``values`` is an (n, NA) array of F or Phi at rows whose edge phases
+    sum to ``phase_sum`` (n,), i.e. half the sum of the bond phases.
+    exp(-i phase_sum) F is real when det S = +1 and purely imaginary when
+    det S = -1 (a consequence of time-reversal symmetry of the bond
+    matrix), so that component is a real analytic function with exactly
+    the zeros of F; it is returned, shape (n, NA).
+    """
+    values = values * np.exp(-1j * phase_sum)[:, None]
+    return values.real if bs.parity == 1 else values.imag
+
+
+def real_secular_values(bs: BondSystem, kappas, alpha=()) -> np.ndarray:
+    """Real-valued secular function G on torus phase rows ``kappas`` at
+    one quasi-momentum ``alpha`` (see :func:`real_form`).  Useful for
     sign-change bracketing and root counting.
     """
     kappas = np.asarray(kappas, dtype=float)
     single = kappas.ndim == 1
     kappas = np.atleast_2d(kappas)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    phases = kappas[:, bs.edge_of_bond]
-    vals = secular_values(bs, phases, alpha[None, :])[:, 0]
-    vals = vals * np.exp(-1j * kappas.sum(axis=1))
-    out = vals.real if bs.parity == 1 else vals.imag
+    vals = secular_values(bs, kappas[:, bs.edge_of_bond], alpha[None, :])
+    out = real_form(bs, vals, kappas.sum(axis=1))[:, 0]
     return out[0] if single else out

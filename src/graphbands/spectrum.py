@@ -13,9 +13,20 @@ Ann. Phys. 274, 1999).  A point belongs to the spectrum iff G vanishes
 for some quasi-momentum, and since G is continuous on the connected
 torus of quasi-momenta that holds iff min G <= 0 <= max G.
 
-Along the heaviest-flux generator G is a real trigonometric polynomial
-of degree m, its flux weight.  2m + 1 equispaced samples give its
-Laurent coefficients by FFT, and its critical points make the minimum
+G is a real trigonometric polynomial: each edge phase kappa_e enters
+with frequency -1, 0 or 1, and generator j with |frequency| at most its
+flux weight m_j (Barra-Gaspard, J. Stat. Phys. 101, 2000).  It is
+compiled once per bond system: determinants on the grid of 3 points per
+edge and 2 m_j + 1 per generator give its coefficients exactly by FFT,
+and only the nonzero ones are kept (:class:`SecularPolynomial`).  A
+membership row then costs a few cosines and sines and two small matrix
+products instead of 2m + 1 determinants.  Graphs whose grid exceeds
+COMPILE_BUDGET determinants take G samples from LU determinants instead.
+
+Along the heaviest-flux generator G has degree m, sampled at 2m + 1
+equispaced points.  For m = 1 it is c0 + 2|c1| cos(alpha + phase), so a
+row is a member iff |c0| <= 2|c1| (+ ZERO_TOL).  For m >= 2 the
+critical points, roots of a companion eigenproblem, make the minimum
 and maximum along that axis exact.  Further generators are sampled on a
 grid of GRID_FALLBACK_POINTS points each; the extremes are taken over
 the whole grid.  Extra evaluation points never create a false member.
@@ -27,16 +38,103 @@ identically in alpha, evaluate to noise of either sign.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bond_system import BondSystem
-from .secular import secular_values
+from .secular import real_form, secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
-_BLOCK_ROWS = 65536          # rows per critical-point eigensolve; bounds memory
+COMPILE_BUDGET = 20_000      # most determinants a compile of G may take
+# Coefficients of G are sums of products of scattering amplitudes 2/d;
+# on every graph tried the nonzero ones were >= 0.005 and the FFT noise
+# of the zero ones <= 5e-16, so the cut sits far from both.
+_DROP_TOL = 1e-9
+_BLOCK_VALUES = 1 << 18      # values per block of membership rows; bounds memory
+
+
+# ---------------------------------------------------------------------------
+# the real secular function G
+# ---------------------------------------------------------------------------
+
+def _grid(sizes) -> np.ndarray:
+    """Equispaced torus points, sizes[i] along axis i, the last axis
+    varying fastest; shape (prod(sizes), len(sizes))."""
+    index = np.array(list(itertools.product(*map(range, sizes))), dtype=float)
+    return index * (2.0 * np.pi / np.array(sizes, dtype=float))
+
+
+def _flux_weights(bs: BondSystem) -> np.ndarray:
+    """Per generator, the edge-summed |flux|: the bound on the degree of G
+    in that quasi-momentum (see ``BondSystem.flux_weight``)."""
+    return np.rint(np.abs(bs.bond_flux[:bs.n_edges]).sum(axis=0)).astype(int)
+
+
+def _lu_samples(bs: BondSystem, bond_phases, alphas, threads=None):
+    """G at every pair of a bond phase row and a quasi-momentum row, from
+    LU determinants; shape (n, NA)."""
+    F = secular_values(bs, bond_phases, alphas, threads)
+    return real_form(bs, F, 0.5 * bond_phases.sum(axis=1))
+
+
+@dataclass(frozen=True)
+class SecularPolynomial:
+    """The real secular function G as a sparse trigonometric polynomial,
+
+        G(kappa; alpha) = Re sum_{r, s} coef[r, s] exp(i kappa_freq[r] . kappa)
+                                                   exp(i alpha_freq[s] . alpha),
+
+    over the monomials whose coefficient is nonzero.  G is real, so the
+    coefficients of n and -n are conjugate: ``kappa_freq`` holds one of
+    each pair (entries in {-1, 0, 1}, first nonzero entry 1) and ``coef``
+    twice its coefficients, plus the n = 0 row once.  ``monomials`` counts
+    the nonzero coefficients of G before that folding.
+    """
+
+    kappa_freq: np.ndarray       # (Rk, E) float, integer valued
+    alpha_freq: np.ndarray       # (Ra, J) float, integer valued
+    coef: np.ndarray             # (Rk, Ra) complex
+    monomials: int
+
+    def values(self, kappas, alphas) -> np.ndarray:
+        """G at every pair of an edge phase row (n, E) and a quasi-momentum
+        row (NA, J); shape (n, NA)."""
+        D = self.coef @ np.exp(1j * (self.alpha_freq @ alphas.T))
+        theta = kappas @ self.kappa_freq.T
+        return np.cos(theta) @ D.real - np.sin(theta) @ D.imag
+
+
+def compile_secular(bs: BondSystem) -> SecularPolynomial | None:
+    """Compile G of ``bs``, or None when the sampling grid needs more than
+    COMPILE_BUDGET determinants.
+
+    G is sampled on 3 points per edge phase and 2 m_j + 1 per generator,
+    which holds every frequency it has exactly once, so the FFT of the
+    samples is its coefficient array with no aliasing.  Coefficients at
+    or below _DROP_TOL are exact zeros lost in roundoff and are dropped.
+    Use ``bs.secular_polynomial``, which compiles once and keeps it.
+    """
+    E = bs.n_edges
+    sizes = [3] * E + [2 * int(m) + 1 for m in _flux_weights(bs)]
+    if math.prod(sizes) > COMPILE_BUDGET:       # exact; 3**E overflows int64
+        return None
+    kappas, alphas = _grid(sizes[:E]), _grid(sizes[E:])
+    G = _lu_samples(bs, kappas[:, bs.edge_of_bond], alphas)
+    c = np.fft.fftn(G.reshape(sizes)) / G.size
+    kept = np.nonzero(np.abs(c) > _DROP_TOL)
+    freq = np.stack([np.fft.fftfreq(n, 1.0 / n)[i]
+                     for n, i in zip(sizes, kept)], axis=1)
+    lead = freq[np.arange(len(freq)), np.argmax(freq[:, :E] != 0, axis=1)]
+    half = lead >= 0                          # n = 0, or first nonzero n_e = 1
+    kappa_freq, r = np.unique(freq[half, :E], axis=0, return_inverse=True)
+    alpha_freq, s = np.unique(freq[half, E:], axis=0, return_inverse=True)
+    coef = np.zeros((len(kappa_freq), len(alpha_freq)), dtype=complex)
+    coef[r.ravel(), s.ravel()] = np.where(lead[half] > 0, 2.0, 1.0) * c[kept][half]
+    return SecularPolynomial(kappa_freq, alpha_freq, coef, len(freq))
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +148,15 @@ def _alpha_grid(bs: BondSystem) -> tuple[np.ndarray, int]:
     J = bs.generators
     if J == 0:
         return np.zeros((1, 0)), 0
-    weights = np.abs(bs.bond_flux[:bs.n_edges]).sum(axis=0)
+    weights = _flux_weights(bs)
     main = int(np.argmax(weights))
-    m = int(round(weights[main]))
-    axes = [np.linspace(0.0, 2.0 * np.pi, GRID_FALLBACK_POINTS,
-                        endpoint=False)] * J
-    axes[main] = np.linspace(0.0, 2.0 * np.pi, 2 * m + 1, endpoint=False)
     order = [j for j in range(J) if j != main] + [main]
-    mesh = np.meshgrid(*(axes[j] for j in order), indexing="ij")
-    alphas = np.stack([a.ravel() for a in mesh], axis=1)
-    return alphas[:, np.argsort(order)], m
+    sizes = [GRID_FALLBACK_POINTS] * (J - 1) + [2 * weights[main] + 1]
+    return _grid(sizes)[:, np.argsort(order)], int(weights[main])
 
 
 def _critical_values(G: np.ndarray, m: int) -> np.ndarray:
-    """Values of the real trigonometric polynomials of degree m >= 1
+    """Values of the real trigonometric polynomials of degree m >= 2
     sampled at 2m + 1 equispaced points (rows of G) at the arguments of
     the 2m roots of sum_j j c_j z^(j+m), their critical points when on
     the unit circle.  Non-finite entries mark failed roots."""
@@ -91,6 +184,22 @@ def _critical_values(G: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
+def _extremes(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum and maximum over alpha of the real trigonometric
+    polynomials of degree m sampled at 2m + 1 equispaced points (rows of
+    G).  Degree 1 is c0 + 2|c1| cos(alpha + phase), in closed form."""
+    if m == 1:
+        c = np.fft.rfft(G, axis=1) / 3.0
+        mid, half = c[:, 0].real, 2.0 * np.abs(c[:, 1])
+        return mid - half, mid + half
+    lo, hi = G.min(axis=1), G.max(axis=1)
+    if m >= 2:
+        vals = _critical_values(G, m)
+        np.fmin(lo, np.fmin.reduce(vals, axis=1), out=lo)
+        np.fmax(hi, np.fmax.reduce(vals, axis=1), out=hi)
+    return lo, hi
+
+
 def membership_from_phases(bs: BondSystem, bond_phases,
                            threads: int | None = None) -> np.ndarray:
     """Spectrum membership for rows of flux-free bond phases.
@@ -100,25 +209,39 @@ def membership_from_phases(bs: BondSystem, bond_phases,
     secular function G = exp(-i sum(p) / 2) F changes sign or touches
     zero over the quasi-momenta: min G <= ZERO_TOL and max G >= -ZERO_TOL
     over 2m + 1 samples and the critical points along the heaviest-flux
-    generator, for every point of the GRID_FALLBACK_POINTS grid over the
-    other generators together.  ZERO_TOL is absolute; it lets the noise
-    of touching zeros (band edges, flat bands) count as zero.
+    generator (|c0| <= 2|c1| + ZERO_TOL when m = 1), for every point of
+    the GRID_FALLBACK_POINTS grid over the other generators together.
+    ZERO_TOL is absolute; it lets the noise of touching zeros (band
+    edges, flat bands) count as zero.
+
+    G comes from the compiled polynomial ``bs.secular_polynomial``.  Rows
+    whose two bonds of an edge carry different phases, and graphs above
+    COMPILE_BUDGET, take LU determinants instead; ``threads`` splits only
+    that determinant work.
     """
     bond_phases = np.asarray(bond_phases, dtype=float)
+    if bond_phases.ndim != 2 or bond_phases.shape[1] != bs.n_bonds:
+        raise ValueError("bond_phases must have shape (n, %d)" % bs.n_bonds)
+    E = bs.n_edges
+    poly = bs.secular_polynomial
+    if poly is not None and not np.array_equal(bond_phases[:, :E],
+                                               bond_phases[:, E:]):
+        poly = None
     alphas, m = _alpha_grid(bs)
-    F = secular_values(bs, bond_phases, alphas, threads)
-    F *= np.exp(-0.5j * bond_phases.sum(axis=1))[:, None]
-    G = F.real if bs.parity == 1 else F.imag
-    G = G.reshape(-1, 2 * m + 1)
-    lo, hi = G.min(axis=1), G.max(axis=1)
-    for i in range(0, len(G) if m else 0, _BLOCK_ROWS):
-        block = slice(i, i + _BLOCK_ROWS)
-        vals = _critical_values(G[block], m)
-        np.fmin(lo[block], np.fmin.reduce(vals, axis=1), out=lo[block])
-        np.fmax(hi[block], np.fmax.reduce(vals, axis=1), out=hi[block])
-    shape = (bond_phases.shape[0], len(alphas) // (2 * m + 1))
-    return ((lo.reshape(shape).min(axis=1) <= ZERO_TOL)
-            & (hi.reshape(shape).max(axis=1) >= -ZERO_TOL))
+    width = len(alphas) if poly is None else max(len(alphas), len(poly.coef))
+    block = max(1, _BLOCK_VALUES // width)
+    member = np.empty(len(bond_phases), dtype=bool)
+    for i in range(0, len(bond_phases), block):
+        rows = bond_phases[i:i + block]
+        if poly is None:
+            G = _lu_samples(bs, rows, alphas, threads)
+        else:
+            G = poly.values(rows[:, :E], alphas)
+        lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m)
+        member[i:i + block] = ((lo.reshape(len(rows), -1).min(axis=1) <= ZERO_TOL)
+                               & (hi.reshape(len(rows), -1).max(axis=1)
+                                  >= -ZERO_TOL))
+    return member
 
 
 def momentum_membership(bs: BondSystem, ks,
@@ -191,11 +314,15 @@ def band_intervals(bs: BondSystem, k_max: float,
     Membership is sampled on a uniform grid and every sign change is
     sharpened by bisection on the membership indicator.  The default grid
     step pi / (8 L) puts 16 samples per period of the fastest oscillation
-    of the secular function (L = total graph length), fine enough that
-    generically no band or gap falls between grid points.  Bisection runs
-    simultaneously on all detected edges, so the cost is a handful of
-    batched membership sweeps.  A ``bisect_tol`` below two float spacings
-    at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
+    of the secular function (L = total graph length).  The scan is not
+    certified: a band or gap narrower than the step can fall between two
+    grid points and is then missed.  On a generic lasso over [0, 200]
+    the default step finds 360 interior band edges where a dense count
+    of sign changes finds 408.  Bisection runs simultaneously on all
+    detected edges, so the cost is a handful of batched membership
+    sweeps.  A ``bisect_tol`` below two float spacings at k_max is raised
+    to that; ``BandList.bisect_tol`` is the one used.  ``threads`` splits
+    only LU determinant work (graphs above COMPILE_BUDGET).
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")

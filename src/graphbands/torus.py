@@ -98,7 +98,8 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
 
     Samples :func:`mc_fraction` with the secular membership test.  The
     estimate converges to the band density of any graph with the same
-    shape and rationally independent lengths.
+    shape and rationally independent lengths.  ``threads`` splits only
+    LU determinant work (graphs above the compile budget).
     """
     def member(kappa):
         return membership_from_phases(bs, kappa[:, bs.edge_of_bond], threads)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +109,20 @@ def test_bands_csv_and_determinism(lasso_file, capsys):
     assert rows[0][0] == 0.0
     # 17 significant digits requested
     assert any(len(line.split(",")[1]) >= 12 for line in first.splitlines())
+
+
+def test_module_entry_point(lasso_file, capsys):
+    # python -m graphbands.cli runs the CLI, with the same output as run()
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gb.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphbands.cli", "bands", lasso_file,
+         "--kmax", "100"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) > 10
+    assert run(["bands", lasso_file, "--kmax", "100"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_bands_respects_flags(lasso_file, capsys):

@@ -3,14 +3,40 @@ import pytest
 
 import graphbands as gb
 from conftest import random_magnetic_graph
+from graphbands import spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
 
-UNIT_LASSO = gb.bond_matrices(gb.bind_lengths(gb.build_example("lasso"), [1.0, 1.0]))
+UNIT_LASSO_GRAPH = gb.bind_lengths(gb.build_example("lasso"), [1.0, 1.0])
+UNIT_LASSO = gb.bond_matrices(UNIT_LASSO_GRAPH)
 
 # on the unit-length loop-with-pendant graph the diagonal kappa1 = kappa2 = k
 # makes membership equivalent to |cos k| >= 1/3
 DIAG_EDGE = np.arccos(1.0 / 3.0)
+
+
+# ladder rung: two rails glued by one generator (m = 2)
+LADDER_CELL = gb.FundamentalCell(
+    vertices=(0, 1, 2, 3),
+    edges=(gb.Edge(1, 0, 1, 1.0), gb.Edge(2, 0, 2, 1.35),
+           gb.Edge(3, 1, 3, 0.8)),
+    identifications=(gb.Identification(1, plus=2, minus=0),
+                     gb.Identification(1, plus=3, minus=1)),
+    generators=1)
+
+# flower with pendant: two generator loops at one vertex (J = 2)
+FLOWER_CELL = gb.FundamentalCell(
+    vertices=(0, 1, 2, 3),
+    edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
+           gb.Edge(3, 0, 3, 1.236)),
+    identifications=(gb.Identification(1, plus=1, minus=0),
+                     gb.Identification(2, plus=2, minus=0)),
+    generators=2)
+
+# random_magnetic_graph seeds by (flux weight m, det S):
+# (1, -1) 57, (1, +1) 87, (2, -1) 17, (2, +1) 12, (3, -1) 3, (3, +1) 6,
+# (4, -1) 2, (4, +1) 1, (5, -1) 7, (5, +1) 46
+CORPUS_SEEDS = (57, 87, 17, 12, 3, 6, 2, 1, 7, 46)
 
 
 def circle_system(length=1.0):
@@ -103,14 +129,7 @@ def test_two_generator_flower_closed_form():
     # kappa_p at one vertex.  The vertex Dirichlet-to-Neumann sum puts the
     # point in the spectrum iff -tan kappa_p lies in the sum over loops of
     # [min, max] of (2 tan(kappa_j / 2), -2 cot(kappa_j / 2)).
-    cell = gb.FundamentalCell(
-        vertices=(0, 1, 2, 3),
-        edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
-               gb.Edge(3, 0, 3, 1.236)),
-        identifications=(gb.Identification(1, plus=1, minus=0),
-                         gb.Identification(2, plus=2, minus=0)),
-        generators=2)
-    bs = gb.bond_matrices(gb.bloch_reduce(cell))
+    bs = gb.bond_matrices(gb.bloch_reduce(FLOWER_CELL))
     assert bs.generators == 2
     # reduced edges: loop 1, loop 2, pendant
     assert bs.edge_ids == (1, 2, 3)
@@ -129,6 +148,124 @@ def test_two_generator_flower_closed_form():
     assert np.array_equal(member, expected)
     # k = 0 is always in the spectrum
     assert gb.in_spectrum(bs, 0.0)
+
+
+# ------------------------------------------------------------ compiled G
+
+def lu_real_secular(bs, kappas, alphas):
+    """Reference G straight from LU determinants: exp(-i sum kappa) F,
+    real part when det S = +1, imaginary part when det S = -1."""
+    F = secular_values(bs, kappas[:, bs.edge_of_bond], alphas)
+    F = F * np.exp(-1j * kappas.sum(axis=1))[:, None]
+    return F.real if bs.parity == 1 else F.imag
+
+
+def lu_membership(g, bond_phases):
+    """Membership of a fresh bond system of ``g`` with the compile budget
+    at zero, so every G sample is an LU determinant."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "COMPILE_BUDGET", 0)
+        bs = gb.bond_matrices(g)
+        assert bs.secular_polynomial is None
+        return gb.membership_from_phases(bs, bond_phases)
+
+
+def compiled_graphs():
+    graphs = {"lasso": gb.bind_lengths(gb.build_example("lasso"), [1.3, 0.9])}
+    for name in ("fig1b", "fig1c", "fig1d"):
+        graphs[name] = gb.with_random_lengths(gb.build_example(name), 5)
+    graphs["ladder"] = gb.bloch_reduce(LADDER_CELL)
+    graphs["flower"] = gb.bloch_reduce(FLOWER_CELL)
+    for seed in CORPUS_SEEDS:
+        graphs["J1-%d" % seed] = random_magnetic_graph(seed)
+    graphs["J2-3"] = random_magnetic_graph(3, generators=2)     # m = (2, 2)
+    return graphs
+
+
+def test_compiled_secular_matches_determinants():
+    rng = np.random.default_rng(12)
+    for name, g in compiled_graphs().items():
+        bs = gb.bond_matrices(g)
+        poly = bs.secular_polynomial
+        weights = np.abs(bs.bond_flux[:bs.n_edges]).sum(axis=0)
+        grid = 3 ** bs.n_edges * np.prod(2 * weights + 1)
+        assert 0 < poly.monomials < grid, name
+        kappas = rng.uniform(0, 2 * np.pi, (200, bs.n_edges))
+        alphas = rng.uniform(0, 2 * np.pi, (8, bs.generators))
+        ref = lu_real_secular(bs, kappas, alphas)
+        got = poly.values(kappas, alphas)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
+
+
+def test_compiled_membership_matches_lu_path():
+    # torus points for every graph, momenta (large phases) for the lasso
+    # class; CORPUS_SEEDS cover m = 1..5 with both signs of det S
+    rng = np.random.default_rng(13)
+    for name, g in compiled_graphs().items():
+        bs = gb.bond_matrices(g)
+        kappas = rng.uniform(0, 2 * np.pi, (2000, bs.n_edges))
+        phases = kappas[:, bs.edge_of_bond]
+        if name in ("lasso", "fig1d"):
+            ks = rng.uniform(0, 500, 2000)
+            phases = np.vstack([phases, ks[:, None] * bs.bond_lengths])
+        member = gb.membership_from_phases(bs, phases)
+        assert bs.secular_polynomial is not None
+        assert 0 < member.sum() < len(member), name
+        assert np.array_equal(member, lu_membership(g, phases)), name
+
+
+def test_uneven_bond_phases_take_lu_path():
+    # the compiled G needs both bonds of an edge at one phase; other rows
+    # are sampled by determinants
+    g = random_magnetic_graph(12)
+    bs = gb.bond_matrices(g)
+    phases = np.random.default_rng(14).uniform(0, 2 * np.pi, (2000, bs.n_bonds))
+    assert np.array_equal(gb.membership_from_phases(bs, phases),
+                          lu_membership(g, phases))
+    with pytest.raises(ValueError):
+        gb.membership_from_phases(bs, phases[:, :-1])
+
+
+def test_graph_above_compile_budget_takes_lu_path():
+    g = random_magnetic_graph(3, n_edges=8)
+    bs = gb.bond_matrices(g)
+    assert 3 ** 8 * (2 * bs.flux_weight + 1) > spectrum.COMPILE_BUDGET
+    assert bs.secular_polynomial is None
+    rng = np.random.default_rng(15)
+    kappas = rng.uniform(0, 2 * np.pi, (200, 8))
+    alphas = 2 * np.pi * np.arange(256)[:, None] / 256
+    G = lu_real_secular(bs, kappas, alphas)
+    dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
+    member = gb.membership_from_phases(bs, kappas[:, bs.edge_of_bond])
+    assert 0 < member.sum() < len(member)
+    assert np.array_equal(member, dense)
+    # 3^41 * 65 grid points wrap a 64-bit product to a negative count
+    assert gb.bond_matrices(random_magnetic_graph(0, n_edges=41)) \
+        .secular_polynomial is None
+
+
+def test_m1_closed_form_matches_dense_alpha_reference():
+    # G = c0 + 2|c1| cos(alpha + phase): member iff |c0| <= 2|c1|, on the
+    # compiled and on the LU path, for both signs of det S
+    rng = np.random.default_rng(16)
+    graphs = [(UNIT_LASSO_GRAPH, 2000, 1024),
+              (gb.with_random_lengths(gb.build_example("fig1d"), 6), 1000, 512),
+              (random_magnetic_graph(57), 1000, 512),
+              (random_magnetic_graph(87), 1000, 512)]
+    parities = set()
+    for g, n, samples in graphs:
+        bs = gb.bond_matrices(g)
+        assert bs.flux_weight == 1
+        parities.add(bs.parity)
+        kappas = rng.uniform(0, 2 * np.pi, (n, bs.n_edges))
+        alphas = 2 * np.pi * np.arange(samples)[:, None] / samples
+        G = lu_real_secular(bs, kappas, alphas)
+        dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
+        phases = kappas[:, bs.edge_of_bond]
+        assert 0 < dense.sum() < n
+        assert np.array_equal(gb.membership_from_phases(bs, phases), dense)
+        assert np.array_equal(lu_membership(g, phases), dense)
+    assert parities == {-1, 1}
 
 
 # ------------------------------------------------------------ bands
