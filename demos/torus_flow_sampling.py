@@ -20,11 +20,11 @@ bs = gb.bond_matrices(g)
 print("%8s  %22s  %8s  %8s" % ("k", "torus point", "direct", "lifted"))
 rng = np.random.default_rng(0)
 for k in np.sort(rng.uniform(0.0, 40.0, 10)):
-    pt = gb.flow_point(g.lengths, k)
+    kappa = np.mod(k * g.lengths, 2 * np.pi)
     direct = gb.in_spectrum(bs, k)
-    lifted = gb.sigma_membership(bs, pt)
+    lifted = gb.membership_from_phases(bs, kappa[None, :])[0]
     print("%8.4f  (%8.4f, %8.4f)  %8s  %8s"
-          % (k, pt.kappa[0], pt.kappa[1], direct, lifted))
+          % (k, kappa[0], kappa[1], direct, lifted))
 
 # uniform sampling of the torus measures the same region
 print()

@@ -8,17 +8,17 @@ lengths both routes estimate the same length-independent band density.
 """
 
 from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
-                          Identification, MagneticGraph, as_magnetic,
-                          bind_lengths, bloch_reduce, build_example,
-                          from_payload, load_graph, save_graph, to_payload,
-                          validate_cell, with_random_lengths)
+                          Identification, MagneticGraph, bind_lengths,
+                          bloch_reduce, build_example, from_payload,
+                          load_graph, save_graph, to_payload, validate_cell,
+                          with_random_lengths)
 from .bond_system import BondSystem, bond_matrices, vertex_scattering
-from .secular import real_secular_values, secular_values
+from .secular import secular_values
 from .spectrum import (Band, BandList, DensitySeries, band_intervals,
                        density, in_spectrum, measure_below,
-                       membership_from_phases, momentum_membership)
-from .torus import (TorusPoint, VolumeEstimate, flow_point, mc_volume,
-                    sigma_membership)
+                       membership_from_phases, momentum_membership,
+                       real_secular_values)
+from .torus import VolumeEstimate, mc_volume
 from .reference_models import (InteriorResonanceError, ReferenceValue,
                                dihedral_density, dihedral_membership,
                                dihedral_secular, effective_reflection,
@@ -28,17 +28,15 @@ from .reference_models import (InteriorResonanceError, ReferenceValue,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band", "BandList", "BondSystem", "DensitySeries",
-    "EXAMPLE_NAMES", "Edge", "FundamentalCell", "GraphError",
-    "Identification", "InteriorResonanceError", "MagneticGraph",
-    "ReferenceValue", "TorusPoint", "VolumeEstimate", "as_magnetic",
-    "band_intervals", "bind_lengths", "bloch_reduce", "bond_matrices",
-    "build_example", "density", "dihedral_density", "dihedral_membership",
-    "dihedral_secular", "effective_reflection", "flow_point",
+    "Band", "BandList", "BondSystem", "DensitySeries", "EXAMPLE_NAMES",
+    "Edge", "FundamentalCell", "GraphError", "Identification",
+    "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
+    "VolumeEstimate", "band_intervals", "bind_lengths", "bloch_reduce",
+    "bond_matrices", "build_example", "density", "dihedral_density",
+    "dihedral_membership", "dihedral_secular", "effective_reflection",
     "from_payload", "in_spectrum", "lasso_membership",
     "lasso_reference_density", "load_graph", "mc_volume", "measure_below",
     "membership_from_phases", "momentum_membership", "phi_lasso",
-    "real_secular_values", "save_graph", "secular_values",
-    "sigma_membership", "to_payload", "validate_cell", "vertex_scattering",
-    "with_random_lengths",
+    "real_secular_values", "save_graph", "secular_values", "to_payload",
+    "validate_cell", "vertex_scattering", "with_random_lengths",
 ]

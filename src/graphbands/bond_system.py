@@ -70,13 +70,13 @@ class BondSystem:
         return float(self.bond_lengths[:self.n_edges].sum())
 
     @property
-    def flux_weight(self) -> int:
-        """Total |flux| over edges: an upper bound on the degree of the
-        secular function in the quasi-momentum (single-generator graphs).
-        Summed per generator, the same bound sizes the grid that compiles
-        the real secular function and the quasi-momentum samples of the
-        membership test."""
-        return int(np.abs(self.bond_flux[:self.n_edges]).sum())
+    def flux_weight(self) -> tuple[int, ...]:
+        """Per generator, the edge-summed |flux|: a bound on the degree of
+        the secular function in that quasi-momentum.  It sizes the grid
+        that compiles the real secular function; graphs above the compile
+        budget also take it as the degree in the membership test."""
+        weights = np.abs(self.bond_flux[:self.n_edges]).sum(axis=0)
+        return tuple(int(w) for w in np.rint(weights))
 
     @cached_property
     def secular_polynomial(self):

@@ -475,9 +475,3 @@ def save_graph(path, obj) -> None:
         json.dump(to_payload(obj), fh, indent=2)
         fh.write("\n")
 
-
-def as_magnetic(obj: FundamentalCell | MagneticGraph) -> MagneticGraph:
-    """Reduce if given a cell, pass through if already magnetic."""
-    if isinstance(obj, FundamentalCell):
-        return bloch_reduce(obj)
-    return obj

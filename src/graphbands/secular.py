@@ -1,22 +1,21 @@
-"""Secular determinant of a magnetic graph.
+"""Secular determinant of a magnetic graph: the determinant kernel.
 
 The graph spectrum at quasi-momentum alpha is the zero set in k of
 
     F(k; alpha) = det(I - exp(i(A + k L)) S)
 
 with A the diagonal of bond flux phases, L the diagonal of bond lengths
-and S the bond scattering matrix.  The same determinant evaluated with an
-arbitrary phase vector kappa in place of kL gives the torus secular
-function Phi(kappa; alpha), whose zero set lifts the spectrum to the
-torus of edge phases.
+and S the bond scattering matrix.  The same determinant evaluated with
+an arbitrary bond phase row p in place of kL gives the torus secular
+function Phi(kappa; alpha) when p repeats the edge phases kappa on both
+bonds of each edge; its zero set lifts the spectrum to the torus of
+edge phases.
 
 :func:`secular_values` is the one determinant kernel: band scans, the
 quasi-momentum sign test and Monte Carlo torus sampling all rest on
 stacks of these determinants.  There is no scalar path; a single point
-is a batch of one row.  :func:`real_form` turns determinant values into
-the real secular function G, which the membership test uses either
-directly or through its compiled trigonometric polynomial (see
-:mod:`graphbands.spectrum`).
+is a batch of one row.  The real secular function G built from it, and
+its compiled form, live in :mod:`graphbands.spectrum`.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
     ----------
     bond_phases : (n, 2E) array
         Flux-free diagonal phase exponents, one row per evaluation point
-        (``k * bond_lengths`` for momentum scans, lifted torus phases for
-        torus work).
+        (``k * bond_lengths`` for momentum scans, edge phases repeated
+        on both bonds, ``kappa[:, bs.edge_of_bond]``, for torus points).
     alphas : (NA, J) array, optional
         Quasi-momentum rows; flux phases are added internally.  Defaults
         to the single row alpha = 0.
@@ -95,30 +94,3 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
                                       alpha_phases)
     return out
 
-
-def real_form(bs: BondSystem, values, phase_sum) -> np.ndarray:
-    """The real secular function G from determinant values.
-
-    ``values`` is an (n, NA) array of F or Phi at rows whose edge phases
-    sum to ``phase_sum`` (n,), i.e. half the sum of the bond phases.
-    exp(-i phase_sum) F is real when det S = +1 and purely imaginary when
-    det S = -1 (a consequence of time-reversal symmetry of the bond
-    matrix), so that component is a real analytic function with exactly
-    the zeros of F; it is returned, shape (n, NA).
-    """
-    values = values * np.exp(-1j * phase_sum)[:, None]
-    return values.real if bs.parity == 1 else values.imag
-
-
-def real_secular_values(bs: BondSystem, kappas, alpha=()) -> np.ndarray:
-    """Real-valued secular function G on torus phase rows ``kappas`` at
-    one quasi-momentum ``alpha`` (see :func:`real_form`).  Useful for
-    sign-change bracketing and root counting.
-    """
-    kappas = np.asarray(kappas, dtype=float)
-    single = kappas.ndim == 1
-    kappas = np.atleast_2d(kappas)
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    vals = secular_values(bs, kappas[:, bs.edge_of_bond], alpha[None, :])
-    out = real_form(bs, vals, kappas.sum(axis=1))[:, 0]
-    return out[0] if single else out

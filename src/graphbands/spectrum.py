@@ -1,29 +1,34 @@
 """Momentum spectrum of a periodic graph via a sign change of the real
 secular function, plus band-interval scans and band-density series.
 
-The bond evolution U = exp(i(A + p)) S is unitary of even size 2E, so
-det(I - U) = det(-U) conj(det(I - U)).  The flux phases A cancel between
-a bond and its reversal, hence
+A membership row is a point kappa of the torus of edge phases (kappa =
+k l mod 2 pi for momentum k).  The bond evolution U = exp(i(A + p)) S is
+unitary of even size 2E, so det(I - U) = det(-U) conj(det(I - U)).  The
+flux phases A cancel between a bond and its reversal and each edge
+phase enters p on both bonds, so det(-U) = det S exp(2i sum(kappa)) and
 
-    G = exp(-i sum(p) / 2) F,       p = flux-free bond phase row,
+    G = exp(-i sum(kappa)) F
 
 is real when det S = +1 and purely imaginary when det S = -1, at every
-momentum or torus point and every quasi-momentum (Kottos-Smilansky,
-Ann. Phys. 274, 1999).  A point belongs to the spectrum iff G vanishes
-for some quasi-momentum, and since G is continuous on the connected
-torus of quasi-momenta that holds iff min G <= 0 <= max G.
+torus point and every quasi-momentum (Kottos-Smilansky, Ann. Phys. 274,
+1999); :func:`real_secular_values` returns it as a real array.  A point
+belongs to the spectrum iff G vanishes for some quasi-momentum, and
+since G is continuous on the connected torus of quasi-momenta that
+holds iff min G <= 0 <= max G.
 
 G is a real trigonometric polynomial: each edge phase kappa_e enters
 with frequency -1, 0 or 1, and generator j with |frequency| at most its
 flux weight m_j (Barra-Gaspard, J. Stat. Phys. 101, 2000).  It is
 compiled once per bond system: determinants on the grid of 3 points per
 edge and 2 m_j + 1 per generator give its coefficients exactly by FFT,
-and only the nonzero ones are kept (:class:`SecularPolynomial`).  A
-membership row then costs a few cosines and sines and two small matrix
-products instead of 2m + 1 determinants.  Graphs whose grid exceeds
-COMPILE_BUDGET determinants take G samples from LU determinants instead.
+and only the nonzero ones are kept (:class:`SecularPolynomial`), which
+also gives the exact degree d_j <= m_j.  A membership row then costs a
+few cosines and sines and two small matrix products instead of 2m + 1
+determinants.  Graphs whose grid exceeds COMPILE_BUDGET determinants
+take G samples from LU determinants instead, with the flux weight as
+the degree.
 
-Along the heaviest-flux generator G has degree m, sampled at 2m + 1
+Along the generator of highest degree m G is sampled at 2m + 1
 equispaced points.  For m = 1 it is c0 + 2|c1| cos(alpha + phase), so a
 row is a member iff |c0| <= 2|c1| (+ ZERO_TOL).  For m >= 2 the
 critical points, roots of a companion eigenproblem, make the minimum
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond_system import BondSystem
-from .secular import real_form, secular_values
+from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
@@ -68,17 +73,24 @@ def _grid(sizes) -> np.ndarray:
     return index * (2.0 * np.pi / np.array(sizes, dtype=float))
 
 
-def _flux_weights(bs: BondSystem) -> np.ndarray:
-    """Per generator, the edge-summed |flux|: the bound on the degree of G
-    in that quasi-momentum (see ``BondSystem.flux_weight``)."""
-    return np.rint(np.abs(bs.bond_flux[:bs.n_edges]).sum(axis=0)).astype(int)
+def _edge_phases(bs: BondSystem, kappas) -> np.ndarray:
+    """``kappas`` as a float array of edge phase rows, shape (n, E)."""
+    kappas = np.asarray(kappas, dtype=float)
+    if kappas.ndim != 2 or kappas.shape[1] != bs.n_edges:
+        raise ValueError("kappas must have shape (n, %d)" % bs.n_edges)
+    return kappas
 
 
-def _lu_samples(bs: BondSystem, bond_phases, alphas, threads=None):
-    """G at every pair of a bond phase row and a quasi-momentum row, from
-    LU determinants; shape (n, NA)."""
-    F = secular_values(bs, bond_phases, alphas, threads)
-    return real_form(bs, F, 0.5 * bond_phases.sum(axis=1))
+def real_secular_values(bs: BondSystem, kappas, alphas,
+                        threads: int | None = None) -> np.ndarray:
+    """G = exp(-i sum(kappa)) F from LU determinants at every pair of an
+    edge phase row (n, E) and a quasi-momentum row (NA, J): its real part
+    when det S = +1, its imaginary part when det S = -1; shape (n, NA).
+    ``threads`` splits the determinant work."""
+    kappas = _edge_phases(bs, kappas)
+    F = secular_values(bs, kappas[:, bs.edge_of_bond], alphas, threads)
+    F *= np.exp(-1j * kappas.sum(axis=1))[:, None]
+    return F.real if bs.parity == 1 else F.imag
 
 
 @dataclass(frozen=True)
@@ -92,13 +104,19 @@ class SecularPolynomial:
     coefficients of n and -n are conjugate: ``kappa_freq`` holds one of
     each pair (entries in {-1, 0, 1}, first nonzero entry 1) and ``coef``
     twice its coefficients, plus the n = 0 row once.  ``monomials`` counts
-    the nonzero coefficients of G before that folding.
+    the nonzero coefficients of G before that folding.  ``degree`` is the
+    exact degree of G in each quasi-momentum, at most its flux weight.
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
     alpha_freq: np.ndarray       # (Ra, J) float, integer valued
     coef: np.ndarray             # (Rk, Ra) complex
     monomials: int
+
+    @property
+    def degree(self) -> tuple[int, ...]:
+        return tuple(int(d) for d in
+                     np.abs(self.alpha_freq).max(axis=0, initial=0))
 
     def values(self, kappas, alphas) -> np.ndarray:
         """G at every pair of an edge phase row (n, E) and a quasi-momentum
@@ -119,11 +137,11 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial | None:
     Use ``bs.secular_polynomial``, which compiles once and keeps it.
     """
     E = bs.n_edges
-    sizes = [3] * E + [2 * int(m) + 1 for m in _flux_weights(bs)]
+    sizes = [3] * E + [2 * m + 1 for m in bs.flux_weight]
     if math.prod(sizes) > COMPILE_BUDGET:       # exact; 3**E overflows int64
         return None
     kappas, alphas = _grid(sizes[:E]), _grid(sizes[E:])
-    G = _lu_samples(bs, kappas[:, bs.edge_of_bond], alphas)
+    G = real_secular_values(bs, kappas, alphas)
     c = np.fft.fftn(G.reshape(sizes)) / G.size
     kept = np.nonzero(np.abs(c) > _DROP_TOL)
     freq = np.stack([np.fft.fftfreq(n, 1.0 / n)[i]
@@ -141,18 +159,17 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial | None:
 # membership
 # ---------------------------------------------------------------------------
 
-def _alpha_grid(bs: BondSystem) -> tuple[np.ndarray, int]:
-    """Quasi-momentum rows and the flux weight m of the heaviest-flux
-    generator, which takes 2m + 1 equispaced samples and varies fastest;
+def _alpha_grid(degrees) -> tuple[np.ndarray, int]:
+    """Quasi-momentum rows and the degree m of the generator of highest
+    degree, which takes 2m + 1 equispaced samples and varies fastest;
     every other generator takes GRID_FALLBACK_POINTS."""
-    J = bs.generators
+    J = len(degrees)
     if J == 0:
         return np.zeros((1, 0)), 0
-    weights = _flux_weights(bs)
-    main = int(np.argmax(weights))
+    main = int(np.argmax(degrees))
     order = [j for j in range(J) if j != main] + [main]
-    sizes = [GRID_FALLBACK_POINTS] * (J - 1) + [2 * weights[main] + 1]
-    return _grid(sizes)[:, np.argsort(order)], int(weights[main])
+    sizes = [GRID_FALLBACK_POINTS] * (J - 1) + [2 * degrees[main] + 1]
+    return _grid(sizes)[:, np.argsort(order)], degrees[main]
 
 
 def _critical_values(G: np.ndarray, m: int) -> np.ndarray:
@@ -200,43 +217,36 @@ def _extremes(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def membership_from_phases(bs: BondSystem, bond_phases,
+def membership_from_phases(bs: BondSystem, kappas,
                            threads: int | None = None) -> np.ndarray:
-    """Spectrum membership for rows of flux-free bond phases.
+    """Spectrum membership for rows of edge phases, shape (n, E).
 
-    This is the kernel shared by momentum scans (phases = k L) and torus
-    sampling (phases = lifted kappa).  A row is a member iff the real
-    secular function G = exp(-i sum(p) / 2) F changes sign or touches
-    zero over the quasi-momenta: min G <= ZERO_TOL and max G >= -ZERO_TOL
-    over 2m + 1 samples and the critical points along the heaviest-flux
-    generator (|c0| <= 2|c1| + ZERO_TOL when m = 1), for every point of
-    the GRID_FALLBACK_POINTS grid over the other generators together.
-    ZERO_TOL is absolute; it lets the noise of touching zeros (band
-    edges, flat bands) count as zero.
+    This is the kernel shared by momentum scans (kappa = k l) and torus
+    sampling.  A row is a member iff the real secular function G changes
+    sign or touches zero over the quasi-momenta: min G <= ZERO_TOL and
+    max G >= -ZERO_TOL over 2m + 1 samples and the critical points along
+    the generator of highest degree m (|c0| <= 2|c1| + ZERO_TOL when
+    m = 1), for every point of the GRID_FALLBACK_POINTS grid over the
+    other generators together.  ZERO_TOL is absolute; it lets the noise
+    of touching zeros (band edges, flat bands) count as zero.
 
-    G comes from the compiled polynomial ``bs.secular_polynomial``.  Rows
-    whose two bonds of an edge carry different phases, and graphs above
-    COMPILE_BUDGET, take LU determinants instead; ``threads`` splits only
+    G and its exact degrees come from the compiled polynomial
+    ``bs.secular_polynomial``.  Graphs above COMPILE_BUDGET take LU
+    determinants and the flux weights as degrees; ``threads`` splits only
     that determinant work.
     """
-    bond_phases = np.asarray(bond_phases, dtype=float)
-    if bond_phases.ndim != 2 or bond_phases.shape[1] != bs.n_bonds:
-        raise ValueError("bond_phases must have shape (n, %d)" % bs.n_bonds)
-    E = bs.n_edges
+    kappas = _edge_phases(bs, kappas)
     poly = bs.secular_polynomial
-    if poly is not None and not np.array_equal(bond_phases[:, :E],
-                                               bond_phases[:, E:]):
-        poly = None
-    alphas, m = _alpha_grid(bs)
+    alphas, m = _alpha_grid(bs.flux_weight if poly is None else poly.degree)
     width = len(alphas) if poly is None else max(len(alphas), len(poly.coef))
     block = max(1, _BLOCK_VALUES // width)
-    member = np.empty(len(bond_phases), dtype=bool)
-    for i in range(0, len(bond_phases), block):
-        rows = bond_phases[i:i + block]
+    member = np.empty(len(kappas), dtype=bool)
+    for i in range(0, len(kappas), block):
+        rows = kappas[i:i + block]
         if poly is None:
-            G = _lu_samples(bs, rows, alphas, threads)
+            G = real_secular_values(bs, rows, alphas, threads)
         else:
-            G = poly.values(rows[:, :E], alphas)
+            G = poly.values(rows, alphas)
         lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m)
         member[i:i + block] = ((lo.reshape(len(rows), -1).min(axis=1) <= ZERO_TOL)
                                & (hi.reshape(len(rows), -1).max(axis=1)
@@ -248,8 +258,8 @@ def momentum_membership(bs: BondSystem, ks,
                         threads: int | None = None) -> np.ndarray:
     """Vectorized spectrum indicator over an array of momenta."""
     ks = np.asarray(ks, dtype=float)
-    phases = ks.reshape(-1, 1) * bs.bond_lengths[None, :]
-    return membership_from_phases(bs, phases, threads).reshape(ks.shape)
+    kappas = ks.reshape(-1, 1) * bs.bond_lengths[None, :bs.n_edges]
+    return membership_from_phases(bs, kappas, threads).reshape(ks.shape)
 
 
 def in_spectrum(bs: BondSystem, k: float) -> bool:

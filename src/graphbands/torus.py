@@ -1,4 +1,4 @@
-"""Spectrum as a subset of the torus of edge phases.
+"""Band density as a Monte Carlo volume on the torus of edge phases.
 
 The map k -> (k l_1, ..., k l_E) mod 2 pi winds a line through the
 E-torus; for rationally independent lengths the line equidistributes, so
@@ -6,6 +6,9 @@ the band density of the spectrum equals the volume of the set of torus
 points where some quasi-momentum solves the secular equation.  That
 volume depends only on the combinatorial graph, never on the lengths,
 which is why every generic length draw produces the same band density.
+:func:`mc_volume` estimates it by feeding uniform torus points straight
+to :func:`graphbands.spectrum.membership_from_phases`, whose rows are
+edge phases.
 """
 
 from __future__ import annotations
@@ -19,44 +22,6 @@ from .spectrum import membership_from_phases
 
 TWO_PI = 2.0 * np.pi
 _MC_CHUNK = 65536
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Point of the edge-phase torus, components in [0, 2 pi)."""
-
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        kappa = np.asarray(self.kappa, dtype=float)
-        if kappa.ndim != 1:
-            raise ValueError("kappa must be a 1-D array")
-        if np.any(kappa < 0) or np.any(kappa >= TWO_PI):
-            raise ValueError("kappa components must lie in [0, 2 pi)")
-        object.__setattr__(self, "kappa", kappa)
-
-    @property
-    def dim(self) -> int:
-        return len(self.kappa)
-
-
-def flow_point(lengths, k: float) -> TorusPoint:
-    """Image of momentum k under the linear flow of the given lengths."""
-    lengths = np.asarray(lengths, dtype=float)
-    if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
-        raise ValueError("lengths must be strictly positive and finite")
-    return TorusPoint(np.mod(k * lengths, TWO_PI))
-
-
-def sigma_membership(bs: BondSystem, point: TorusPoint,
-                     threads: int | None = None) -> bool:
-    """True iff the torus point solves the secular equation for some
-    quasi-momentum; same criterion and tolerance as momentum membership."""
-    if point.dim != bs.n_edges:
-        raise ValueError("torus point has dimension %d, expected %d"
-                         % (point.dim, bs.n_edges))
-    phases = point.kappa[bs.edge_of_bond][None, :]
-    return bool(membership_from_phases(bs, phases, threads)[0])
 
 
 @dataclass(frozen=True)
@@ -102,7 +67,7 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     LU determinant work (graphs above the compile budget).
     """
     def member(kappa):
-        return membership_from_phases(bs, kappa[:, bs.edge_of_bond], threads)
+        return membership_from_phases(bs, kappa, threads)
 
     p, se = mc_fraction(member, bs.n_edges, samples, seed)
     return VolumeEstimate(value=p, std_error=se, samples=samples,

@@ -197,8 +197,8 @@ def test_criterion_08_flow_torus_consistency(record_criterion):
     ks = ks[~near_edge]
 
     direct = gb.momentum_membership(bs, ks)
-    lifted = np.stack([gb.flow_point(g.lengths, k).kappa for k in ks])
-    via_torus = gb.membership_from_phases(bs, lifted[:, bs.edge_of_bond])
+    lifted = np.mod(ks[:, None] * g.lengths[None, :], 2 * np.pi)
+    via_torus = gb.membership_from_phases(bs, lifted)
     agree = np.mean(direct == via_torus)
     ok = agree >= 0.999
     _record(record_criterion, 8, ok,
@@ -244,7 +244,7 @@ def test_criterion_09_decoration_reduction(record_criterion):
 
     def full_real(ks, alpha):
         return gb.real_secular_values(full, ks[:, None] * edge_lengths[None, :],
-                                      [alpha])
+                                      [[alpha]])[:, 0]
 
     worst_root = 0.0
     n_roots = 0

@@ -14,69 +14,39 @@ def circle_system():
     return gb.bond_matrices(g)
 
 
-# ------------------------------------------------------------------- flow
-
-def test_flow_point_basics():
-    assert gb.flow_point([1.0, 2.0], 0.0).kappa.tolist() == [0.0, 0.0]
-    p = gb.flow_point([1.0, 2.0], np.pi)
-    assert p.kappa == pytest.approx([np.pi, 0.0], abs=1e-12)
-
-
-def test_flow_point_additivity():
-    lengths = np.array([1.3, 0.7, 2.1])
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        k1, k2 = rng.uniform(0, 20, 2)
-        a = gb.flow_point(lengths, k1 + k2).kappa
-        b = np.mod(gb.flow_point(lengths, k1).kappa
-                   + gb.flow_point(lengths, k2).kappa, 2 * np.pi)
-        d = np.abs(a - b)
-        assert np.minimum(d, 2 * np.pi - d).max() <= 1e-12
-
-
-def test_flow_point_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        gb.flow_point([1.0, -2.0], 1.0)
-    with pytest.raises(ValueError):
-        gb.flow_point([1.0, np.inf], 1.0)
-
-
-def test_torus_point_range_checked():
-    with pytest.raises(ValueError):
-        gb.TorusPoint(np.array([0.0, 7.0]))
-    with pytest.raises(ValueError):
-        gb.TorusPoint(np.array([-0.1, 1.0]))
-
-
 # ------------------------------------------------------------- membership
 
-def test_sigma_membership_lasso_points():
-    assert gb.sigma_membership(LASSO, gb.TorusPoint(np.zeros(2)))
-    assert not gb.sigma_membership(
-        LASSO, gb.TorusPoint(np.array([np.pi / 2, np.pi / 2])))
+def test_torus_membership_lasso_points():
+    kappas = np.array([[0.0, 0.0], [np.pi / 2, np.pi / 2]])
+    assert gb.membership_from_phases(LASSO, kappas).tolist() == [True, False]
 
 
-def test_sigma_membership_dimension_checked():
+def test_torus_membership_rows_are_edge_phases():
+    # rows are (n, E) edge phases; any other width, including the (n, 2E)
+    # of bond phases, is refused rather than misread
+    for shape in ((1, 3), (1, 4), (1, 1), (2,)):
+        with pytest.raises(ValueError):
+            gb.membership_from_phases(LASSO, np.zeros(shape))
     with pytest.raises(ValueError):
-        gb.sigma_membership(LASSO, gb.TorusPoint(np.zeros(3)))
+        gb.real_secular_values(LASSO, np.zeros((1, 4)), [[0.0]])
 
 
-def test_sigma_membership_matches_closed_form():
+def test_torus_membership_matches_closed_form():
     rng = np.random.default_rng(1)
     kap = rng.uniform(0, 2 * np.pi, (10_000, 2))
-    mine = gb.membership_from_phases(LASSO, kap[:, LASSO.edge_of_bond])
+    mine = gb.membership_from_phases(LASSO, kap)
     ref = gb.lasso_membership(kap[:, 0], kap[:, 1])
     agreement = np.mean(mine == ref)
     assert agreement >= 0.999
 
 
-def test_sigma_membership_reflection_symmetric():
+def test_torus_membership_reflection_symmetric():
     # kappa -> -kappa mod 2 pi leaves membership unchanged (time reversal)
     rng = np.random.default_rng(2)
     kap = rng.uniform(0, 2 * np.pi, (500, 2))
     neg = np.mod(-kap, 2 * np.pi)
-    a = gb.membership_from_phases(LASSO, kap[:, LASSO.edge_of_bond])
-    b = gb.membership_from_phases(LASSO, neg[:, LASSO.edge_of_bond])
+    a = gb.membership_from_phases(LASSO, kap)
+    b = gb.membership_from_phases(LASSO, neg)
     assert np.array_equal(a, b)
 
 
