@@ -30,11 +30,15 @@ the degree.
 
 Along the generator of highest degree m G is sampled at 2m + 1
 equispaced points.  For m = 1 it is c0 + 2|c1| cos(alpha + phase), so a
-row is a member iff |c0| <= 2|c1| (+ ZERO_TOL).  For m >= 2 the
-critical points, roots of a companion eigenproblem, make the minimum
-and maximum along that axis exact.  Further generators are sampled on a
-grid of GRID_FALLBACK_POINTS points each; the extremes are taken over
-the whole grid.  Extra evaluation points never create a false member.
+row is a member iff |c0| <= 2|c1| (+ ZERO_TOL).  With one generator G
+is even in alpha, because S is symmetric under bond reversal, so for
+m = 2 it is a quadratic in cos(alpha) with closed-form extremes on
+[-1, 1].  For m >= 3, and along the main generator when J >= 2, where a
+slice of G is not even, the critical points, roots of a companion
+eigenproblem, make the minimum and maximum along that axis exact.
+Further generators are sampled on a grid of GRID_FALLBACK_POINTS points
+each; the extremes are taken over the whole grid.  Extra evaluation
+points never create a false member.
 
 The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
 edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
@@ -201,14 +205,28 @@ def _critical_values(G: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
-def _extremes(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _extremes(G: np.ndarray, m: int,
+              even: bool) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimum and maximum over alpha of the real trigonometric
     polynomials of degree m sampled at 2m + 1 equispaced points (rows of
-    G).  Degree 1 is c0 + 2|c1| cos(alpha + phase), in closed form."""
+    G).  Degree 1 is c0 + 2|c1| cos(alpha + phase), in closed form.  An
+    ``even`` row of degree 2 is c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha),
+    the quadratic P(x) = c0 - 2 c2 + 2 c1 x + 4 c2 x^2 in x = cos(alpha),
+    whose extremes over [-1, 1] are P(+-1) and, when |c1| < 4|c2|, the
+    vertex value c0 - 2 c2 - c1^2 / (4 c2).  Other rows add the values
+    at the critical points to those of the samples."""
     if m == 1:
         c = np.fft.rfft(G, axis=1) / 3.0
         mid, half = c[:, 0].real, 2.0 * np.abs(c[:, 1])
         return mid - half, mid + half
+    if m == 2 and even:
+        c0, c1, c2 = (np.fft.rfft(G, axis=1).real / 5.0).T  # even projection
+        minus, plus = c0 + 2.0 * (c2 - c1), c0 + 2.0 * (c2 + c1)  # P(-+1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.where(np.abs(c1) < 4.0 * np.abs(c2),
+                              c0 - 2.0 * c2 - c1 * c1 / (4.0 * c2), np.nan)
+        return (np.fmin(np.minimum(minus, plus), vertex),
+                np.fmax(np.maximum(minus, plus), vertex))
     lo, hi = G.min(axis=1), G.max(axis=1)
     if m >= 2:
         vals = _critical_values(G, m)
@@ -224,11 +242,13 @@ def membership_from_phases(bs: BondSystem, kappas,
     This is the kernel shared by momentum scans (kappa = k l) and torus
     sampling.  A row is a member iff the real secular function G changes
     sign or touches zero over the quasi-momenta: min G <= ZERO_TOL and
-    max G >= -ZERO_TOL over 2m + 1 samples and the critical points along
-    the generator of highest degree m (|c0| <= 2|c1| + ZERO_TOL when
-    m = 1), for every point of the GRID_FALLBACK_POINTS grid over the
-    other generators together.  ZERO_TOL is absolute; it lets the noise
-    of touching zeros (band edges, flat bands) count as zero.
+    max G >= -ZERO_TOL along the generator of highest degree m, for every
+    point of the GRID_FALLBACK_POINTS grid over the other generators
+    together.  The extremes along that generator come from 2m + 1
+    samples: in closed form when m = 1 (|c0| <= 2|c1| + ZERO_TOL) and
+    when m = 2 on a one-generator graph, where G is even in alpha, and
+    with the critical points otherwise.  ZERO_TOL is absolute; it lets
+    the noise of touching zeros (band edges, flat bands) count as zero.
 
     G and its exact degrees come from the compiled polynomial
     ``bs.secular_polynomial``.  Graphs above COMPILE_BUDGET take LU
@@ -237,7 +257,8 @@ def membership_from_phases(bs: BondSystem, kappas,
     """
     kappas = _edge_phases(bs, kappas)
     poly = bs.secular_polynomial
-    alphas, m = _alpha_grid(bs.flux_weight if poly is None else poly.degree)
+    degrees = bs.flux_weight if poly is None else poly.degree
+    alphas, m = _alpha_grid(degrees)
     width = len(alphas) if poly is None else max(len(alphas), len(poly.coef))
     block = max(1, _BLOCK_VALUES // width)
     member = np.empty(len(kappas), dtype=bool)
@@ -247,7 +268,8 @@ def membership_from_phases(bs: BondSystem, kappas,
             G = real_secular_values(bs, rows, alphas, threads)
         else:
             G = poly.values(rows, alphas)
-        lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m)
+        lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m,
+                           even=len(degrees) == 1)
         member[i:i + block] = ((lo.reshape(len(rows), -1).min(axis=1) <= ZERO_TOL)
                                & (hi.reshape(len(rows), -1).max(axis=1)
                                   >= -ZERO_TOL))

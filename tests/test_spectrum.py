@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,8 @@ def test_exact_degree_keeps_clear_members(monkeypatch):
     degrees = []
     extremes = spectrum._extremes
     monkeypatch.setattr(spectrum, "_extremes",
-                        lambda G, m: degrees.append(m) or extremes(G, m))
+                        lambda G, m, even: degrees.append(m)
+                        or extremes(G, m, even))
     alphas = 2 * np.pi * np.arange(4096)[:, None] / 4096
     for seed, (degree, rows) in LOOSE_BOUND_MEMBERS.items():
         bs = gb.bond_matrices(random_magnetic_graph(seed))
@@ -309,6 +312,91 @@ def test_m1_closed_form_matches_dense_alpha_reference():
         assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
         assert np.array_equal(lu_membership(g, kappas), dense)
     assert parities == {-1, 1}
+
+
+
+class CriticalPointsReached(Exception):
+    pass
+
+
+def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
+    # on a one-generator graph G is even in alpha, so at degree 2 it is a
+    # quadratic in cos(alpha) and its extremes are closed-form: torus rows
+    # and momentum rows k l, on the compiled and on the LU path, for both
+    # signs of det S, never reach the critical points.  Seeds 17 and 12
+    # have degree 1 and flux weight 2: their LU rows are sampled at m = 2.
+    def critical_values(G, m):
+        raise CriticalPointsReached(m)
+    monkeypatch.setattr(spectrum, "_critical_values", critical_values)
+    rng = np.random.default_rng(17)
+    alphas = 2 * np.pi * np.arange(4096)[:, None] / 4096
+    graphs = [(gb.bloch_reduce(LADDER_CELL), 2), (random_magnetic_graph(3), 2),
+              (random_magnetic_graph(19), 2), (random_magnetic_graph(17), 1),
+              (random_magnetic_graph(12), 1)]
+    parities = set()
+    for g, degree in graphs:
+        bs = gb.bond_matrices(g)
+        assert bs.secular_polynomial.degree == (degree,)
+        parities.add(bs.parity)
+        ks = rng.uniform(0, 500, 1000)
+        kappas = np.vstack([rng.uniform(0, 2 * np.pi, (1000, bs.n_edges)),
+                            ks[:, None] * g.lengths])
+        G = bs.secular_polynomial.values(kappas, alphas)
+        dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
+        assert 0 < dense.sum() < len(dense)
+        assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
+        if bs.flux_weight == (2,):       # else the LU path samples m >= 3
+            assert np.array_equal(lu_membership(g, kappas), dense)
+    assert parities == {-1, 1}
+    # degree 3 still takes the critical points
+    bs = gb.bond_matrices(random_magnetic_graph(53))
+    assert bs.secular_polynomial.degree == (3,)
+    with pytest.raises(CriticalPointsReached):
+        gb.membership_from_phases(bs, rng.uniform(0, 2 * np.pi, (10, 5)))
+
+
+def test_m2_closed_form_degenerate_rows():
+    # rows c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha) whose quadratic in
+    # cos(alpha) degenerates: c2 = 0 (a degree-1 row sampled at m = 2, as
+    # on the LU path when the flux weight exceeds the degree), c1 = c2 = 0,
+    # the vertex at cos(alpha) = -1 or 1 (|c1| = 4|c2|), and G = 0 (a flat
+    # band), next to one row with its vertex inside, at cos(alpha) = 0
+    coef = np.array([[0.3, 0.5, 0.0], [-0.2, -0.7, 0.0], [0.7, 0.0, 0.0],
+                     [0.1, 0.8, 0.2], [0.1, -0.8, 0.2], [-0.4, 0.6, -0.15],
+                     [0.0, 0.0, 0.0], [0.05, 0.0, 0.4]])
+
+    def rows(n):
+        alpha = 2 * np.pi * np.arange(n) / n
+        return coef[:, :1] + 2 * coef[:, 1:] @ np.cos(np.outer([1, 2], alpha))
+
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        lo, hi = spectrum._extremes(rows(5), 2, even=True)
+    assert not np.isnan(lo).any() and not np.isnan(hi).any()
+    dense = rows(4096)
+    assert np.allclose(lo, dense.min(axis=1), rtol=0, atol=1e-12)
+    assert np.allclose(hi, dense.max(axis=1), rtol=0, atol=1e-12)
+    assert lo[6] <= ZERO_TOL and hi[6] >= -ZERO_TOL          # flat band
+
+
+def test_two_generator_slices_keep_critical_points():
+    # with J = 2 a slice along the main generator is not even in alpha, so
+    # the closed form of even degree-2 rows must not decide it.  Degrees
+    # (2, 1); the reference samples the main generator densely at the
+    # same grid of the other.
+    bs = gb.bond_matrices(random_magnetic_graph(17, generators=2))
+    poly = bs.secular_polynomial
+    assert poly.degree == (2, 1)
+    kappas = np.random.default_rng(18).uniform(0, 2 * np.pi, (400, bs.n_edges))
+    n = spectrum.GRID_FALLBACK_POINTS
+    grid = np.meshgrid(2 * np.pi * np.arange(1024) / 1024,
+                       2 * np.pi * np.arange(n) / n, indexing="ij")
+    alphas = np.stack(grid, axis=-1).reshape(-1, 2)
+    dense = np.concatenate([
+        (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
+        for G in (poly.values(rows, alphas) for rows in np.split(kappas, 8))])
+    assert 0 < dense.sum() < len(dense)
+    assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
 
 
 # ------------------------------------------------------------ bands
