@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker threads for LU determinant batches "
                  "(graphs too large to compile)")
 
-    p = sub.add_parser("reference", help="closed-form reference band densities")
+    about = ("reference band densities: lasso in closed form, "
+             "dihedral by Monte Carlo")
+    p = sub.add_parser("reference", help=about, description=about)
     ref = p.add_subparsers(dest="model", required=True)
     q = ref.add_parser("lasso", help="loop-with-pendant density in closed form")
     q.add_argument("-o", "--output", default=None)

@@ -10,10 +10,13 @@ decoration explains why whole families of graphs share one band set: a
 decoration enters the secular equation only through a unimodular phase,
 which a change of variables absorbs into one torus coordinate.
 
-Nothing here has its own numerical machinery: the reflection coefficient
-eliminates the interior bonds of the :func:`bond_matrices` system of the
-decoration with its lead attached, and the dihedral Monte Carlo runs on
-the torus sampling loop :func:`torus.mc_fraction`.
+The reflection coefficient eliminates the interior bonds of the
+:func:`bond_matrices` system of the decoration with its lead attached,
+and the dihedral Monte Carlo runs on the torus sampling loop
+:func:`torus.mc_fraction`.  The one piece of numerics of its own is the
+dihedral indicator's float32 screen: a float32 margin decides the rows
+far from the band edge, and the float64 inequality decides the rest, so
+the answer is the float64 one.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import numpy as np
 
 from .bond_system import bond_matrices
 from .graph_model import Edge, GraphError, MagneticGraph
-from .torus import mc_fraction
+from .torus import TWO_PI, mc_fraction
 
 UNITARITY_TOL = 1e-10
 _RESONANCE_RTOL = 1e-10
+# float32 margins beyond this decide dihedral membership by their sign;
+# see dihedral_membership for the error budget it covers ten times over
+_SCREEN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -127,20 +133,49 @@ def dihedral_secular(kappa1, kappa2, kappa3, alpha):
     return out if out.ndim else float(out)
 
 
+def _dihedral_margin(kappa1, kappa2, kappa3):
+    """|sin k2 + sin k3| - |sin(k1+k2+k3) - (1/2) sin k1 sin k2 sin k3 - sin k1|
+    in the dtype of the phases, each sine taken once.
+
+    The operations run in the order (k1 + k2) + k3 and
+    ((0.5 sin k1) sin k2) sin k3, so in float64 ``margin >= 0`` decides
+    exactly as ``lhs <= |sin k2 + sin k3|`` does (a rounded difference is
+    zero only for equal operands), NaN included.
+    """
+    s1, s2, s3 = np.sin(kappa1), np.sin(kappa2), np.sin(kappa3)
+    return np.abs(s2 + s3) - np.abs(np.sin(kappa1 + kappa2 + kappa3)
+                                    - 0.5 * s1 * s2 * s3 - s1)
+
+
 def dihedral_membership(kappa1, kappa2, kappa3):
     """Band-set indicator of the dihedral graph: a real quasi-momentum
     solves the secular equation iff
 
         |sin(k1+k2+k3) - (1/2) sin k1 sin k2 sin k3 - sin k1|
             <= |sin k2 + sin k3|.
+
+    The answer is that of the float64 inequality, bit for bit, but most
+    rows are decided in float32: the margin (right side minus left side)
+    is evaluated on float32 copies of the phases, and its sign decides
+    every row where it exceeds ``_SCREEN`` in magnitude.  The float32
+    error budget for phases with |k| <= 2 pi: rounding each phase costs
+    <= 2 pi 2^-24 (3.7e-7), the sum of three adds <= 2 roundings at
+    6 pi (1.9e-6), each sine is within a few ulp, and the margin's
+    partial derivatives are <= 2.5, about 1e-5 in all, ten times below
+    ``_SCREEN``.  The remaining rows (|margin| <= ``_SCREEN``, a margin
+    that is not finite, or any |k| > 2 pi, where the budget does not
+    hold) are evaluated again in float64 on the original phases.
     """
-    kappa1 = np.asarray(kappa1, dtype=float)
-    kappa2 = np.asarray(kappa2, dtype=float)
-    kappa3 = np.asarray(kappa3, dtype=float)
-    s2, s3 = np.sin(kappa2), np.sin(kappa3)
-    lhs = np.abs(np.sin(kappa1 + kappa2 + kappa3)
-                 - 0.5 * np.sin(kappa1) * s2 * s3 - np.sin(kappa1))
-    inside = lhs <= np.abs(s2 + s3)
+    k64 = np.broadcast_arrays(np.asarray(kappa1, dtype=float),
+                              np.asarray(kappa2, dtype=float),
+                              np.asarray(kappa3, dtype=float))
+    m32 = _dihedral_margin(*(k.astype(np.float32) for k in k64))
+    inside = np.asarray(m32 > 0)
+    redo = ~(np.abs(m32) > _SCREEN)
+    for k in k64:
+        redo |= np.abs(k) > TWO_PI
+    if redo.any():
+        inside[redo] = _dihedral_margin(*(k[redo] for k in k64)) >= 0
     return inside if inside.ndim else bool(inside)
 
 

@@ -13,6 +13,7 @@ edge phases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,14 @@ def mc_fraction(indicator, dim: int, samples: int, seed: int):
     ``indicator`` maps an (n, dim) array of phases in [0, 2 pi) to n
     booleans.  Points come from a counter-based Philox stream in chunks
     of ``_MC_CHUNK`` rows; chunking does not change the stream, so the
-    result depends only on (samples, seed).
+    result depends only on (samples, seed).  ``samples`` is any integer
+    (``np.int64`` included); p and the error are Python floats.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise TypeError("samples must be an integer, got %r"
+                        % (samples,)) from None
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -70,5 +77,5 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
         return membership_from_phases(bs, kappa, threads)
 
     p, se = mc_fraction(member, bs.n_edges, samples, seed)
-    return VolumeEstimate(value=p, std_error=se, samples=samples,
+    return VolumeEstimate(value=p, std_error=se, samples=int(samples),
                           seed=int(seed))

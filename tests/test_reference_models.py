@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
+import graphbands.reference_models as rm
 
 TRIANGLE = gb.MagneticGraph(
     vertices=(0, 1, 2),
@@ -85,6 +86,115 @@ def test_dihedral_density_frozen_regression():
     assert gb.dihedral_density(100_000, seed=0) == ref
     with pytest.raises(ValueError):
         gb.dihedral_density(0, seed=0)
+
+
+# ------------------------------------------- float32 screen of the indicator
+
+def float64_indicator(k1, k2, k3):
+    # the dihedral inequality as one float64 expression, unscreened
+    s2, s3 = np.sin(k2), np.sin(k3)
+    lhs = np.abs(np.sin(k1 + k2 + k3) - 0.5 * np.sin(k1) * s2 * s3
+                 - np.sin(k1))
+    return lhs <= np.abs(s2 + s3)
+
+
+def float64_margin(k1, k2, k3):
+    s1, s2, s3 = np.sin(k1), np.sin(k2), np.sin(k3)
+    return np.abs(s2 + s3) - np.abs(np.sin(k1 + k2 + k3)
+                                    - 0.5 * s1 * s2 * s3 - s1)
+
+
+def assert_screen_exact(k):
+    got = gb.dihedral_membership(k[:, 0], k[:, 1], k[:, 2])
+    want = float64_indicator(k[:, 0], k[:, 1], k[:, 2])
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.count_nonzero(got != want) == 0
+
+
+def margin_roots(target, n, seed):
+    """Rows (k1, k2, k3) whose float64 margin is ``target`` to within
+    1e-13, with k1 solved by bisection for random (k2, k3)."""
+    rng = np.random.default_rng(seed)
+    k23 = rng.uniform(0, 2 * np.pi, (n, 2))
+    grid = np.linspace(0, 2 * np.pi, 513)
+    f = float64_margin(grid[None, :], k23[:, :1], k23[:, 1:]) - target
+    change = np.diff(np.sign(f), axis=1) != 0
+    rows = np.flatnonzero(change.any(axis=1))
+    first = change[rows].argmax(axis=1)
+    lo, hi = grid[first], grid[first + 1]
+    flo = f[rows, first]
+    k2, k3 = k23[rows, 0], k23[rows, 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fmid = float64_margin(mid, k2, k3) - target
+        left = np.sign(fmid) == np.sign(flo)
+        lo, flo = np.where(left, mid, lo), np.where(left, fmid, flo)
+        hi = np.where(left, hi, mid)
+    k = np.column_stack([lo, k2, k3])
+    k = k[np.abs(float64_margin(*k.T) - target) <= 1e-13]
+    assert len(k) >= n // 2
+    return k
+
+
+def test_screened_membership_exact_on_philox_points(monkeypatch):
+    # every row agrees with the float64 inequality, and the float64 path
+    # really runs, on a small share of the rows
+    calls = []
+    margin = rm._dihedral_margin
+
+    def recorded(*k):
+        out = margin(*k)
+        calls.append((out.dtype, out.size))
+        return out
+
+    monkeypatch.setattr(rm, "_dihedral_margin", recorded)
+    rng = np.random.Generator(np.random.Philox(2024))
+    for _ in range(64):                           # 4,194,304 points
+        assert_screen_exact(rng.uniform(0.0, 2 * np.pi, (65536, 3)))
+    rechecked = sum(n for dtype, n in calls if dtype == np.float64)
+    screened = sum(n for dtype, n in calls if dtype == np.float32)
+    assert screened == 64 * 65536
+    assert 0 < rechecked <= 1e-2 * screened
+
+
+def test_screened_membership_exact_at_the_band_edge():
+    rng = np.random.default_rng(7)
+    k2 = rng.uniform(0, 2 * np.pi, 20_000)
+    opposite = np.column_stack([rng.uniform(0, 2 * np.pi, 20_000), k2, -k2])
+    rows = [np.zeros((1, 3)), opposite]
+    rows += [margin_roots(t, 4000, seed) for seed, t in
+             enumerate((1e-9, -1e-9, 1e-6, -1e-6))]
+    for k in rows:
+        assert_screen_exact(k)
+    assert gb.dihedral_membership(0.0, 0.0, 0.0) is True
+
+
+def test_screened_membership_exact_off_the_unit_cell():
+    # float32 cannot hold these phases, so the float64 path decides them
+    rng = np.random.Generator(np.random.Philox(5))
+    k = rng.uniform(0.0, 2 * np.pi, (65536, 3))
+    edge = margin_roots(1e-6, 2000, 11)
+    for shift in (2 * np.pi * 1e6, -2 * np.pi * 1e6):
+        assert_screen_exact(k + shift)
+        assert_screen_exact(edge + shift)
+    bad = np.array([np.inf, -np.inf, np.nan, 1.0])
+    odd = np.array(np.meshgrid(bad, bad, bad)).reshape(3, -1).T
+    with np.errstate(invalid="ignore"):
+        assert_screen_exact(odd)
+        assert not np.any(gb.dihedral_membership(*odd[:-1].T))
+
+
+def test_screened_membership_shapes():
+    assert type(gb.dihedral_membership(0.3, 1.0, 2.0)) is bool
+    assert type(gb.dihedral_membership(np.float64(0.3), 1, 2.0)) is bool
+    for k in ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (0.1, 0.2, -0.2)):
+        assert gb.dihedral_membership(*k) == bool(float64_indicator(*k))
+    rng = np.random.default_rng(8)
+    k1 = rng.uniform(0, 2 * np.pi, (30, 1))
+    k2 = rng.uniform(0, 2 * np.pi, 40)
+    got = gb.dihedral_membership(k1, k2, 1.5)
+    assert got.shape == (30, 40)
+    assert np.array_equal(got, float64_indicator(k1, k2, 1.5))
 
 
 # ------------------------------------------------------------- decorations

@@ -88,6 +88,25 @@ def test_mc_volume_rejects_bad_samples():
         gb.mc_volume(LASSO, 0, seed=1)
 
 
+def test_mc_sample_counts_must_be_integers():
+    # a float count, even a whole one, is refused by name, not deep in numpy
+    for samples in (1e5, 1000.5, "1000"):
+        with pytest.raises(TypeError, match="samples"):
+            gb.dihedral_density(samples, seed=0)
+        with pytest.raises(TypeError, match="samples"):
+            gb.mc_volume(LASSO, samples, seed=0)
+
+
+def test_mc_numpy_sample_counts_give_python_numbers():
+    ref = gb.dihedral_density(np.int64(20_000), seed=4)
+    assert ref == gb.dihedral_density(20_000, seed=4)
+    assert type(ref.value) is float and type(ref.error_bound) is float
+    est = gb.mc_volume(LASSO, np.int64(20_000), seed=np.int64(4))
+    assert est == gb.mc_volume(LASSO, 20_000, seed=4)
+    assert type(est.value) is float and type(est.std_error) is float
+    assert type(est.samples) is int and type(est.seed) is int
+
+
 def test_mc_volume_matches_quadrature_reference():
     ref = gb.lasso_reference_density().value
     est = gb.mc_volume(LASSO, 150_000, seed=3)
