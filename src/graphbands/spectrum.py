@@ -43,6 +43,14 @@ points never create a false member.
 The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
 edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
 identically in alpha, evaluate to noise of either sign.
+
+The kernel returns one continuous number per row, the margin mu =
+min(ZERO_TOL - min G, max G + ZERO_TOL), and a row is a member iff mu
+>= 0.  Along kappa = k l the band edges are the roots of mu:
+:func:`band_intervals` brackets them on a grid of momenta and refines
+every bracket at once by bracketed ITP steps on mu, a regula-falsi
+point kept within a shrinking ball about the midpoint, so no edge takes
+more rounds than bisection plus one.
 """
 
 from __future__ import annotations
@@ -64,6 +72,11 @@ COMPILE_BUDGET = 20_000      # most determinants a compile of G may take
 # of the zero ones <= 5e-16, so the cut sits far from both.
 _DROP_TOL = 1e-9
 _BLOCK_VALUES = 1 << 18      # values per block of membership rows; bounds memory
+# ITP constants of the band-edge refinement: truncation _ITP_K1 / w0 (w0
+# the initial bracket) times the squared bracket width, and _ITP_N0 rounds
+# of slack over bisection
+_ITP_K1 = 0.1
+_ITP_N0 = 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +248,33 @@ def _extremes(G: np.ndarray, m: int,
     return lo, hi
 
 
+def _margin(bs: BondSystem, kappas: np.ndarray,
+            threads: int | None = None) -> np.ndarray:
+    """Membership margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL) of
+    each row of edge phases (n, E); a row is a member iff mu >= 0, and NaN
+    (a failed sample) is not.  mu is continuous in the row, so along
+    kappa = k l the band edges are its roots.  See
+    :func:`membership_from_phases` for the extremes."""
+    poly = bs.secular_polynomial
+    degrees = bs.flux_weight if poly is None else poly.degree
+    alphas, m = _alpha_grid(degrees)
+    width = len(alphas) if poly is None else max(len(alphas), len(poly.coef))
+    block = max(1, _BLOCK_VALUES // width)
+    margin = np.empty(len(kappas))
+    for i in range(0, len(kappas), block):
+        rows = kappas[i:i + block]
+        if poly is None:
+            G = real_secular_values(bs, rows, alphas, threads)
+        else:
+            G = poly.values(rows, alphas)
+        lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m,
+                           even=len(degrees) == 1)
+        np.minimum(ZERO_TOL - lo.reshape(len(rows), -1).min(axis=1),
+                   hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL,
+                   out=margin[i:i + block])
+    return margin
+
+
 def membership_from_phases(bs: BondSystem, kappas,
                            threads: int | None = None) -> np.ndarray:
     """Spectrum membership for rows of edge phases, shape (n, E).
@@ -249,39 +289,30 @@ def membership_from_phases(bs: BondSystem, kappas,
     when m = 2 on a one-generator graph, where G is even in alpha, and
     with the critical points otherwise.  ZERO_TOL is absolute; it lets
     the noise of touching zeros (band edges, flat bands) count as zero.
+    The test is the sign of the margin min(ZERO_TOL - min G, max G +
+    ZERO_TOL): in IEEE arithmetic a - b >= 0 holds exactly when a >= b,
+    so it decides as the two comparisons do.
 
     G and its exact degrees come from the compiled polynomial
     ``bs.secular_polynomial``.  Graphs above COMPILE_BUDGET take LU
     determinants and the flux weights as degrees; ``threads`` splits only
     that determinant work.
     """
-    kappas = _edge_phases(bs, kappas)
-    poly = bs.secular_polynomial
-    degrees = bs.flux_weight if poly is None else poly.degree
-    alphas, m = _alpha_grid(degrees)
-    width = len(alphas) if poly is None else max(len(alphas), len(poly.coef))
-    block = max(1, _BLOCK_VALUES // width)
-    member = np.empty(len(kappas), dtype=bool)
-    for i in range(0, len(kappas), block):
-        rows = kappas[i:i + block]
-        if poly is None:
-            G = real_secular_values(bs, rows, alphas, threads)
-        else:
-            G = poly.values(rows, alphas)
-        lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m,
-                           even=len(degrees) == 1)
-        member[i:i + block] = ((lo.reshape(len(rows), -1).min(axis=1) <= ZERO_TOL)
-                               & (hi.reshape(len(rows), -1).max(axis=1)
-                                  >= -ZERO_TOL))
-    return member
+    return _margin(bs, _edge_phases(bs, kappas), threads) >= 0
+
+
+def _momentum_margin(bs: BondSystem, ks,
+                     threads: int | None = None) -> np.ndarray:
+    """Membership margin (see :func:`_margin`) over an array of momenta."""
+    ks = np.asarray(ks, dtype=float)
+    kappas = ks.reshape(-1, 1) * bs.bond_lengths[None, :bs.n_edges]
+    return _margin(bs, kappas, threads).reshape(ks.shape)
 
 
 def momentum_membership(bs: BondSystem, ks,
                         threads: int | None = None) -> np.ndarray:
     """Vectorized spectrum indicator over an array of momenta."""
-    ks = np.asarray(ks, dtype=float)
-    kappas = ks.reshape(-1, 1) * bs.bond_lengths[None, :bs.n_edges]
-    return membership_from_phases(bs, kappas, threads).reshape(ks.shape)
+    return _momentum_margin(bs, ks, threads) >= 0
 
 
 def in_spectrum(bs: BondSystem, k: float) -> bool:
@@ -301,7 +332,7 @@ class Band:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("band endpoints must be finite")
         if self.hi < self.lo:
             raise ValueError("band with hi < lo")
@@ -337,24 +368,82 @@ class BandList:
         return self.total_measure / self.k_max
 
 
+def _refine_edges(bs: BondSystem, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray, f_hi: np.ndarray, tol: float,
+                  threads: int | None) -> np.ndarray:
+    """Band edges in the brackets [lo, hi], across each of which the
+    membership margin f changes sign, as midpoints of brackets of width
+    <= tol.
+
+    Every round moves all open brackets by one ITP step (Oliveira and
+    Takahashi, ACM TOMS 47, 2020): the regula-falsi point of the margins
+    at the ends, truncated towards the midpoint by _ITP_K1 w^2 / w0 and
+    projected into the ball about the midpoint that keeps both parts of
+    the bracket within S_j = tol 2^(n - j - 1) after round j, where w0 is
+    the widest initial bracket and n = ceil(log2(w0 / tol)) + _ITP_N0.
+    So no edge takes more than n rounds, and smooth ones converge
+    superlinearly.  S_j is short of that by (2^(n - j - 1) - 1) float
+    spacings, so that the ball always holds a float and rounding cannot
+    cost a round.  A step point not strictly inside the bracket (NaN
+    margins) falls back to the midpoint.
+    """
+    edges = 0.5 * (lo + hi)
+    w0 = float(np.max(hi - lo, initial=tol))
+    n = math.ceil(math.log2(w0 / tol)) + _ITP_N0
+    u = float(np.spacing(np.max(hi, initial=0.0)))
+    idx = np.nonzero(hi - lo > tol)[0]
+    a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+    j = 0
+    while idx.size:
+        mid = 0.5 * (a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)                 # regula falsi
+            delta = (_ITP_K1 / w0) * (b - a) ** 2
+            x = np.where(delta <= np.abs(mid - x),
+                         x + np.sign(mid - x) * delta, mid)
+        # projection into [b - S, a + S], rounded inwards
+        scale = 2.0 ** (n - j - 1)
+        S = tol * scale - (scale - 1.0) * u
+        least, most = b - S, a + S
+        least = np.where(b - least > S, np.nextafter(least, b), least)
+        most = np.where(most - a > S, np.nextafter(most, a), most)
+        x = np.minimum(np.maximum(x, least), most)
+        x = np.where((a < x) & (x < b), x, mid)
+        fx = _momentum_margin(bs, x, threads)
+        same = (fx >= 0) == (fa >= 0)
+        a, fa = np.where(same, x, a), np.where(same, fx, fa)
+        b, fb = np.where(same, b, x), np.where(same, fb, fx)
+        done = b - a <= tol
+        edges[idx[done]] = 0.5 * (a[done] + b[done])
+        keep = ~done
+        idx, a, b, fa, fb = idx[keep], a[keep], b[keep], fa[keep], fb[keep]
+        j += 1
+    return edges
+
+
 def band_intervals(bs: BondSystem, k_max: float,
                    grid_step: float | None = None,
                    bisect_tol: float | None = None,
                    threads: int | None = None) -> BandList:
     """Locate the spectral bands in [0, k_max].
 
-    Membership is sampled on a uniform grid and every sign change is
-    sharpened by bisection on the membership indicator.  The default grid
-    step pi / (8 L) puts 16 samples per period of the fastest oscillation
-    of the secular function (L = total graph length).  The scan is not
-    certified: a band or gap narrower than the step can fall between two
-    grid points and is then missed.  On a generic lasso over [0, 200]
-    the default step finds 360 interior band edges where a dense count
-    of sign changes finds 408.  Bisection runs simultaneously on all
-    detected edges, so the cost is a handful of batched membership
-    sweeps.  A ``bisect_tol`` below two float spacings at k_max is raised
-    to that; ``BandList.bisect_tol`` is the one used.  ``threads`` splits
-    only LU determinant work (graphs above COMPILE_BUDGET).
+    The membership margin (see :func:`membership_from_phases`), which is
+    continuous in k and >= 0 exactly on the spectrum, is sampled on a
+    uniform grid, and every change of membership is refined to a bracket
+    of width <= ``bisect_tol`` by ITP steps on the margin
+    (:func:`_refine_edges`); the edge is the bracket's midpoint.  The
+    default grid step pi / (8 L) puts 16 samples per period of the
+    fastest oscillation of the secular function (L = total graph
+    length).  The scan is not certified: a band or gap narrower than the
+    step can fall between two grid points and is then missed.  On a
+    generic lasso over [0, 200] the default step finds 360 interior band
+    edges where a dense count of sign changes finds 408.  The refinement
+    runs on all detected edges at once, one batched margin sweep per
+    round, and takes at most ceil(log2(step / bisect_tol)) + 1 rounds; a
+    smooth edge takes about 6.  A ``bisect_tol`` below two float spacings
+    at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
+    ``threads`` splits only LU determinant work (graphs above
+    COMPILE_BUDGET).
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
@@ -368,37 +457,21 @@ def band_intervals(bs: BondSystem, k_max: float,
 
     n = int(np.ceil(k_max / step))
     grid = np.linspace(0.0, k_max, n + 1)
-    mem = momentum_membership(bs, grid, threads)
+    margin = _momentum_margin(bs, grid, threads)
+    mem = margin >= 0
 
     ti = np.nonzero(mem[:-1] != mem[1:])[0]
-    lo, hi = grid[ti].copy(), grid[ti + 1].copy()
-    left_state = mem[ti]
-    while lo.size and np.any(hi - lo > tol):
-        mid = 0.5 * (lo + hi)
-        same = momentum_membership(bs, mid, threads) == left_state
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    edges = 0.5 * (lo + hi)
+    edges = _refine_edges(bs, grid[ti], grid[ti + 1], margin[ti],
+                          margin[ti + 1], tol, threads)
+    # an edge whose left side is in the spectrum ends a band, else starts one
+    ends = mem[ti]
+    starts = np.concatenate([[0.0] if mem[0] else [], edges[~ends]])
+    stops = np.concatenate([edges[ends], [float(k_max)] if mem[-1] else []])
+    keep = np.nonzero(starts[1:] - stops[:-1] > tol)[0]  # else merge the gap
+    starts = np.concatenate([starts[:1], starts[keep + 1]])
+    stops = np.concatenate([stops[keep], stops[-1:]])
 
-    intervals = []
-    start = 0.0 if mem[0] else None
-    for x, was_in in zip(edges, left_state):
-        if was_in:
-            intervals.append((start, x))
-            start = None
-        else:
-            start = x
-    if start is not None:
-        intervals.append((start, k_max))
-
-    merged = []
-    for a, b in intervals:
-        if merged and a - merged[-1][1] <= tol:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-
-    return BandList(bands=tuple(Band(a, b) for a, b in merged),
+    return BandList(bands=tuple(map(Band, starts.tolist(), stops.tolist())),
                     k_max=float(k_max), grid_step=float(step),
                     bisect_tol=float(tol))
 

@@ -399,6 +399,105 @@ def test_two_generator_slices_keep_critical_points():
     assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
 
 
+# ------------------------------------------------------------ margin
+
+def recorded_extremes(monkeypatch):
+    """Wrap spectrum._extremes; the returned list collects its (lo, hi)."""
+    seen = []
+    extremes = spectrum._extremes
+    monkeypatch.setattr(spectrum, "_extremes",
+                        lambda G, m, even: seen.append(extremes(G, m, even))
+                        or seen[-1])
+    return seen
+
+
+def assert_margin_sign_is_old_rule(bs, kappas, seen):
+    """The margin is >= 0 exactly where the two comparisons on the row
+    extremes held, and membership is that sign, row for row."""
+    seen.clear()
+    margin = spectrum._margin(bs, kappas)
+    lo = np.concatenate([lo for lo, _ in seen]).reshape(len(kappas), -1)
+    hi = np.concatenate([hi for _, hi in seen]).reshape(len(kappas), -1)
+    old = (lo.min(axis=1) <= ZERO_TOL) & (hi.max(axis=1) >= -ZERO_TOL)
+    assert np.array_equal(margin >= 0, old)
+    assert np.array_equal(gb.membership_from_phases(bs, kappas), old)
+    return old
+
+
+def margin_graphs():
+    return {"lasso": gb.with_random_lengths(gb.build_example("lasso"), 3),
+            "fig1d": gb.with_random_lengths(gb.build_example("fig1d"), 3),
+            "ladder": gb.bloch_reduce(LADDER_CELL),
+            "flower": gb.bloch_reduce(FLOWER_CELL)}
+
+
+@pytest.mark.parametrize("budget", [spectrum.COMPILE_BUDGET, 0])
+def test_margin_sign_matches_two_comparisons(monkeypatch, budget):
+    # random torus rows and momentum rows at band edges, where the
+    # extremes sit near +-ZERO_TOL; budget 0 takes the LU path
+    monkeypatch.setattr(spectrum, "COMPILE_BUDGET", budget)
+    seen = recorded_extremes(monkeypatch)
+    rng = np.random.default_rng(19)
+    for name, g in margin_graphs().items():
+        bs = gb.bond_matrices(g)
+        assert (bs.secular_polynomial is None) == (budget == 0), name
+        edges = np.array([x for b in gb.band_intervals(bs, 30.0).bands
+                          for x in (b.lo, b.hi)])
+        kappas = np.vstack([rng.uniform(0, 2 * np.pi, (1000, bs.n_edges)),
+                            np.outer(edges, g.lengths)])
+        old = assert_margin_sign_is_old_rule(bs, kappas, seen)
+        assert 0 < old.sum() < len(old), name
+
+
+def test_margin_sign_at_exact_extremes(monkeypatch):
+    # extremes exactly at +-ZERO_TOL, one float spacing either side, signed
+    # zeros, subnormals, NaN and +-inf, every pair of them as (min, max)
+    values = [ZERO_TOL, -ZERO_TOL, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+              np.nan, np.inf, -np.inf]
+    values += [np.nextafter(v, t) for v in (ZERO_TOL, -ZERO_TOL)
+               for t in (-np.inf, np.inf)]
+    lo, hi = (a.ravel() for a in np.meshgrid(values, values))
+    monkeypatch.setattr(spectrum, "_extremes", lambda G, m, even: (lo, hi))
+    bs = gb.bond_matrices(margin_graphs()["lasso"])
+    kappas = np.zeros((len(lo), 2))
+    old = (lo <= ZERO_TOL) & (hi >= -ZERO_TOL)
+    assert 0 < old.sum() < len(old)
+    assert np.array_equal(spectrum._margin(bs, kappas) >= 0, old)
+    assert np.array_equal(gb.membership_from_phases(bs, kappas), old)
+    # J = 2: 64 slices per row, the same values at a few random slices
+    rng = np.random.default_rng(20)
+    n = 400
+    lo = rng.normal(0.0, 2 * ZERO_TOL, (n, 64)) + 3 * ZERO_TOL
+    hi = lo + rng.exponential(2 * ZERO_TOL, (n, 64)) - 6 * ZERO_TOL
+    for a in (lo, hi):
+        a[rng.integers(0, n, 300), rng.integers(0, 64, 300)] = \
+            rng.choice(values, 300)
+    monkeypatch.setattr(spectrum, "_extremes",
+                        lambda G, m, even: (lo.ravel(), hi.ravel()))
+    bs = gb.bond_matrices(margin_graphs()["flower"])
+    kappas = np.zeros((n, 3))
+    old = (lo.min(axis=1) <= ZERO_TOL) & (hi.max(axis=1) >= -ZERO_TOL)
+    assert 0 < old.sum() < len(old)
+    assert np.array_equal(spectrum._margin(bs, kappas) >= 0, old)
+    assert np.array_equal(gb.membership_from_phases(bs, kappas), old)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("budget", [spectrum.COMPILE_BUDGET, 0])
+def test_margin_of_non_finite_phases(monkeypatch, budget):
+    # a NaN or infinite phase gives NaN samples of G: not a member
+    monkeypatch.setattr(spectrum, "COMPILE_BUDGET", budget)
+    seen = recorded_extremes(monkeypatch)
+    for name in ("lasso", "flower"):
+        bs = gb.bond_matrices(margin_graphs()[name])
+        kappas = np.zeros((6, bs.n_edges))
+        kappas[:, 0] = [np.nan, np.inf, -np.inf, 0.0, 1.0, 2.0]
+        kappas[3:, -1] = [np.nan, np.inf, -np.inf]
+        old = assert_margin_sign_is_old_rule(bs, kappas, seen)
+        assert not old.any(), name
+        assert np.isnan(spectrum._margin(bs, kappas)).all(), name
+
+
 # ------------------------------------------------------------ bands
 
 def test_band_intervals_unit_lasso_closed_form():
@@ -450,6 +549,83 @@ def test_bisect_tol_below_float_spacing():
     assert len(tiny.bands) == len(default.bands)
     assert max(max(abs(a.lo - b.lo), abs(a.hi - b.hi))
                for a, b in zip(tiny.bands, default.bands)) <= 1e-8
+
+
+def bisected_bands(bs, k_max, step, tol):
+    """Reference: the same grid, then plain bisection of the membership
+    indicator on every edge until each bracket is at most tol wide."""
+    grid = np.linspace(0.0, k_max, int(np.ceil(k_max / step)) + 1)
+    mem = gb.momentum_membership(bs, grid)
+    ti = np.nonzero(mem[:-1] != mem[1:])[0]
+    lo, hi = grid[ti], grid[ti + 1]
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        same = gb.momentum_membership(bs, mid) == mem[ti]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    bands, start = [], 0.0 if mem[0] else None
+    for x, was_in in zip(0.5 * (lo + hi), mem[ti]):
+        if was_in:
+            bands.append([start, x])
+        else:
+            start = x
+    if mem[-1]:
+        bands.append([start, k_max])
+    merged = []
+    for a, b in bands:
+        if merged and a - merged[-1][1] <= tol:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return np.array(merged)
+
+
+def counted_margin(monkeypatch):
+    """Wrap spectrum._momentum_margin; the returned list collects the
+    number of momenta of every call."""
+    calls = []
+    margin = spectrum._momentum_margin
+    monkeypatch.setattr(spectrum, "_momentum_margin",
+                        lambda bs, ks, threads=None: calls.append(np.size(ks))
+                        or margin(bs, ks, threads))
+    return calls
+
+
+def test_band_intervals_match_bisection_reference(monkeypatch):
+    # same band counts, every edge within tol of the bisected one, at most
+    # ceil(log2(step / tol)) + 1 refinement rounds, and on the lasso at
+    # most 9 margin rows per edge on average (bisection takes about 20).
+    # Every grid cell of these scans holds one flip of membership; in a
+    # cell with three (a band and a gap both narrower than the step) the
+    # two methods may settle on different flips, both within contract.
+    calls = counted_margin(monkeypatch)
+    for name, bands_wanted in (("lasso", 2000), ("fig1d", 600),
+                               ("ladder", 300), ("flower", 24)):
+        bs = gb.bond_matrices(margin_graphs()[name])
+        k_max = bands_wanted * np.pi / bs.total_length
+        calls.clear()
+        bands = gb.band_intervals(bs, k_max)
+        grid_rows, *rounds = calls
+        step, tol = bands.grid_step, bands.bisect_tol
+        assert grid_rows == np.ceil(k_max / step) + 1, name
+        assert len(rounds) <= np.ceil(np.log2(step / tol)) + 1, name
+        got = np.array([(b.lo, b.hi) for b in bands.bands])
+        ref = bisected_bands(bs, k_max, step, tol)
+        assert got.shape == ref.shape, name
+        assert np.abs(got - ref).max() <= tol, name
+        if name == "lasso":
+            assert len(got) > 1900
+            assert sum(rounds) / rounds[0] <= 9
+
+
+def test_refinement_rounds_bounded_at_float_spacing(monkeypatch):
+    # a tol of two float spacings at k_max still ends within the bound
+    calls = counted_margin(monkeypatch)
+    bs = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 4))
+    bands = gb.band_intervals(bs, 100.0, bisect_tol=1e-20)
+    assert bands.bisect_tol == 2 * np.spacing(100.0)
+    rounds = len(calls) - 1
+    assert 30 < rounds <= np.ceil(np.log2(bands.grid_step
+                                          / bands.bisect_tol)) + 1
 
 
 def test_band_validation():
