@@ -130,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                  "(graphs too large to compile)")
 
     about = ("reference band densities: lasso in closed form, "
-             "dihedral by Monte Carlo")
+             "dihedral on randomly shifted grids")
     p = sub.add_parser("reference", help=about, description=about)
     ref = p.add_subparsers(dest="model", required=True)
     q = ref.add_parser("lasso", help="loop-with-pendant density in closed form")
     q.add_argument("-o", "--output", default=None)
-    q = ref.add_parser("dihedral", help="dihedral graph density by Monte Carlo")
+    q = ref.add_parser("dihedral", help="dihedral density on shifted grids")
     q.add_argument("--samples", type=_positive_int, default=10_000_000)
     q.add_argument("--seed", type=_seed, default=0)
     q.add_argument("-o", "--output", default=None)

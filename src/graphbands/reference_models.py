@@ -11,29 +11,29 @@ decoration enters the secular equation only through a unimodular phase,
 which a change of variables absorbs into one torus coordinate.
 
 The reflection coefficient eliminates the interior bonds of the
-:func:`bond_matrices` system of the decoration with its lead attached,
-and the dihedral Monte Carlo runs on the torus sampling loop
-:func:`torus.mc_fraction`.  The one piece of numerics of its own is the
-dihedral indicator's float32 screen: a float32 margin decides the rows
-far from the band edge, and the float64 inequality decides the rest, so
-the answer is the float64 one.
+:func:`bond_matrices` system of the decoration with its lead attached.
+The dihedral density samples no indicator: along k1 its band set is a
+union of arcs of exact length, and that length is averaged over
+randomly shifted grids on (k2, k3).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bond_system import bond_matrices
 from .graph_model import Edge, GraphError, MagneticGraph
-from .torus import TWO_PI, mc_fraction
+from .torus import TWO_PI, sample_count
 
 UNITARITY_TOL = 1e-10
 _RESONANCE_RTOL = 1e-10
-# float32 margins beyond this decide dihedral membership by their sign;
-# see dihedral_membership for the error budget it covers ten times over
-_SCREEN = 1e-4
+_SHIFTS = 16             # randomly shifted grids of the dihedral density
+# points per block of grid rows: float64 temporaries of 64 KiB; blocks of
+# 16,384 points made a 2M-point dihedral density run 2x slower
+_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ class ReferenceValue:
     """Reference number with provenance and an error scale.
 
     ``error_bound`` is a rigorous bound for closed-form values and one
-    standard error for Monte Carlo values; ``method`` says which.
+    standard error for randomized ones (``"shifted_grid"``); ``method``
+    says which.
     """
 
     value: float
@@ -133,64 +134,67 @@ def dihedral_secular(kappa1, kappa2, kappa3, alpha):
     return out if out.ndim else float(out)
 
 
-def _dihedral_margin(kappa1, kappa2, kappa3):
-    """|sin k2 + sin k3| - |sin(k1+k2+k3) - (1/2) sin k1 sin k2 sin k3 - sin k1|
-    in the dtype of the phases, each sine taken once.
-
-    The operations run in the order (k1 + k2) + k3 and
-    ((0.5 sin k1) sin k2) sin k3, so in float64 ``margin >= 0`` decides
-    exactly as ``lhs <= |sin k2 + sin k3|`` does (a rounded difference is
-    zero only for equal operands), NaN included.
-    """
-    s1, s2, s3 = np.sin(kappa1), np.sin(kappa2), np.sin(kappa3)
-    return np.abs(s2 + s3) - np.abs(np.sin(kappa1 + kappa2 + kappa3)
-                                    - 0.5 * s1 * s2 * s3 - s1)
-
-
 def dihedral_membership(kappa1, kappa2, kappa3):
     """Band-set indicator of the dihedral graph: a real quasi-momentum
-    solves the secular equation iff
+    solves the secular equation iff (in float64; NaN phases are outside)
 
         |sin(k1+k2+k3) - (1/2) sin k1 sin k2 sin k3 - sin k1|
             <= |sin k2 + sin k3|.
-
-    The answer is that of the float64 inequality, bit for bit, but most
-    rows are decided in float32: the margin (right side minus left side)
-    is evaluated on float32 copies of the phases, and its sign decides
-    every row where it exceeds ``_SCREEN`` in magnitude.  The float32
-    error budget for phases with |k| <= 2 pi: rounding each phase costs
-    <= 2 pi 2^-24 (3.7e-7), the sum of three adds <= 2 roundings at
-    6 pi (1.9e-6), each sine is within a few ulp, and the margin's
-    partial derivatives are <= 2.5, about 1e-5 in all, ten times below
-    ``_SCREEN``.  The remaining rows (|margin| <= ``_SCREEN``, a margin
-    that is not finite, or any |k| > 2 pi, where the budget does not
-    hold) are evaluated again in float64 on the original phases.
     """
-    k64 = np.broadcast_arrays(np.asarray(kappa1, dtype=float),
-                              np.asarray(kappa2, dtype=float),
-                              np.asarray(kappa3, dtype=float))
-    m32 = _dihedral_margin(*(k.astype(np.float32) for k in k64))
-    inside = np.asarray(m32 > 0)
-    redo = ~(np.abs(m32) > _SCREEN)
-    for k in k64:
-        redo |= np.abs(k) > TWO_PI
-    if redo.any():
-        inside[redo] = _dihedral_margin(*(k[redo] for k in k64)) >= 0
+    k1, k2, k3 = (np.asarray(k, dtype=float) for k in (kappa1, kappa2, kappa3))
+    s1, s2, s3 = np.sin(k1), np.sin(k2), np.sin(k3)
+    lhs = np.abs(np.sin(k1 + k2 + k3) - 0.5 * s1 * s2 * s3 - s1)
+    inside = lhs <= np.abs(s2 + s3)
     return inside if inside.ndim else bool(inside)
 
 
-def dihedral_density(samples: int, seed: int) -> ReferenceValue:
-    """Monte Carlo band density of the dihedral graph.
+def _k1_measure(s2, c2, s3, c3):
+    """Share of k1 in [0, 2 pi) inside the dihedral band set, from the
+    sines and cosines of k2 and k3 (any broadcastable shapes).
 
-    Uniform torus sampling of the closed-form indicator by
-    :func:`torus.mc_fraction`, so the value is a pure function of
-    (samples, seed).
+    With sigma = k2 + k3 and g = 1 + (1/2) s2 s3, the left side of
+    :func:`dihedral_membership` is (cos sigma - g) sin k1 + sin sigma
+    cos k1 = R sin(k1 + phi) with R^2 = 1 + g (g - 2 cos sigma).  So the
+    share is (2/pi) arcsin(min(1, |s2 + s3| / R)), which is one arccos,
+    arccos(max(-1, 1 - 2x)) / pi with x = (s2 + s3)^2 / R^2.  It is 1 at
+    R = 0, where the left side vanishes for every k1.
     """
-    def member(kappa):
-        return dihedral_membership(kappa[:, 0], kappa[:, 1], kappa[:, 2])
+    h = 0.5 * (s2 * s3)
+    g = 1.0 + h
+    r2 = 1.0 + g * (g - 2.0 * (c2 * c3 - 2.0 * h))
+    rhs = s2 + s3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos2t = 1.0 - 2.0 * (rhs * rhs) / r2
+    # fmax sends the -inf and NaN of R = 0 to -1 as well
+    return np.arccos(np.fmax(cos2t, -1.0)) / np.pi
 
-    p, se = mc_fraction(member, 3, samples, seed)
-    return ReferenceValue(value=p, method="monte_carlo", error_bound=se)
+
+def dihedral_density(samples: int, seed: int) -> ReferenceValue:
+    """Band density of the dihedral graph: :func:`_k1_measure` averaged
+    over ``_SHIFTS`` grids of n x n points on (k2, k3), n = isqrt(samples
+    // shifts), so at most ``samples`` points are evaluated.  Each grid
+    is moved by a uniform shift from a Philox stream (Cranley-Patterson
+    rotation; Sloan-Joe, 1994), so its mean is unbiased; ``value`` is
+    the mean of the grid means and ``error_bound`` their standard error
+    (inf for one grid).  The result depends only on (samples, seed).
+    """
+    samples = sample_count(samples)
+    shifts = min(_SHIFTS, samples)
+    n = math.isqrt(samples // shifts)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    offsets = np.random.Generator(np.random.Philox(seed)).random((shifts, 2))
+    means = np.empty(shifts)
+    for j, (u2, u3) in enumerate(offsets):
+        k2 = (np.arange(n) + u2) * (TWO_PI / n)
+        k3 = (np.arange(n) + u3) * (TWO_PI / n)
+        s2, c2 = np.sin(k2)[:, None], np.cos(k2)[:, None]
+        s3, c3 = np.sin(k3), np.cos(k3)
+        means[j] = sum(float(_k1_measure(s2[i:i + rows], c2[i:i + rows],
+                                         s3, c3).sum())
+                       for i in range(0, n, rows)) / (n * n)
+    se = means.std(ddof=1) / math.sqrt(shifts) if shifts > 1 else np.inf
+    return ReferenceValue(value=float(means.mean()), method="shifted_grid",
+                          error_bound=float(se))
 
 
 # ---------------------------------------------------------------------------

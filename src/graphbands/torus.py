@@ -35,16 +35,9 @@ class VolumeEstimate:
     seed: int
 
 
-def mc_fraction(indicator, dim: int, samples: int, seed: int):
-    """Fraction of uniform points of the ``dim``-torus where ``indicator``
-    holds, with its binomial standard error sqrt(p(1-p)/n).
-
-    ``indicator`` maps an (n, dim) array of phases in [0, 2 pi) to n
-    booleans.  Points come from a counter-based Philox stream in chunks
-    of ``_MC_CHUNK`` rows; chunking does not change the stream, so the
-    result depends only on (samples, seed).  ``samples`` is any integer
-    (``np.int64`` included); p and the error are Python floats.
-    """
+def sample_count(samples) -> int:
+    """``samples`` as a Python int of at least 1.  Any integer is accepted
+    (``np.int64`` included); a float, even a whole one, is refused by name."""
     try:
         samples = operator.index(samples)
     except TypeError:
@@ -52,30 +45,32 @@ def mc_fraction(indicator, dim: int, samples: int, seed: int):
                         % (samples,)) from None
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    hits = 0
-    done = 0
-    while done < samples:
-        n = min(_MC_CHUNK, samples - done)
-        kappa = rng.uniform(0.0, TWO_PI, size=(n, dim))
-        hits += int(np.count_nonzero(indicator(kappa)))
-        done += n
-    p = hits / samples
-    return p, float(np.sqrt(p * (1.0 - p) / samples))
+    return samples
 
 
 def mc_volume(bs: BondSystem, samples: int, seed: int,
               threads: int | None = None) -> VolumeEstimate:
     """Monte Carlo volume of the secular zero-set union on the torus.
 
-    Samples :func:`mc_fraction` with the secular membership test.  The
-    estimate converges to the band density of any graph with the same
-    shape and rationally independent lengths.  ``threads`` splits only
-    LU determinant work (graphs above the compile budget).
+    The fraction of uniform torus points where the secular membership
+    test holds, with its binomial standard error sqrt(p(1-p)/n).  It
+    converges to the band density of any graph with the same shape and
+    rationally independent lengths.  Points come from a counter-based
+    Philox stream in chunks of ``_MC_CHUNK`` rows; chunking does not
+    change the stream, so the result depends only on (samples, seed).
+    ``threads`` splits only LU determinant work (graphs above the
+    compile budget).
     """
-    def member(kappa):
-        return membership_from_phases(bs, kappa, threads)
-
-    p, se = mc_fraction(member, bs.n_edges, samples, seed)
-    return VolumeEstimate(value=p, std_error=se, samples=int(samples),
+    samples = sample_count(samples)
+    rng = np.random.Generator(np.random.Philox(seed))
+    hits = done = 0
+    while done < samples:
+        n = min(_MC_CHUNK, samples - done)
+        kappa = rng.uniform(0.0, TWO_PI, size=(n, bs.n_edges))
+        hits += int(np.count_nonzero(membership_from_phases(bs, kappa,
+                                                            threads)))
+        done += n
+    p = hits / samples
+    se = float(np.sqrt(p * (1.0 - p) / samples))
+    return VolumeEstimate(value=p, std_error=se, samples=samples,
                           seed=int(seed))

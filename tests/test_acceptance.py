@@ -117,7 +117,7 @@ def test_criterion_06_dihedral_value(record_criterion):
     elapsed = time.perf_counter() - t0
     ok = round(ref.value, 2) == 0.43 and elapsed < 60.0
     _record(record_criterion, 6, ok,
-            "dihedral MC %.6f +- %.6f rounds to %.2f" %
+            "dihedral grid %.6f +- %.6f rounds to %.2f" %
             (ref.value, ref.error_bound, round(ref.value, 2)), t0)
 
 

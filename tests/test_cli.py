@@ -199,5 +199,5 @@ def test_reference_commands(capsys):
     assert run(["reference", "dihedral", "--samples", "100000",
                 "--seed", "0"]) == 0
     value, se = capsys.readouterr().out.strip().split(",")
-    assert float(value) == pytest.approx(0.4288, abs=1e-12)
+    assert float(value) == pytest.approx(0.4299377818658925, abs=1e-12)
     assert float(se) > 0

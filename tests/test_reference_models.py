@@ -81,17 +81,86 @@ def test_dihedral_secular_consistency():
 
 def test_dihedral_density_frozen_regression():
     ref = gb.dihedral_density(100_000, seed=0)
-    assert ref.method == "monte_carlo"
-    assert ref.value == pytest.approx(0.4288, abs=1e-12)
+    assert ref.method == "shifted_grid"
+    assert ref.value == pytest.approx(0.4299377818658925, abs=1e-12)
     assert gb.dihedral_density(100_000, seed=0) == ref
     with pytest.raises(ValueError):
         gb.dihedral_density(0, seed=0)
 
 
-# ------------------------------------------- float32 screen of the indicator
+# ------------------------------------- exact k1-measure on shifted grids
+
+def dense_k1_share(k2, k3, n=200_000):
+    # midpoint count of dihedral_membership along k1; each of the at most
+    # four arc ends costs at most 1/n
+    k1 = (np.arange(n) + 0.5) * (2 * np.pi / n)
+    return np.count_nonzero(gb.dihedral_membership(k1, k2, k3)) / n
+
+
+def k1_measure(k2, k3):
+    return rm._k1_measure(np.sin(k2), np.cos(k2), np.sin(k3), np.cos(k3))
+
+
+def test_k1_measure_matches_dense_membership_count():
+    rng = np.random.default_rng(12)
+    k23 = rng.uniform(0, 2 * np.pi, (30, 2))
+    for k2, k3 in k23:
+        assert abs(k1_measure(k2, k3) - dense_k1_share(k2, k3)) <= 2e-5
+    # vectorised calls broadcast and give the same shares
+    shares = k1_measure(k23[:, :1], k23[:, 1])
+    assert shares.shape == (30, 30)
+    assert np.allclose(np.diag(shares), k1_measure(k23[:, 0], k23[:, 1]),
+                       rtol=0, atol=1e-15)
+
+
+def test_k1_measure_on_the_opposite_line_and_at_r_zero():
+    # k3 = -k2: the right side |sin k2 + sin k3| is 0 and R > 0, so no k1
+    # is inside; at (0, 0) R = 0 and the left side is 0 for every k1
+    for k2 in np.random.default_rng(13).uniform(0.1, 3.0, 10):
+        assert k1_measure(k2, -k2) == 0.0 == dense_k1_share(k2, -k2)
+    assert k1_measure(0.0, 0.0) == 1.0 == dense_k1_share(0.0, 0.0)
+
+
+def test_dihedral_density_agrees_with_membership_monte_carlo():
+    samples = 1_000_000
+    ref = gb.dihedral_density(samples, seed=21)
+    k = np.random.Generator(np.random.Philox(21)).uniform(
+        0.0, 2 * np.pi, (samples, 3))
+    p = np.count_nonzero(gb.dihedral_membership(*k.T)) / samples
+    mc_se = np.sqrt(p * (1.0 - p) / samples)
+    assert abs(ref.value - p) <= 3 * np.hypot(ref.error_bound, mc_se)
+    assert 0 < ref.error_bound <= 1e-4
+
+
+def test_dihedral_density_deterministic_and_error_bound():
+    a = gb.dihedral_density(200_000, seed=3)
+    assert a == gb.dihedral_density(200_000, seed=3)
+    assert a.value != gb.dihedral_density(200_000, seed=4).value
+    assert gb.dihedral_density(2_000_000, seed=0).error_bound <= 5e-5
+    assert gb.dihedral_density(1, seed=0).error_bound == np.inf
+
+
+def test_dihedral_density_evaluates_at_most_samples_points(monkeypatch):
+    measure = rm._k1_measure
+    points = []
+
+    def counted(*args):
+        out = measure(*args)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(rm, "_k1_measure", counted)
+    for samples in (1, 15, 16, 17, 63, 64, 1000, 100_003, 1_000_000):
+        points.clear()
+        gb.dihedral_density(samples, seed=0)
+        assert 0 < sum(points) <= samples
+    assert sum(points) == 1_000_000                 # 16 grids of 250 x 250
+
+
+# ------------------------------------------ float64 inequality of the indicator
 
 def float64_indicator(k1, k2, k3):
-    # the dihedral inequality as one float64 expression, unscreened
+    # the dihedral inequality as one float64 expression
     s2, s3 = np.sin(k2), np.sin(k3)
     lhs = np.abs(np.sin(k1 + k2 + k3) - 0.5 * np.sin(k1) * s2 * s3
                  - np.sin(k1))
@@ -104,7 +173,7 @@ def float64_margin(k1, k2, k3):
                                     - 0.5 * s1 * s2 * s3 - s1)
 
 
-def assert_screen_exact(k):
+def assert_float64_exact(k):
     got = gb.dihedral_membership(k[:, 0], k[:, 1], k[:, 2])
     want = float64_indicator(k[:, 0], k[:, 1], k[:, 2])
     assert got.dtype == bool and got.shape == want.shape
@@ -136,27 +205,6 @@ def margin_roots(target, n, seed):
     return k
 
 
-def test_screened_membership_exact_on_philox_points(monkeypatch):
-    # every row agrees with the float64 inequality, and the float64 path
-    # really runs, on a small share of the rows
-    calls = []
-    margin = rm._dihedral_margin
-
-    def recorded(*k):
-        out = margin(*k)
-        calls.append((out.dtype, out.size))
-        return out
-
-    monkeypatch.setattr(rm, "_dihedral_margin", recorded)
-    rng = np.random.Generator(np.random.Philox(2024))
-    for _ in range(64):                           # 4,194,304 points
-        assert_screen_exact(rng.uniform(0.0, 2 * np.pi, (65536, 3)))
-    rechecked = sum(n for dtype, n in calls if dtype == np.float64)
-    screened = sum(n for dtype, n in calls if dtype == np.float32)
-    assert screened == 64 * 65536
-    assert 0 < rechecked <= 1e-2 * screened
-
-
 def test_screened_membership_exact_at_the_band_edge():
     rng = np.random.default_rng(7)
     k2 = rng.uniform(0, 2 * np.pi, 20_000)
@@ -165,22 +213,22 @@ def test_screened_membership_exact_at_the_band_edge():
     rows += [margin_roots(t, 4000, seed) for seed, t in
              enumerate((1e-9, -1e-9, 1e-6, -1e-6))]
     for k in rows:
-        assert_screen_exact(k)
+        assert_float64_exact(k)
     assert gb.dihedral_membership(0.0, 0.0, 0.0) is True
 
 
 def test_screened_membership_exact_off_the_unit_cell():
-    # float32 cannot hold these phases, so the float64 path decides them
+    # far off the unit cell the indicator is still the float64 inequality
     rng = np.random.Generator(np.random.Philox(5))
     k = rng.uniform(0.0, 2 * np.pi, (65536, 3))
     edge = margin_roots(1e-6, 2000, 11)
     for shift in (2 * np.pi * 1e6, -2 * np.pi * 1e6):
-        assert_screen_exact(k + shift)
-        assert_screen_exact(edge + shift)
+        assert_float64_exact(k + shift)
+        assert_float64_exact(edge + shift)
     bad = np.array([np.inf, -np.inf, np.nan, 1.0])
     odd = np.array(np.meshgrid(bad, bad, bad)).reshape(3, -1).T
     with np.errstate(invalid="ignore"):
-        assert_screen_exact(odd)
+        assert_float64_exact(odd)
         assert not np.any(gb.dihedral_membership(*odd[:-1].T))
 
 
