@@ -73,17 +73,16 @@ class BondSystem:
     def flux_weight(self) -> tuple[int, ...]:
         """Per generator, the edge-summed |flux|: a bound on the degree of
         the secular function in that quasi-momentum.  It sizes the grid
-        that compiles the real secular function; graphs above the compile
-        budget also take it as the degree in the membership test."""
+        that compiles the real secular function."""
         weights = np.abs(self.bond_flux[:self.n_edges]).sum(axis=0)
         return tuple(int(w) for w in np.rint(weights))
 
     @cached_property
     def secular_polynomial(self):
         """The real secular function compiled to its nonzero monomials
-        (:class:`graphbands.spectrum.SecularPolynomial`), or None above
-        ``spectrum.COMPILE_BUDGET`` determinants.  Compiled on first use
-        and kept with the system."""
+        (:class:`graphbands.spectrum.SecularPolynomial`); raises
+        :class:`GraphError` above ``spectrum.COMPILE_BUDGET`` determinants.
+        Compiled on first use and kept with the system."""
         from .spectrum import compile_secular   # spectrum imports this module
         return compile_secular(self)
 

@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, required=True)
     _add_length_options(p)
     _add_common(p, seed_help="seed for sampling (and random lengths if asked)")
-    for name in ("bands", "density", "torus"):    # the commands that use it
-        sub.choices[name].add_argument(
-            "--threads", type=_positive_int,
-            help="worker threads for LU determinant batches "
-                 "(graphs too large to compile)")
 
     about = ("reference band densities: lasso in closed form, "
              "dihedral on randomly shifted grids")
@@ -203,7 +198,7 @@ def _cmd_bands(args) -> int:
     g = _load_magnetic(args)
     bs = bond_matrices(g)
     result = band_intervals(bs, args.kmax, grid_step=args.grid_step,
-                            bisect_tol=args.bisect_tol, threads=args.threads)
+                            bisect_tol=args.bisect_tol)
     _emit(args, ["%s,%s" % (_fmt(b.lo), _fmt(b.hi)) for b in result.bands])
     return 0
 
@@ -212,8 +207,7 @@ def _cmd_density(args) -> int:
     g = _load_magnetic(args)
     bs = bond_matrices(g)
     series = density(bs, args.kmax, checkpoints=args.checkpoints,
-                     grid_step=args.grid_step, bisect_tol=args.bisect_tol,
-                     threads=args.threads)
+                     grid_step=args.grid_step, bisect_tol=args.bisect_tol)
     _emit(args, ["%s,%s" % (_fmt(k), _fmt(v))
                  for k, v in zip(series.cutoffs, series.values)])
     return 0
@@ -222,7 +216,7 @@ def _cmd_density(args) -> int:
 def _cmd_torus(args) -> int:
     g = _load_magnetic(args)
     bs = bond_matrices(g)
-    est = mc_volume(bs, args.samples, args.seed, threads=args.threads)
+    est = mc_volume(bs, args.samples, args.seed)
     _emit(args, ["%s,%s,%d,%d" % (_fmt(est.value), _fmt(est.std_error),
                                   est.samples, est.seed)])
     return 0

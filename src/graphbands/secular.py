@@ -11,11 +11,12 @@ function Phi(kappa; alpha) when p repeats the edge phases kappa on both
 bonds of each edge; its zero set lifts the spectrum to the torus of
 edge phases.
 
-:func:`secular_values` is the one determinant kernel: band scans, the
-quasi-momentum sign test and Monte Carlo torus sampling all rest on
-stacks of these determinants.  There is no scalar path; a single point
-is a batch of one row.  The real secular function G built from it, and
-its compiled form, live in :mod:`graphbands.spectrum`.
+:func:`secular_values` is the one determinant kernel: it samples the
+real secular function G on the grid that compiles it, and band scans,
+the quasi-momentum sign test and Monte Carlo torus sampling all
+evaluate that compiled form.  There is no scalar path; a single point
+is a batch of one row.  G and its compiled form live in
+:mod:`graphbands.spectrum`.
 """
 
 from __future__ import annotations

@@ -24,9 +24,8 @@ edge and 2 m_j + 1 per generator give its coefficients exactly by FFT,
 and only the nonzero ones are kept (:class:`SecularPolynomial`), which
 also gives the exact degree d_j <= m_j.  A membership row then costs a
 few cosines and sines and two small matrix products instead of 2m + 1
-determinants.  Graphs whose grid exceeds COMPILE_BUDGET determinants
-take G samples from LU determinants instead, with the flux weight as
-the degree.
+determinants.  It is the one source of G for membership; a graph whose
+grid exceeds COMPILE_BUDGET determinants is refused with a GraphError.
 
 Along the generator of highest degree m G is sampled at 2m + 1
 equispaced points.  For m = 1 it is c0 + 2|c1| cos(alpha + phase), so a
@@ -62,11 +61,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond_system import BondSystem
+from .graph_model import GraphError
 from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
-COMPILE_BUDGET = 20_000      # most determinants a compile of G may take
+COMPILE_BUDGET = 2_000_000   # most determinants a compile of G may take
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
 # on every graph tried the nonzero ones were >= 0.005 and the FFT noise
 # of the zero ones <= 5e-16, so the cut sits far from both.
@@ -98,14 +98,12 @@ def _edge_phases(bs: BondSystem, kappas) -> np.ndarray:
     return kappas
 
 
-def real_secular_values(bs: BondSystem, kappas, alphas,
-                        threads: int | None = None) -> np.ndarray:
+def real_secular_values(bs: BondSystem, kappas, alphas) -> np.ndarray:
     """G = exp(-i sum(kappa)) F from LU determinants at every pair of an
     edge phase row (n, E) and a quasi-momentum row (NA, J): its real part
-    when det S = +1, its imaginary part when det S = -1; shape (n, NA).
-    ``threads`` splits the determinant work."""
+    when det S = +1, its imaginary part when det S = -1; shape (n, NA)."""
     kappas = _edge_phases(bs, kappas)
-    F = secular_values(bs, kappas[:, bs.edge_of_bond], alphas, threads)
+    F = secular_values(bs, kappas[:, bs.edge_of_bond], alphas)
     F *= np.exp(-1j * kappas.sum(axis=1))[:, None]
     return F.real if bs.parity == 1 else F.imag
 
@@ -143,9 +141,9 @@ class SecularPolynomial:
         return np.cos(theta) @ D.real - np.sin(theta) @ D.imag
 
 
-def compile_secular(bs: BondSystem) -> SecularPolynomial | None:
-    """Compile G of ``bs``, or None when the sampling grid needs more than
-    COMPILE_BUDGET determinants.
+def compile_secular(bs: BondSystem) -> SecularPolynomial:
+    """Compile G of ``bs``; a :class:`GraphError` naming the count when
+    the sampling grid needs more than COMPILE_BUDGET determinants.
 
     G is sampled on 3 points per edge phase and 2 m_j + 1 per generator,
     which holds every frequency it has exactly once, so the FFT of the
@@ -155,8 +153,11 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial | None:
     """
     E = bs.n_edges
     sizes = [3] * E + [2 * m + 1 for m in bs.flux_weight]
-    if math.prod(sizes) > COMPILE_BUDGET:       # exact; 3**E overflows int64
-        return None
+    count = math.prod(sizes)                  # exact; 3**E overflows int64
+    if count > COMPILE_BUDGET:
+        raise GraphError("compiling the secular function takes %d "
+                         "determinants, above COMPILE_BUDGET = %d"
+                         % (count, COMPILE_BUDGET))
     kappas, alphas = _grid(sizes[:E]), _grid(sizes[E:])
     G = real_secular_values(bs, kappas, alphas)
     c = np.fft.fftn(G.reshape(sizes)) / G.size
@@ -248,35 +249,27 @@ def _extremes(G: np.ndarray, m: int,
     return lo, hi
 
 
-def _margin(bs: BondSystem, kappas: np.ndarray,
-            threads: int | None = None) -> np.ndarray:
+def _margin(bs: BondSystem, kappas: np.ndarray) -> np.ndarray:
     """Membership margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL) of
     each row of edge phases (n, E); a row is a member iff mu >= 0, and NaN
     (a failed sample) is not.  mu is continuous in the row, so along
     kappa = k l the band edges are its roots.  See
     :func:`membership_from_phases` for the extremes."""
     poly = bs.secular_polynomial
-    degrees = bs.flux_weight if poly is None else poly.degree
-    alphas, m = _alpha_grid(degrees)
-    width = len(alphas) if poly is None else max(len(alphas), len(poly.coef))
-    block = max(1, _BLOCK_VALUES // width)
+    alphas, m = _alpha_grid(poly.degree)
+    block = max(1, _BLOCK_VALUES // max(len(alphas), len(poly.coef)))
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
         rows = kappas[i:i + block]
-        if poly is None:
-            G = real_secular_values(bs, rows, alphas, threads)
-        else:
-            G = poly.values(rows, alphas)
-        lo, hi = _extremes(G.reshape(-1, 2 * m + 1), m,
-                           even=len(degrees) == 1)
+        lo, hi = _extremes(poly.values(rows, alphas).reshape(-1, 2 * m + 1),
+                           m, even=bs.generators == 1)
         np.minimum(ZERO_TOL - lo.reshape(len(rows), -1).min(axis=1),
                    hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL,
                    out=margin[i:i + block])
     return margin
 
 
-def membership_from_phases(bs: BondSystem, kappas,
-                           threads: int | None = None) -> np.ndarray:
+def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
     """Spectrum membership for rows of edge phases, shape (n, E).
 
     This is the kernel shared by momentum scans (kappa = k l) and torus
@@ -294,25 +287,22 @@ def membership_from_phases(bs: BondSystem, kappas,
     so it decides as the two comparisons do.
 
     G and its exact degrees come from the compiled polynomial
-    ``bs.secular_polynomial``.  Graphs above COMPILE_BUDGET take LU
-    determinants and the flux weights as degrees; ``threads`` splits only
-    that determinant work.
+    ``bs.secular_polynomial``, which raises :class:`GraphError` for a
+    graph above COMPILE_BUDGET.
     """
-    return _margin(bs, _edge_phases(bs, kappas), threads) >= 0
+    return _margin(bs, _edge_phases(bs, kappas)) >= 0
 
 
-def _momentum_margin(bs: BondSystem, ks,
-                     threads: int | None = None) -> np.ndarray:
+def _momentum_margin(bs: BondSystem, ks) -> np.ndarray:
     """Membership margin (see :func:`_margin`) over an array of momenta."""
     ks = np.asarray(ks, dtype=float)
     kappas = ks.reshape(-1, 1) * bs.bond_lengths[None, :bs.n_edges]
-    return _margin(bs, kappas, threads).reshape(ks.shape)
+    return _margin(bs, kappas).reshape(ks.shape)
 
 
-def momentum_membership(bs: BondSystem, ks,
-                        threads: int | None = None) -> np.ndarray:
+def momentum_membership(bs: BondSystem, ks) -> np.ndarray:
     """Vectorized spectrum indicator over an array of momenta."""
-    return _momentum_margin(bs, ks, threads) >= 0
+    return _momentum_margin(bs, ks) >= 0
 
 
 def in_spectrum(bs: BondSystem, k: float) -> bool:
@@ -369,8 +359,8 @@ class BandList:
 
 
 def _refine_edges(bs: BondSystem, lo: np.ndarray, hi: np.ndarray,
-                  f_lo: np.ndarray, f_hi: np.ndarray, tol: float,
-                  threads: int | None) -> np.ndarray:
+                  f_lo: np.ndarray, f_hi: np.ndarray,
+                  tol: float) -> np.ndarray:
     """Band edges in the brackets [lo, hi], across each of which the
     membership margin f changes sign, as midpoints of brackets of width
     <= tol.
@@ -409,7 +399,7 @@ def _refine_edges(bs: BondSystem, lo: np.ndarray, hi: np.ndarray,
         most = np.where(most - a > S, np.nextafter(most, a), most)
         x = np.minimum(np.maximum(x, least), most)
         x = np.where((a < x) & (x < b), x, mid)
-        fx = _momentum_margin(bs, x, threads)
+        fx = _momentum_margin(bs, x)
         same = (fx >= 0) == (fa >= 0)
         a, fa = np.where(same, x, a), np.where(same, fx, fa)
         b, fb = np.where(same, b, x), np.where(same, fb, fx)
@@ -423,8 +413,7 @@ def _refine_edges(bs: BondSystem, lo: np.ndarray, hi: np.ndarray,
 
 def band_intervals(bs: BondSystem, k_max: float,
                    grid_step: float | None = None,
-                   bisect_tol: float | None = None,
-                   threads: int | None = None) -> BandList:
+                   bisect_tol: float | None = None) -> BandList:
     """Locate the spectral bands in [0, k_max].
 
     The membership margin (see :func:`membership_from_phases`), which is
@@ -442,8 +431,6 @@ def band_intervals(bs: BondSystem, k_max: float,
     round, and takes at most ceil(log2(step / bisect_tol)) + 1 rounds; a
     smooth edge takes about 6.  A ``bisect_tol`` below two float spacings
     at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
-    ``threads`` splits only LU determinant work (graphs above
-    COMPILE_BUDGET).
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
@@ -457,12 +444,12 @@ def band_intervals(bs: BondSystem, k_max: float,
 
     n = int(np.ceil(k_max / step))
     grid = np.linspace(0.0, k_max, n + 1)
-    margin = _momentum_margin(bs, grid, threads)
+    margin = _momentum_margin(bs, grid)
     mem = margin >= 0
 
     ti = np.nonzero(mem[:-1] != mem[1:])[0]
     edges = _refine_edges(bs, grid[ti], grid[ti + 1], margin[ti],
-                          margin[ti + 1], tol, threads)
+                          margin[ti + 1], tol)
     # an edge whose left side is in the spectrum ends a band, else starts one
     ends = mem[ti]
     starts = np.concatenate([[0.0] if mem[0] else [], edges[~ends]])
@@ -513,8 +500,8 @@ def measure_below(bands: BandList, cutoffs) -> np.ndarray:
 
 
 def density(bs: BondSystem, k_max: float, checkpoints: int = 16,
-            grid_step: float | None = None, bisect_tol: float | None = None,
-            threads: int | None = None) -> DensitySeries:
+            grid_step: float | None = None,
+            bisect_tol: float | None = None) -> DensitySeries:
     """Band density of the spectrum with a convergence trace.
 
     Bands are located once over [0, k_max]; the density is then reported
@@ -524,7 +511,7 @@ def density(bs: BondSystem, k_max: float, checkpoints: int = 16,
     """
     if checkpoints < 1:
         raise ValueError("checkpoints must be at least 1")
-    bands = band_intervals(bs, k_max, grid_step, bisect_tol, threads)
+    bands = band_intervals(bs, k_max, grid_step, bisect_tol)
     if checkpoints == 1:
         cutoffs = np.array([k_max], dtype=float)
     else:

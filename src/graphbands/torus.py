@@ -58,8 +58,8 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     rationally independent lengths.  Points come from a counter-based
     Philox stream in chunks of ``_MC_CHUNK`` rows; chunking does not
     change the stream, so the result depends only on (samples, seed).
-    ``threads`` splits only LU determinant work (graphs above the
-    compile budget).
+    ``threads`` has no effect: membership rows evaluate the compiled
+    secular polynomial, with no determinant work to split.
     """
     samples = sample_count(samples)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -67,8 +67,7 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
         kappa = rng.uniform(0.0, TWO_PI, size=(n, bs.n_edges))
-        hits += int(np.count_nonzero(membership_from_phases(bs, kappa,
-                                                            threads)))
+        hits += int(np.count_nonzero(membership_from_phases(bs, kappa)))
         done += n
     p = hits / samples
     se = float(np.sqrt(p * (1.0 - p) / samples))

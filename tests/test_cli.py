@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
+from conftest import random_magnetic_graph
 from graphbands.cli import run
 
 
@@ -77,6 +78,9 @@ def test_usage_errors_exit_2(lasso_file):
                  ["density", lasso_file, "--kmax", "5", "--checkpoints", "0"],
                  ["torus", lasso_file, "--samples", "zero"],
                  ["scattering", lasso_file, "--threads", "2"],
+                 ["bands", lasso_file, "--kmax", "5", "--threads", "2"],
+                 ["density", lasso_file, "--kmax", "5", "--threads", "2"],
+                 ["torus", lasso_file, "--samples", "10", "--threads", "2"],
                  ["torus", lasso_file, "--samples", "10", "--seed", "-1"],
                  ["reference", "dihedral", "--seed", "-1"],
                  ["scattering", lasso_file, "--random-lengths",
@@ -127,9 +131,19 @@ def test_module_entry_point(lasso_file, capsys):
 
 def test_bands_respects_flags(lasso_file, capsys):
     assert run(["bands", lasso_file, "--kmax", "10",
-                "--grid-step", "0.05", "--bisect-tol", "1e-6",
-                "--threads", "2"]) == 0
+                "--grid-step", "0.05", "--bisect-tol", "1e-6"]) == 0
     assert capsys.readouterr().out
+
+
+def test_graph_above_compile_budget_fails(tmp_path, capsys):
+    # 41 edges at flux weight 32: 3^41 * 65 compile determinants
+    path = tmp_path / "big.json"
+    gb.save_graph(path, random_magnetic_graph(0, n_edges=41))
+    for argv in (["bands", str(path), "--kmax", "5"],
+                 ["torus", str(path), "--samples", "10"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(3 ** 41 * 65) in err
 
 
 def test_density_csv(lasso_file, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import graphbands as gb
 from conftest import random_magnetic_graph
-from graphbands import spectrum
+from graphbands import GraphError, spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
 
@@ -219,14 +219,16 @@ def lu_real_secular(bs, kappas, alphas):
     return F.real if bs.parity == 1 else F.imag
 
 
-def lu_membership(g, kappas):
-    """Membership of a fresh bond system of ``g`` with the compile budget
-    at zero, so every G sample is an LU determinant."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "COMPILE_BUDGET", 0)
-        bs = gb.bond_matrices(g)
-        assert bs.secular_polynomial is None
-        return gb.membership_from_phases(bs, kappas)
+def lu_membership(bs, kappas):
+    """Reference membership with every G sample an LU determinant, taken
+    on the quasi-momentum grid of the exact degree, with the extremes of
+    the membership kernel."""
+    alphas, m = spectrum._alpha_grid(bs.secular_polynomial.degree)
+    G = lu_real_secular(bs, kappas, alphas)
+    lo, hi = spectrum._extremes(G.reshape(-1, 2 * m + 1), m,
+                                even=bs.generators == 1)
+    return ((lo.reshape(len(kappas), -1).min(axis=1) <= ZERO_TOL)
+            & (hi.reshape(len(kappas), -1).max(axis=1) >= -ZERO_TOL))
 
 
 def compiled_graphs():
@@ -268,16 +270,17 @@ def test_compiled_membership_matches_lu_path():
             ks = rng.uniform(0, 500, 2000)
             kappas = np.vstack([kappas, ks[:, None] * g.lengths])
         member = gb.membership_from_phases(bs, kappas)
-        assert bs.secular_polynomial is not None
         assert 0 < member.sum() < len(member), name
-        assert np.array_equal(member, lu_membership(g, kappas)), name
+        assert np.array_equal(member, lu_membership(bs, kappas)), name
 
 
-def test_graph_above_compile_budget_takes_lu_path():
+def test_large_graph_compiles_and_cap_raises():
+    # E = 8 at flux weight 6: a compile grid of 3^8 * 13 = 85,293
+    # determinants, checked against a dense alpha reference
     g = random_magnetic_graph(3, n_edges=8)
     bs = gb.bond_matrices(g)
-    assert 3 ** 8 * (2 * bs.flux_weight[0] + 1) > spectrum.COMPILE_BUDGET
-    assert bs.secular_polynomial is None
+    assert 3 ** 8 * (2 * bs.flux_weight[0] + 1) == 85_293
+    assert bs.secular_polynomial.degree == (2,)
     rng = np.random.default_rng(15)
     kappas = rng.uniform(0, 2 * np.pi, (200, 8))
     alphas = 2 * np.pi * np.arange(256)[:, None] / 256
@@ -286,14 +289,22 @@ def test_graph_above_compile_budget_takes_lu_path():
     member = gb.membership_from_phases(bs, kappas)
     assert 0 < member.sum() < len(member)
     assert np.array_equal(member, dense)
-    # 3^41 * 65 grid points wrap a 64-bit product to a negative count
-    assert gb.bond_matrices(random_magnetic_graph(0, n_edges=41)) \
-        .secular_polynomial is None
+    # 3^41 * 65 grid points, above the cap; the count is exact, where a
+    # 64-bit product would wrap to a negative one
+    big = gb.bond_matrices(random_magnetic_graph(0, n_edges=41))
+    count = str(3 ** 41 * 65)
+    for compute in (lambda: big.secular_polynomial,
+                    lambda: gb.membership_from_phases(big, np.zeros((1, 41))),
+                    lambda: gb.band_intervals(big, 1.0),
+                    lambda: gb.density(big, 1.0),
+                    lambda: gb.mc_volume(big, 10, seed=0)):
+        with pytest.raises(GraphError, match=count):
+            compute()
 
 
 def test_m1_closed_form_matches_dense_alpha_reference():
-    # G = c0 + 2|c1| cos(alpha + phase): member iff |c0| <= 2|c1|, on the
-    # compiled and on the LU path, for both signs of det S
+    # G = c0 + 2|c1| cos(alpha + phase): member iff |c0| <= 2|c1|, from
+    # compiled G and from LU determinants, for both signs of det S
     rng = np.random.default_rng(16)
     graphs = [(UNIT_LASSO_GRAPH, 2000, 1024),
               (gb.with_random_lengths(gb.build_example("fig1d"), 6), 1000, 512),
@@ -310,9 +321,8 @@ def test_m1_closed_form_matches_dense_alpha_reference():
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         assert 0 < dense.sum() < n
         assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
-        assert np.array_equal(lu_membership(g, kappas), dense)
+        assert np.array_equal(lu_membership(bs, kappas), dense)
     assert parities == {-1, 1}
-
 
 
 class CriticalPointsReached(Exception):
@@ -322,9 +332,9 @@ class CriticalPointsReached(Exception):
 def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
     # on a one-generator graph G is even in alpha, so at degree 2 it is a
     # quadratic in cos(alpha) and its extremes are closed-form: torus rows
-    # and momentum rows k l, on the compiled and on the LU path, for both
-    # signs of det S, never reach the critical points.  Seeds 17 and 12
-    # have degree 1 and flux weight 2: their LU rows are sampled at m = 2.
+    # and momentum rows k l, from compiled G and from LU determinants, for
+    # both signs of det S, never reach the critical points.  Seeds 17 and
+    # 12 have degree 1 below their flux weight 2.
     def critical_values(G, m):
         raise CriticalPointsReached(m)
     monkeypatch.setattr(spectrum, "_critical_values", critical_values)
@@ -345,8 +355,7 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         assert 0 < dense.sum() < len(dense)
         assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
-        if bs.flux_weight == (2,):       # else the LU path samples m >= 3
-            assert np.array_equal(lu_membership(g, kappas), dense)
+        assert np.array_equal(lu_membership(bs, kappas), dense)
     assert parities == {-1, 1}
     # degree 3 still takes the critical points
     bs = gb.bond_matrices(random_magnetic_graph(53))
@@ -357,8 +366,8 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
 
 def test_m2_closed_form_degenerate_rows():
     # rows c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha) whose quadratic in
-    # cos(alpha) degenerates: c2 = 0 (a degree-1 row sampled at m = 2, as
-    # on the LU path when the flux weight exceeds the degree), c1 = c2 = 0,
+    # cos(alpha) degenerates: c2 = 0 (a degree-1 row sampled at m = 2),
+    # c1 = c2 = 0,
     # the vertex at cos(alpha) = -1 or 1 (|c1| = 4|c2|), and G = 0 (a flat
     # band), next to one row with its vertex inside, at cos(alpha) = 0
     coef = np.array([[0.3, 0.5, 0.0], [-0.2, -0.7, 0.0], [0.7, 0.0, 0.0],
@@ -431,16 +440,13 @@ def margin_graphs():
             "flower": gb.bloch_reduce(FLOWER_CELL)}
 
 
-@pytest.mark.parametrize("budget", [spectrum.COMPILE_BUDGET, 0])
-def test_margin_sign_matches_two_comparisons(monkeypatch, budget):
+def test_margin_sign_matches_two_comparisons(monkeypatch):
     # random torus rows and momentum rows at band edges, where the
-    # extremes sit near +-ZERO_TOL; budget 0 takes the LU path
-    monkeypatch.setattr(spectrum, "COMPILE_BUDGET", budget)
+    # extremes sit near +-ZERO_TOL
     seen = recorded_extremes(monkeypatch)
     rng = np.random.default_rng(19)
     for name, g in margin_graphs().items():
         bs = gb.bond_matrices(g)
-        assert (bs.secular_polynomial is None) == (budget == 0), name
         edges = np.array([x for b in gb.band_intervals(bs, 30.0).bands
                           for x in (b.lo, b.hi)])
         kappas = np.vstack([rng.uniform(0, 2 * np.pi, (1000, bs.n_edges)),
@@ -483,10 +489,8 @@ def test_margin_sign_at_exact_extremes(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("budget", [spectrum.COMPILE_BUDGET, 0])
-def test_margin_of_non_finite_phases(monkeypatch, budget):
+def test_margin_of_non_finite_phases(monkeypatch):
     # a NaN or infinite phase gives NaN samples of G: not a member
-    monkeypatch.setattr(spectrum, "COMPILE_BUDGET", budget)
     seen = recorded_extremes(monkeypatch)
     for name in ("lasso", "flower"):
         bs = gb.bond_matrices(margin_graphs()[name])
@@ -585,8 +589,8 @@ def counted_margin(monkeypatch):
     calls = []
     margin = spectrum._momentum_margin
     monkeypatch.setattr(spectrum, "_momentum_margin",
-                        lambda bs, ks, threads=None: calls.append(np.size(ks))
-                        or margin(bs, ks, threads))
+                        lambda bs, ks: calls.append(np.size(ks))
+                        or margin(bs, ks))
     return calls
 
 
@@ -636,13 +640,6 @@ def test_band_validation():
                     k_max=5.0, grid_step=0.1, bisect_tol=1e-10)
     with pytest.raises(ValueError):
         gb.band_intervals(UNIT_LASSO, -1.0)
-
-
-def test_band_intervals_threads_identical():
-    serial = gb.band_intervals(UNIT_LASSO, 40.0)
-    threaded = gb.band_intervals(UNIT_LASSO, 40.0, threads=4)
-    assert [(b.lo, b.hi) for b in serial.bands] == \
-           [(b.lo, b.hi) for b in threaded.bands]
 
 
 # ------------------------------------------------------------ density

@@ -62,12 +62,12 @@ def test_mc_volume_deterministic():
 
 def test_mc_volume_chunk_independent(monkeypatch):
     full = gb.mc_volume(LASSO, 30_000, seed=5)
-    dihedral = gb.dihedral_density(30_000, seed=5)
+    # threads has no effect on the estimate
+    assert gb.mc_volume(LASSO, 30_000, seed=5, threads=2) == full
     monkeypatch.setattr(torus_mod, "_MC_CHUNK", 1234)
     chunked = gb.mc_volume(LASSO, 30_000, seed=5)
     assert chunked.value == full.value
     assert chunked.std_error == full.std_error
-    assert gb.dihedral_density(30_000, seed=5) == dihedral
 
 
 def test_mc_volume_frozen_regression():
