@@ -81,8 +81,9 @@ class BondSystem:
     def secular_polynomial(self):
         """The real secular function compiled to its nonzero monomials
         (:class:`graphbands.spectrum.SecularPolynomial`); raises
-        :class:`GraphError` above ``spectrum.COMPILE_BUDGET`` determinants.
-        Compiled on first use and kept with the system."""
+        :class:`GraphError` when its compile grid has more than
+        ``spectrum.COMPILE_BUDGET`` points.  Compiled on first use and kept
+        with the system."""
         from .spectrum import compile_secular   # spectrum imports this module
         return compile_secular(self)
 

@@ -18,14 +18,23 @@ holds iff min G <= 0 <= max G.
 
 G is a real trigonometric polynomial: each edge phase kappa_e enters
 with frequency -1, 0 or 1, and generator j with |frequency| at most its
-flux weight m_j (Barra-Gaspard, J. Stat. Phys. 101, 2000).  It is
-compiled once per bond system: determinants on the grid of 3 points per
-edge and 2 m_j + 1 per generator give its coefficients exactly by FFT,
-and only the nonzero ones are kept (:class:`SecularPolynomial`), which
-also gives the exact degree d_j <= m_j.  A membership row then costs a
-few cosines and sines and two small matrix products instead of 2m + 1
-determinants.  It is the one source of G for membership; a graph whose
-grid exceeds COMPILE_BUDGET determinants is refused with a GraphError.
+flux weight m_j (Barra-Gaspard, J. Stat. Phys. 101, 2000).  It has two
+exact symmetries.  S is symmetric under bond reversal, so G is even in
+alpha, G(kappa, -alpha) = G(kappa, alpha); S is real, so F(-kappa; -alpha)
+is conj F(kappa; alpha), which with the first gives G(-kappa, alpha) =
+det S G(kappa, alpha).  G is compiled once per bond system: determinants
+at one point of each +-pair of the grid of 3 points per edge and of the
+grid of 2 m_j + 1 points per generator, ((3^E + 1) / 2) ((prod(2 m_j +
+1) + 1) / 2) of them, fill the whole grid through the two symmetries,
+and its FFT gives the coefficients exactly.  Only the nonzero ones are
+kept (:class:`SecularPolynomial`), which also gives the exact degree
+d_j <= m_j.  The symmetries make every coefficient real (det S = +1) or
+purely imaginary (det S = -1), so G is a sum of cos (or sin) of kappa . n
+times cos of alpha . s with real coefficients, and a membership row
+costs one cosine (or sine) per edge monomial and two small real matrix
+products instead of 2m + 1 determinants.  It is the one source of G for
+membership; a graph whose compile grid exceeds COMPILE_BUDGET points is
+refused with a GraphError.
 
 Along the generator of highest degree m G is sampled at 2m + 1
 equispaced points.  For m = 1 it is c0 + 2|c1| cos(alpha + phase), so a
@@ -54,7 +63,6 @@ more rounds than bisection plus one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +74,7 @@ from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
-COMPILE_BUDGET = 2_000_000   # most determinants a compile of G may take
+COMPILE_BUDGET = 2_000_000   # most points of the grid G is compiled on
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
 # on every graph tried the nonzero ones were >= 0.005 and the FFT noise
 # of the zero ones <= 5e-16, so the cut sits far from both.
@@ -83,11 +91,30 @@ _ITP_N0 = 1
 # the real secular function G
 # ---------------------------------------------------------------------------
 
+def _grid_index(sizes) -> np.ndarray:
+    """Integer coordinates of the equispaced torus grid with sizes[i]
+    points along axis i, the last axis varying fastest; shape
+    (prod(sizes), len(sizes))."""
+    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+
+
 def _grid(sizes) -> np.ndarray:
-    """Equispaced torus points, sizes[i] along axis i, the last axis
-    varying fastest; shape (prod(sizes), len(sizes))."""
-    index = np.array(list(itertools.product(*map(range, sizes))), dtype=float)
-    return index * (2.0 * np.pi / np.array(sizes, dtype=float))
+    """The points of that grid, coordinate i at 2 pi index / sizes[i]."""
+    return _grid_index(sizes) * (2.0 * np.pi / np.array(sizes, dtype=float))
+
+
+def _half_grid(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One point of each pair {x, -x} of the grid with odd sizes, the one
+    of lower flat index (x = 0 is its own pair), as an array of points;
+    for every grid point the row of its pair's point in that array; and
+    a mask of the grid points that are in it."""
+    index = _grid_index(sizes)
+    flat = np.arange(len(index))
+    pair = np.minimum(flat, np.ravel_multi_index(tuple(-index.T), sizes,
+                                                 mode="wrap"))
+    own = pair == flat
+    points = index[own] * (2.0 * np.pi / np.array(sizes, dtype=float))
+    return points, (np.cumsum(own) - 1)[pair], own
 
 
 def _edge_phases(bs: BondSystem, kappas) -> np.ndarray:
@@ -112,20 +139,26 @@ def real_secular_values(bs: BondSystem, kappas, alphas) -> np.ndarray:
 class SecularPolynomial:
     """The real secular function G as a sparse trigonometric polynomial,
 
-        G(kappa; alpha) = Re sum_{r, s} coef[r, s] exp(i kappa_freq[r] . kappa)
-                                                   exp(i alpha_freq[s] . alpha),
+        G(kappa; alpha) = sum_{r, s} coef[r, s] t(kappa_freq[r] . kappa)
+                                                cos(alpha_freq[s] . alpha),
 
-    over the monomials whose coefficient is nonzero.  G is real, so the
-    coefficients of n and -n are conjugate: ``kappa_freq`` holds one of
-    each pair (entries in {-1, 0, 1}, first nonzero entry 1) and ``coef``
-    twice its coefficients, plus the n = 0 row once.  ``monomials`` counts
-    the nonzero coefficients of G before that folding.  ``degree`` is the
+    over the monomials whose coefficient is nonzero, with t = cos when
+    ``parity`` (det S) is +1 and t = sin when it is -1.  G is real, even
+    in alpha and has G(-kappa, alpha) = det S G(kappa, alpha), so the
+    Fourier coefficient c of frequencies (n, s) equals that of (n, -s)
+    and det S times that of (-n, s), and is real (det S = +1) or purely
+    imaginary (det S = -1).  ``kappa_freq`` holds one n of each pair +-n
+    (entries in {-1, 0, 1}, first nonzero entry 1) and ``coef`` twice
+    Re c, or -2 Im c, plus the n = 0 row once, which only det S = +1
+    has; ``alpha_freq`` holds both s and -s.  ``monomials`` counts the
+    nonzero coefficients of G before that folding.  ``degree`` is the
     exact degree of G in each quasi-momentum, at most its flux weight.
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
     alpha_freq: np.ndarray       # (Ra, J) float, integer valued
-    coef: np.ndarray             # (Rk, Ra) complex
+    coef: np.ndarray             # (Rk, Ra) float
+    parity: int                  # det S, +1 or -1
     monomials: int
 
     @property
@@ -136,30 +169,37 @@ class SecularPolynomial:
     def values(self, kappas, alphas) -> np.ndarray:
         """G at every pair of an edge phase row (n, E) and a quasi-momentum
         row (NA, J); shape (n, NA)."""
-        D = self.coef @ np.exp(1j * (self.alpha_freq @ alphas.T))
-        theta = kappas @ self.kappa_freq.T
-        return np.cos(theta) @ D.real - np.sin(theta) @ D.imag
+        trig = np.cos if self.parity == 1 else np.sin
+        return (trig(kappas @ self.kappa_freq.T)
+                @ (self.coef @ np.cos(self.alpha_freq @ alphas.T)))
 
 
 def compile_secular(bs: BondSystem) -> SecularPolynomial:
     """Compile G of ``bs``; a :class:`GraphError` naming the count when
-    the sampling grid needs more than COMPILE_BUDGET determinants.
+    the sampling grid has more than COMPILE_BUDGET points.
 
     G is sampled on 3 points per edge phase and 2 m_j + 1 per generator,
     which holds every frequency it has exactly once, so the FFT of the
-    samples is its coefficient array with no aliasing.  Coefficients at
-    or below _DROP_TOL are exact zeros lost in roundoff and are dropped.
-    Use ``bs.secular_polynomial``, which compiles once and keeps it.
+    samples is its coefficient array with no aliasing.  Only one point
+    of each +-pair of the edge phase grid and one of each of the
+    quasi-momentum grid take a determinant, ((3^E + 1) / 2) ((prod(2 m_j
+    + 1) + 1) / 2) in all; the rest of the grid follows from G(kappa,
+    -alpha) = G(kappa, alpha) and G(-kappa, alpha) = det S G(kappa,
+    alpha).  Coefficients at or below _DROP_TOL are exact zeros lost in
+    roundoff and are dropped.  Use ``bs.secular_polynomial``, which
+    compiles once and keeps it.
     """
     E = bs.n_edges
     sizes = [3] * E + [2 * m + 1 for m in bs.flux_weight]
     count = math.prod(sizes)                  # exact; 3**E overflows int64
     if count > COMPILE_BUDGET:
-        raise GraphError("compiling the secular function takes %d "
-                         "determinants, above COMPILE_BUDGET = %d"
+        raise GraphError("the grid the secular function is compiled on has "
+                         "%d points, above COMPILE_BUDGET = %d"
                          % (count, COMPILE_BUDGET))
-    kappas, alphas = _grid(sizes[:E]), _grid(sizes[E:])
-    G = real_secular_values(bs, kappas, alphas)
+    kappas, k_row, k_own = _half_grid(sizes[:E])
+    alphas, a_row, _ = _half_grid(sizes[E:])
+    G = real_secular_values(bs, kappas, alphas)[np.ix_(k_row, a_row)]
+    G[~k_own] *= bs.parity                    # G(-kappa) = det S G(kappa)
     c = np.fft.fftn(G.reshape(sizes)) / G.size
     kept = np.nonzero(np.abs(c) > _DROP_TOL)
     freq = np.stack([np.fft.fftfreq(n, 1.0 / n)[i]
@@ -168,9 +208,12 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     half = lead >= 0                          # n = 0, or first nonzero n_e = 1
     kappa_freq, r = np.unique(freq[half, :E], axis=0, return_inverse=True)
     alpha_freq, s = np.unique(freq[half, E:], axis=0, return_inverse=True)
-    coef = np.zeros((len(kappa_freq), len(alpha_freq)), dtype=complex)
-    coef[r.ravel(), s.ravel()] = np.where(lead[half] > 0, 2.0, 1.0) * c[kept][half]
-    return SecularPolynomial(kappa_freq, alpha_freq, coef, len(freq))
+    c = c[kept][half]
+    coef = np.zeros((len(kappa_freq), len(alpha_freq)))
+    coef[r.ravel(), s.ravel()] = (np.where(lead[half] > 0, 2.0, 1.0)
+                                  * (c.real if bs.parity == 1 else -c.imag))
+    return SecularPolynomial(kappa_freq, alpha_freq, coef, bs.parity,
+                             len(freq))
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,52 @@ def test_compiled_secular_matches_determinants():
         assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
 
 
+def test_secular_symmetries():
+    # G(kappa, -alpha) = G(kappa, alpha) and G(-kappa, alpha) = det S
+    # G(kappa, alpha), which the compile uses to fill its grid
+    rng = np.random.default_rng(17)
+    graphs = dict(compiled_graphs(),
+                  J0=random_magnetic_graph(5, generators=0))
+    parities = set()
+    for name, g in graphs.items():
+        bs = gb.bond_matrices(g)
+        parities.add(bs.parity)
+        kappas = rng.uniform(0, 2 * np.pi, (100, bs.n_edges))
+        alphas = rng.uniform(0, 2 * np.pi, (8, bs.generators))
+        G = spectrum.real_secular_values(bs, kappas, alphas)
+        tol = 1e-12 * (1 + np.abs(G))
+        flip_alpha = spectrum.real_secular_values(bs, kappas, -alphas)
+        flip_kappa = spectrum.real_secular_values(bs, -kappas, alphas)
+        assert np.all(np.abs(flip_alpha - G) <= tol), name
+        assert np.all(np.abs(flip_kappa - bs.parity * G) <= tol), name
+    assert parities == {1, -1}
+
+
+def test_compile_takes_one_determinant_per_symmetry_orbit(monkeypatch):
+    # one point of each +-pair of the edge phase and quasi-momentum grids
+    dets = []
+
+    def counted(*args, **kwargs):
+        result = secular_values(*args, **kwargs)
+        dets.append(result.size)
+        return result
+
+    monkeypatch.setattr(spectrum, "secular_values", counted)
+    graphs = {"lasso": (UNIT_LASSO_GRAPH, 10),
+              "ladder": (gb.bloch_reduce(LADDER_CELL), 42),
+              "flower": (gb.bloch_reduce(FLOWER_CELL), 70),
+              "J0": (random_magnetic_graph(5, generators=0), 122)}
+    for name, (g, expected) in graphs.items():
+        bs = gb.bond_matrices(g)
+        grid = np.prod(2 * np.array(bs.flux_weight, dtype=int) + 1)
+        assert expected == (3 ** bs.n_edges + 1) // 2 * ((grid + 1) // 2)
+        dets.clear()
+        poly = spectrum.compile_secular(bs)
+        assert sum(dets) == expected, name
+        assert poly.coef.dtype == np.float64, name
+        assert poly.parity == bs.parity, name
+
+
 def test_compiled_membership_matches_lu_path():
     # torus points for every graph, momenta (large phases) for the lasso
     # class; CORPUS_SEEDS cover flux weights 1..5 with both signs of det S
