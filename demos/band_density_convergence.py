@@ -27,5 +27,5 @@ for K, val in zip(series.cutoffs, series.values):
 
 print()
 print("bands found: %d, spectral measure %.2f"
-      % (len(series.bands.bands), series.bands.total_measure))
+      % (len(series.bands.lo), series.bands.total_measure))
 print("final density %.6f vs reference %.6f" % (series.final, ref.value))

@@ -34,8 +34,8 @@ bs = gb.bond_matrices(g)
 bands = gb.band_intervals(bs, 60.0)
 print()
 print("first bands:")
-for b in bands.bands[:6]:
-    print("   [%.4f, %.4f]" % (b.lo, b.hi))
+for lo, hi in zip(bands.lo[:6], bands.hi[:6]):
+    print("   [%.4f, %.4f]" % (lo, hi))
 print("density below K=60: %.4f" % bands.coverage)
 
 # the same steps drive the command line tool:

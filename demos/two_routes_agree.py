@@ -26,7 +26,7 @@ print()
 # a subtorus)
 series = gb.density(bs, k_max=4000.0, checkpoints=1)
 print("direct band measurement:   %.6f  (%d bands below K=4000)"
-      % (series.final, len(series.bands.bands)))
+      % (series.final, len(series.bands.lo)))
 
 est = gb.mc_volume(bs, samples=400_000, seed=9)
 print("torus Monte Carlo volume:  %.6f  +- %.6f" % (est.value, est.std_error))

@@ -14,10 +14,9 @@ from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
                           with_random_lengths)
 from .bond_system import BondSystem, bond_matrices, vertex_scattering
 from .secular import secular_values
-from .spectrum import (Band, BandList, DensitySeries, band_intervals,
-                       density, in_spectrum, measure_below,
-                       membership_from_phases, momentum_membership,
-                       real_secular_values)
+from .spectrum import (BandList, DensitySeries, band_intervals, density,
+                       in_spectrum, measure_below, membership_from_phases,
+                       momentum_membership, real_secular_values)
 from .torus import VolumeEstimate, mc_volume
 from .reference_models import (InteriorResonanceError, ReferenceValue,
                                dihedral_density, dihedral_membership,
@@ -28,7 +27,7 @@ from .reference_models import (InteriorResonanceError, ReferenceValue,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band", "BandList", "BondSystem", "DensitySeries", "EXAMPLE_NAMES",
+    "BandList", "BondSystem", "DensitySeries", "EXAMPLE_NAMES",
     "Edge", "FundamentalCell", "GraphError", "Identification",
     "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
     "VolumeEstimate", "band_intervals", "bind_lengths", "bloch_reduce",

@@ -199,7 +199,8 @@ def _cmd_bands(args) -> int:
     bs = bond_matrices(g)
     result = band_intervals(bs, args.kmax, grid_step=args.grid_step,
                             bisect_tol=args.bisect_tol)
-    _emit(args, ["%s,%s" % (_fmt(b.lo), _fmt(b.hi)) for b in result.bands])
+    _emit(args, ["%s,%s" % (_fmt(lo), _fmt(hi))
+                 for lo, hi in zip(result.lo, result.hi)])
     return 0
 
 

@@ -73,27 +73,22 @@ class FundamentalCell:
     name: str = ""
 
 
-def _connected(vertices, adjacency_pairs) -> bool:
-    """True if the graph on ``vertices`` with the given undirected pairs
-    is connected (single component)."""
-    verts = list(vertices)
-    if not verts:
-        return False
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
+def _roots(vertices, pairs) -> dict:
+    """Representative of the class of every vertex after merging, for each
+    pair (a, b) in turn, the class of a into the class of b."""
+    parent = {v: v for v in vertices}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    for a, b in adjacency_pairs:
-        ia, ib = find(index[a]), find(index[b])
-        if ia != ib:
-            parent[ia] = ib
-    root = find(0)
-    return all(find(i) == root for i in range(len(verts)))
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {v: find(v) for v in vertices}
 
 
 def _structure_violations(vertices, edges, generators, edge_rule) -> list[str]:
@@ -160,7 +155,7 @@ def validate_cell(cell: FundamentalCell) -> list[str]:
     if not report:
         pairs = [(e.tail, e.head) for e in cell.edges]
         pairs += [(i.plus, i.minus) for i in cell.identifications]
-        if not _connected(cell.vertices, pairs):
+        if len(set(_roots(cell.vertices, pairs).values())) != 1:
             report.append("graph is disconnected after identification")
     return report
 
@@ -196,9 +191,9 @@ class MagneticGraph:
 
         report = _structure_violations(self.vertices, self.edges,
                                        self.generators, integer_flux)
-        if not report:
-            if not _connected(self.vertices, [(e.tail, e.head) for e in self.edges]):
-                report.append("graph is disconnected")
+        pairs = [(e.tail, e.head) for e in self.edges]
+        if not report and len(set(_roots(self.vertices, pairs).values())) != 1:
+            report.append("graph is disconnected")
         return report
 
     @property
@@ -258,21 +253,10 @@ def bloch_reduce(cell: FundamentalCell) -> MagneticGraph:
                 flux[e.id][j] -= 1
 
     # merge plus into minus, resolving chains of identifications
-    target = {v: v for v in cell.vertices}
-
-    def resolve(v):
-        while target[v] != v:
-            target[v] = target[target[v]]
-            v = target[v]
-        return v
-
-    for ident in cell.identifications:
-        a, b = resolve(ident.plus), resolve(ident.minus)
-        if a != b:
-            target[a] = b
-
-    vertices = tuple(sorted({resolve(v) for v in cell.vertices}))
-    edges = tuple(Edge(e.id, resolve(e.tail), resolve(e.head), e.length,
+    root = _roots(cell.vertices, [(i.plus, i.minus)
+                                  for i in cell.identifications])
+    vertices = tuple(sorted(set(root.values())))
+    edges = tuple(Edge(e.id, root[e.tail], root[e.head], e.length,
                        tuple(flux[e.id])) for e in cell.edges)
     return MagneticGraph(vertices=vertices, edges=edges,
                          generators=cell.generators, name=cell.name)
@@ -465,6 +449,9 @@ def load_graph(path) -> FundamentalCell | MagneticGraph:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError("malformed JSON in %s: %s" % (path, exc)) from None
+        except UnicodeDecodeError as exc:
+            raise GraphError("malformed graph file %s: not UTF-8 (%s)"
+                             % (path, exc)) from None
     if not isinstance(payload, dict):
         raise GraphError("malformed graph file %s: expected an object" % path)
     return from_payload(payload)

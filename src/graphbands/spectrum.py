@@ -31,22 +31,24 @@ kept (:class:`SecularPolynomial`), which also gives the exact degree
 d_j <= m_j.  The symmetries make every coefficient real (det S = +1) or
 purely imaginary (det S = -1), so G is a sum of cos (or sin) of kappa . n
 times cos of alpha . s with real coefficients, and a membership row
-costs one cosine (or sine) per edge monomial and two small real matrix
-products instead of 2m + 1 determinants.  It is the one source of G for
-membership; a graph whose compile grid exceeds COMPILE_BUDGET points is
-refused with a GraphError.
+costs one cosine (or sine) per edge monomial and one small matrix
+product instead of 2m + 1 determinants.  It is the one source of G for
+membership; a graph whose compile grid, or whose alpha-series below,
+exceeds COMPILE_BUDGET is refused with a GraphError.
 
-Along the generator of highest degree m G is sampled at 2m + 1
-equispaced points.  For m = 1 it is c0 + 2|c1| cos(alpha + phase), so a
-row is a member iff |c0| <= 2|c1| (+ ZERO_TOL).  With one generator G
-is even in alpha, because S is symmetric under bond reversal, so for
-m = 2 it is a quadratic in cos(alpha) with closed-form extremes on
-[-1, 1].  For m >= 3, and along the main generator when J >= 2, where a
-slice of G is not even, the critical points, roots of a companion
-eigenproblem, make the minimum and maximum along that axis exact.
-Further generators are sampled on a grid of GRID_FALLBACK_POINTS points
-each; the extremes are taken over the whole grid.  Extra evaluation
-points never create a false member.
+Along the generator of highest degree m, G is c_0 + 2 Re sum_j c_j
+exp(i j alpha), and the compile also stores the matrix that takes a
+row's cos (or sin) of the edge monomials to c_0..c_m at every point of
+a grid of GRID_FALLBACK_POINTS points per further generator.  For m = 1
+G is c_0 + 2|c_1| cos(alpha + phase), so a row is a member iff |c_0| <=
+2|c_1| (+ ZERO_TOL).  With one generator G is even in alpha, because S
+is symmetric under bond reversal, so for m = 2 it is a quadratic in
+cos(alpha) with closed-form extremes on [-1, 1].  For m >= 3, and along
+the main generator when J >= 2, where a slice of G is not even, G is
+evaluated at 2m + 1 equispaced points and at its critical points, roots
+of a companion eigenproblem, which make the minimum and maximum along
+that axis exact.  The extremes are taken over the whole grid of further
+generators.  Extra evaluation points never create a false member.
 
 The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
 edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
@@ -74,7 +76,7 @@ from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
-COMPILE_BUDGET = 2_000_000   # most points of the grid G is compiled on
+COMPILE_BUDGET = 2_000_000   # most compile grid points, and alpha-series entries
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
 # on every graph tried the nonzero ones were >= 0.005 and the FFT noise
 # of the zero ones <= 5e-16, so the cut sits far from both.
@@ -96,11 +98,6 @@ def _grid_index(sizes) -> np.ndarray:
     points along axis i, the last axis varying fastest; shape
     (prod(sizes), len(sizes))."""
     return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
-
-
-def _grid(sizes) -> np.ndarray:
-    """The points of that grid, coordinate i at 2 pi index / sizes[i]."""
-    return _grid_index(sizes) * (2.0 * np.pi / np.array(sizes, dtype=float))
 
 
 def _half_grid(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,6 +150,12 @@ class SecularPolynomial:
     has; ``alpha_freq`` holds both s and -s.  ``monomials`` counts the
     nonzero coefficients of G before that folding.  ``degree`` is the
     exact degree of G in each quasi-momentum, at most its flux weight.
+
+    ``series`` holds G along the generator of highest degree m, the main
+    one.  At point b of the grid of GRID_FALLBACK_POINTS points per other
+    generator (the first slowest), G = c_0 + 2 Re sum_{j=1..m} c_j
+    exp(i j alpha_main) with c_j = sum_r series[r, b, j] t(kappa_freq[r]
+    . kappa).  It is real when J <= 1, where that grid is one point.
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
@@ -160,6 +163,7 @@ class SecularPolynomial:
     coef: np.ndarray             # (Rk, Ra) float
     parity: int                  # det S, +1 or -1
     monomials: int
+    series: np.ndarray           # (Rk, 64^(J-1), m + 1) float (J <= 1) or complex
 
     @property
     def degree(self) -> tuple[int, ...]:
@@ -213,83 +217,95 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     coef[r.ravel(), s.ravel()] = (np.where(lead[half] > 0, 2.0, 1.0)
                                   * (c.real if bs.parity == 1 else -c.imag))
     return SecularPolynomial(kappa_freq, alpha_freq, coef, bs.parity,
-                             len(freq))
+                             len(freq), _alpha_series(alpha_freq, coef))
+
+
+def _alpha_series(alpha_freq: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The ``series`` of :class:`SecularPolynomial`.  cos(s . alpha) is
+    (exp(i s . alpha) + exp(-i s . alpha)) / 2, so at a grid point beta
+    of the other generators the first term adds exp(i beta . s') / 2 to
+    c_j for j = s_main and the second its conjugate for j = -s_main, s'
+    the other entries of s.  Raises :class:`GraphError` naming the count,
+    before allocating, when the series and that table of terms would have
+    more than COMPILE_BUDGET entries (in practice from J = 4 on)."""
+    J = alpha_freq.shape[1]
+    main = np.arange(J) == (np.argmax(np.abs(alpha_freq).max(axis=0))
+                            if J else -1)
+    along = alpha_freq[:, main].sum(axis=1)          # 0 when J = 0
+    m = int(np.abs(along).max(initial=0))
+    n = GRID_FALLBACK_POINTS
+    count = (len(coef) + len(alpha_freq)) * n ** max(J - 1, 0) * (m + 1)
+    if count > COMPILE_BUDGET:
+        raise GraphError("the alpha-series of the secular function and its "
+                         "table have %d entries, above COMPILE_BUDGET = %d"
+                         % (count, COMPILE_BUDGET))
+    beta = _grid_index([n] * (J - 1)) * (2.0 * np.pi / n)
+    phase = np.exp(1j * alpha_freq[:, ~main] @ beta.T)[:, :, None] / 2.0
+    j = np.arange(m + 1)
+    table = (phase * (along[:, None] == j)[:, None, :]
+             + phase.conj() * (along[:, None] == -j)[:, None, :])
+    series = (coef @ table.reshape(len(table), -1)).reshape(
+        len(coef), *table.shape[1:])
+    return series if J > 1 else series.real.copy()   # contiguous, for _margin
 
 
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
 
-def _alpha_grid(degrees) -> tuple[np.ndarray, int]:
-    """Quasi-momentum rows and the degree m of the generator of highest
-    degree, which takes 2m + 1 equispaced samples and varies fastest;
-    every other generator takes GRID_FALLBACK_POINTS."""
-    J = len(degrees)
-    if J == 0:
-        return np.zeros((1, 0)), 0
-    main = int(np.argmax(degrees))
-    order = [j for j in range(J) if j != main] + [main]
-    sizes = [GRID_FALLBACK_POINTS] * (J - 1) + [2 * degrees[main] + 1]
-    return _grid(sizes)[:, np.argsort(order)], degrees[main]
-
-
-def _critical_values(G: np.ndarray, m: int) -> np.ndarray:
-    """Values of the real trigonometric polynomials of degree m >= 2
-    sampled at 2m + 1 equispaced points (rows of G) at the arguments of
-    the 2m roots of sum_j j c_j z^(j+m), their critical points when on
-    the unit circle.  Non-finite entries mark failed roots."""
-    N = G.shape[1]
-    c = np.fft.rfft(G, axis=1) / N            # c_0..c_m; c_{-j} = conj(c_j)
+def _critical_values(c: np.ndarray, m: int) -> np.ndarray:
+    """Values of the real trigonometric polynomials c_0 + 2 Re sum_{j=1..m}
+    c_j exp(i j alpha) of degree m >= 2 (rows of c) at the 2m + 1
+    equispaced points and at the arguments of the 2m roots of sum_j j c_j
+    z^(j+m), c_{-j} = conj(c_j), their critical points when on the unit
+    circle.  Non-finite entries past the first 2m + 1 mark failed roots;
+    the equispaced points keep rows with G = 0 or a vanishing lead
+    exact."""
     j = np.arange(1, m + 1)
-    P = np.zeros((len(G), N), dtype=complex)
+    P = np.zeros((len(c), 2 * m + 1), dtype=complex)
     P[:, m + 1:] = j * c[:, 1:]
     P[:, m - 1::-1] = -j * np.conj(c[:, 1:])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         monic = P[:, :-1] / P[:, -1:]
-    C = np.zeros((len(G), 2 * m, 2 * m), dtype=complex)
+    C = np.zeros((len(c), 2 * m, 2 * m), dtype=complex)
     idx = np.arange(2 * m - 1)
     C[:, idx + 1, idx] = 1.0
     # a row with a vanishing lead gets arbitrary, hence harmless, points
     C[:, :, -1] = -np.where(np.isfinite(monic), monic, 0.0)
-    z = np.linalg.eigvals(C)
+    roots = np.linalg.eigvals(C)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z /= np.abs(z)
-    vals = np.repeat(c[:, :1].real, 2 * m, axis=1)
-    w = np.ones_like(z)
-    for jj in range(1, m + 1):
-        w *= z
-        vals += 2.0 * (c[:, jj:jj + 1] * w).real
-    return vals
+        roots /= np.abs(roots)
+    z = np.exp(2j * np.pi * np.arange(2 * m + 1) / (2 * m + 1))
+    z = np.hstack([np.broadcast_to(z, (len(c), 2 * m + 1)), roots])
+    return c[:, :1].real + 2.0 * sum((c[:, k:k + 1] * z ** k).real
+                                     for k in range(1, m + 1))
 
 
-def _extremes(G: np.ndarray, m: int,
+def _extremes(c: np.ndarray, m: int,
               even: bool) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimum and maximum over alpha of the real trigonometric
-    polynomials of degree m sampled at 2m + 1 equispaced points (rows of
-    G).  Degree 1 is c0 + 2|c1| cos(alpha + phase), in closed form.  An
-    ``even`` row of degree 2 is c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha),
-    the quadratic P(x) = c0 - 2 c2 + 2 c1 x + 4 c2 x^2 in x = cos(alpha),
+    polynomials c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha) of degree m
+    (rows of c, shape (n, m + 1)).  Degree 0 is c0 and degree 1 is c0 +
+    2|c1| cos(alpha + phase), in closed form.  An ``even`` row of degree
+    2 has real c and is c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha), the
+    quadratic P(x) = c0 - 2 c2 + 2 c1 x + 4 c2 x^2 in x = cos(alpha),
     whose extremes over [-1, 1] are P(+-1) and, when |c1| < 4|c2|, the
-    vertex value c0 - 2 c2 - c1^2 / (4 c2).  Other rows add the values
-    at the critical points to those of the samples."""
-    if m == 1:
-        c = np.fft.rfft(G, axis=1) / 3.0
-        mid, half = c[:, 0].real, 2.0 * np.abs(c[:, 1])
+    vertex value c0 - 2 c2 - c1^2 / (4 c2).  Other rows take the values
+    at the equispaced and the critical points (:func:`_critical_values`),
+    skipping failed roots; a NaN row stays NaN."""
+    if m <= 1:
+        mid, half = c[:, 0].real, 2.0 * np.abs(c[:, 1:]).sum(axis=1)
         return mid - half, mid + half
     if m == 2 and even:
-        c0, c1, c2 = (np.fft.rfft(G, axis=1).real / 5.0).T  # even projection
+        c0, c1, c2 = c.real.T
         minus, plus = c0 + 2.0 * (c2 - c1), c0 + 2.0 * (c2 + c1)  # P(-+1)
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = np.where(np.abs(c1) < 4.0 * np.abs(c2),
                               c0 - 2.0 * c2 - c1 * c1 / (4.0 * c2), np.nan)
         return (np.fmin(np.minimum(minus, plus), vertex),
                 np.fmax(np.maximum(minus, plus), vertex))
-    lo, hi = G.min(axis=1), G.max(axis=1)
-    if m >= 2:
-        vals = _critical_values(G, m)
-        np.fmin(lo, np.fmin.reduce(vals, axis=1), out=lo)
-        np.fmax(hi, np.fmax.reduce(vals, axis=1), out=hi)
-    return lo, hi
+    vals = _critical_values(c, m)
+    return np.fmin.reduce(vals, axis=1), np.fmax.reduce(vals, axis=1)
 
 
 def _margin(bs: BondSystem, kappas: np.ndarray) -> np.ndarray:
@@ -299,13 +315,17 @@ def _margin(bs: BondSystem, kappas: np.ndarray) -> np.ndarray:
     kappa = k l the band edges are its roots.  See
     :func:`membership_from_phases` for the extremes."""
     poly = bs.secular_polynomial
-    alphas, m = _alpha_grid(poly.degree)
-    block = max(1, _BLOCK_VALUES // max(len(alphas), len(poly.coef)))
+    m = poly.series.shape[-1] - 1
+    # a complex series as interleaved real and imaginary parts, so that
+    # c is one real product, read back as complex
+    series = poly.series.reshape(len(poly.series), -1).view(float)
+    trig = np.cos if poly.parity == 1 else np.sin
+    block = max(1, _BLOCK_VALUES // max(series.shape[1], len(series)))
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
         rows = kappas[i:i + block]
-        lo, hi = _extremes(poly.values(rows, alphas).reshape(-1, 2 * m + 1),
-                           m, even=bs.generators == 1)
+        c = (trig(rows @ poly.kappa_freq.T) @ series).view(poly.series.dtype)
+        lo, hi = _extremes(c.reshape(-1, m + 1), m, even=bs.generators == 1)
         np.minimum(ZERO_TOL - lo.reshape(len(rows), -1).min(axis=1),
                    hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL,
                    out=margin[i:i + block])
@@ -320,10 +340,12 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
     sign or touches zero over the quasi-momenta: min G <= ZERO_TOL and
     max G >= -ZERO_TOL along the generator of highest degree m, for every
     point of the GRID_FALLBACK_POINTS grid over the other generators
-    together.  The extremes along that generator come from 2m + 1
-    samples: in closed form when m = 1 (|c0| <= 2|c1| + ZERO_TOL) and
-    when m = 2 on a one-generator graph, where G is even in alpha, and
-    with the critical points otherwise.  ZERO_TOL is absolute; it lets
+    together.  The extremes along that generator come from the
+    coefficients c_0..c_m of G along it, one matrix product with the
+    compiled ``series``: in closed form when m <= 1 (|c0| <= 2|c1| +
+    ZERO_TOL) and when m = 2 on a one-generator graph, where G is even
+    in alpha, and from the values at 2m + 1 equispaced and at the
+    critical points otherwise.  ZERO_TOL is absolute; it lets
     the noise of touching zeros (band edges, flat bands) count as zero.
     The test is the sign of the margin min(ZERO_TOL - min G, max G +
     ZERO_TOL): in IEEE arithmetic a - b >= 0 holds exactly when a >= b,
@@ -331,7 +353,7 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
 
     G and its exact degrees come from the compiled polynomial
     ``bs.secular_polynomial``, which raises :class:`GraphError` for a
-    graph above COMPILE_BUDGET.
+    graph above COMPILE_BUDGET (in practice from J = 4 generators on).
     """
     return _margin(bs, _edge_phases(bs, kappas)) >= 0
 
@@ -358,42 +380,30 @@ def in_spectrum(bs: BondSystem, k: float) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Band:
-    """Closed momentum interval contained in the spectrum."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("band endpoints must be finite")
-        if self.hi < self.lo:
-            raise ValueError("band with hi < lo")
-
-    @property
-    def measure(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
 class BandList:
-    """Ordered pairwise-disjoint bands found in [0, k_max]."""
+    """Ordered pairwise-disjoint bands [lo[i], hi[i]] found in [0, k_max]."""
 
-    bands: tuple[Band, ...]
+    lo: np.ndarray               # (n,) float
+    hi: np.ndarray               # (n,) float
     k_max: float
     grid_step: float
     bisect_tol: float
 
     def __post_init__(self):
-        prev = 0.0
-        for b in self.bands:
-            if b.lo < prev - self.bisect_tol or b.hi > self.k_max + self.bisect_tol:
-                raise ValueError("bands out of order or outside [0, k_max]")
-            prev = b.hi
+        lo, hi, tol = self.lo, self.hi, self.bisect_tol
+        if np.ndim(lo) != 1 or np.shape(lo) != np.shape(hi):
+            raise ValueError("lo and hi must be 1-d arrays of one length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("band endpoints must be finite")
+        if np.any(hi < lo):
+            raise ValueError("band with hi < lo")
+        if (np.any(lo[1:] < hi[:-1] - tol) or np.any(lo[:1] < -tol)
+                or np.any(hi > self.k_max + tol)):
+            raise ValueError("bands out of order or outside [0, k_max]")
 
     @property
     def total_measure(self) -> float:
-        return float(sum(b.measure for b in self.bands))
+        return float((self.hi - self.lo).sum())
 
     @property
     def coverage(self) -> float:
@@ -501,9 +511,8 @@ def band_intervals(bs: BondSystem, k_max: float,
     starts = np.concatenate([starts[:1], starts[keep + 1]])
     stops = np.concatenate([stops[keep], stops[-1:]])
 
-    return BandList(bands=tuple(map(Band, starts.tolist(), stops.tolist())),
-                    k_max=float(k_max), grid_step=float(step),
-                    bisect_tol=float(tol))
+    return BandList(lo=starts, hi=stops, k_max=float(k_max),
+                    grid_step=float(step), bisect_tol=float(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +537,9 @@ def measure_below(bands: BandList, cutoffs) -> np.ndarray:
     """Lebesgue measure of the band union intersected with [0, K] for
     each cutoff K."""
     cutoffs = np.asarray(cutoffs, dtype=float)
-    if not bands.bands:
+    starts, ends = bands.lo, bands.hi
+    if not len(starts):
         return np.zeros(cutoffs.shape)
-    starts = np.array([b.lo for b in bands.bands])
-    ends = np.array([b.hi for b in bands.bands])
     cum = np.concatenate([[0.0], np.cumsum(ends - starts)])
     idx = np.searchsorted(ends, cutoffs, side="left")
     full = cum[idx]

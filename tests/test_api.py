@@ -11,7 +11,7 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 # The public API.  A name retired from the package leaves this set with
 # it, so a stale ``__all__`` entry or an accidental export fails here.
 PUBLIC = frozenset((
-    "Band", "BandList", "BondSystem", "DensitySeries", "EXAMPLE_NAMES",
+    "BandList", "BondSystem", "DensitySeries", "EXAMPLE_NAMES",
     "Edge", "FundamentalCell", "GraphError", "Identification",
     "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
     "VolumeEstimate", "band_intervals", "bind_lengths", "bloch_reduce",

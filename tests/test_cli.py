@@ -72,6 +72,15 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_file_fails(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{\x00\"\x00")
+    for argv in (["validate", str(path)], ["bands", str(path), "--kmax", "5"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed graph file"), err
+
+
 def test_usage_errors_exit_2(lasso_file):
     for argv in (["bands", lasso_file],                        # missing --kmax
                  ["bands", lasso_file, "--kmax", "-3"],
@@ -144,6 +153,24 @@ def test_graph_above_compile_budget_fails(tmp_path, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(3 ** 41 * 65) in err
+
+
+def test_many_generators_fail(tmp_path, capsys):
+    # a five-loop flower with one generator per loop: its alpha-series over
+    # the 64^4 grid of the other generators is above COMPILE_BUDGET
+    path = tmp_path / "flower5.json"
+    gb.save_graph(path, gb.MagneticGraph(
+        vertices=(0,),
+        edges=tuple(gb.Edge(j + 1, 0, 0, 1.0 + 0.1 * j,
+                            tuple(int(i == j) for i in range(5)))
+                    for j in range(5)),
+        generators=5))
+    for argv in (["bands", str(path), "--kmax", "5"],
+                 ["density", str(path), "--kmax", "5"],
+                 ["torus", str(path), "--samples", "10"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the alpha-series"), err
 
 
 def test_density_csv(lasso_file, capsys):

@@ -127,7 +127,7 @@ def test_split_loop_matches_analytic_circle():
     ks = np.random.default_rng(0).uniform(0.0, 40.0, 50)
     assert gb.momentum_membership(bs, ks).all()
     bands = gb.band_intervals(bs, 25.0)
-    assert len(bands.bands) == 1
+    assert len(bands.lo) == 1
     assert bands.total_measure == pytest.approx(25.0, abs=1e-9)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,8 +170,8 @@ def test_exact_degree_keeps_clear_members(monkeypatch):
     degrees = []
     extremes = spectrum._extremes
     monkeypatch.setattr(spectrum, "_extremes",
-                        lambda G, m, even: degrees.append(m)
-                        or extremes(G, m, even))
+                        lambda c, m, even: degrees.append(m)
+                        or extremes(c, m, even))
     alphas = 2 * np.pi * np.arange(4096)[:, None] / 4096
     for seed, (degree, rows) in LOOSE_BOUND_MEMBERS.items():
         bs = gb.bond_matrices(random_magnetic_graph(seed))
@@ -219,13 +220,34 @@ def lu_real_secular(bs, kappas, alphas):
     return F.real if bs.parity == 1 else F.imag
 
 
+def lu_series(bs, kappas):
+    """Reference coefficients c_0..c_m of G along the generator of highest
+    exact degree m, at every point of the GRID_FALLBACK_POINTS grid over
+    the other generators (the first of them slowest): the FFT of LU
+    samples at 2m + 1 equispaced points; shape (n, 64^(J - 1), m + 1)."""
+    degree = bs.secular_polynomial.degree
+    J = len(degree)
+    if J == 0:
+        return lu_real_secular(bs, kappas, np.zeros((1, 0)))[:, :, None]
+    main = int(np.argmax(degree))
+    m = degree[main]
+    n = spectrum.GRID_FALLBACK_POINTS
+    order = [j for j in range(J) if j != main] + [main]
+    axes = ([2 * np.pi * np.arange(n) / n] * (J - 1)
+            + [2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1)])
+    alphas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    alphas = alphas.reshape(-1, J)[:, np.argsort(order)]
+    G = lu_real_secular(bs, kappas, alphas).reshape(len(kappas), -1, 2 * m + 1)
+    return np.fft.rfft(G, axis=-1) / (2 * m + 1)
+
+
 def lu_membership(bs, kappas):
     """Reference membership with every G sample an LU determinant, taken
     on the quasi-momentum grid of the exact degree, with the extremes of
     the membership kernel."""
-    alphas, m = spectrum._alpha_grid(bs.secular_polynomial.degree)
-    G = lu_real_secular(bs, kappas, alphas)
-    lo, hi = spectrum._extremes(G.reshape(-1, 2 * m + 1), m,
+    c = lu_series(bs, kappas)
+    m = c.shape[-1] - 1
+    lo, hi = spectrum._extremes(c.reshape(-1, m + 1), m,
                                 even=bs.generators == 1)
     return ((lo.reshape(len(kappas), -1).min(axis=1) <= ZERO_TOL)
             & (hi.reshape(len(kappas), -1).max(axis=1) >= -ZERO_TOL))
@@ -278,6 +300,29 @@ def test_secular_symmetries():
         assert np.all(np.abs(flip_alpha - G) <= tol), name
         assert np.all(np.abs(flip_kappa - bs.parity * G) <= tol), name
     assert parities == {1, -1}
+
+
+def test_alpha_series_matches_lu_fft():
+    # the stored series, contracted with the cos (sin) of the edge phase
+    # monomials, gives the coefficients of G along the main generator at
+    # every grid point of the others; the reference is the FFT of LU
+    # samples on the 2m + 1 x 64^(J - 1) grid.  Covers J = 0, 1 and 2.
+    rng = np.random.default_rng(21)
+    graphs = dict(compiled_graphs(),
+                  J0=random_magnetic_graph(5, generators=0),
+                  J2=random_magnetic_graph(17, generators=2))
+    assert gb.bond_matrices(graphs["J2"]).secular_polynomial.degree == (2, 1)
+    for name, g in graphs.items():
+        bs = gb.bond_matrices(g)
+        poly = bs.secular_polynomial
+        kappas = rng.uniform(0, 2 * np.pi, (50, bs.n_edges))
+        ref = lu_series(bs, kappas)
+        assert poly.series.shape[1:] == ref.shape[1:], name
+        assert np.isrealobj(poly.series) == (bs.generators <= 1), name
+        trig = np.cos if poly.parity == 1 else np.sin
+        got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
+                        poly.series)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
 
 
 def test_compile_takes_one_determinant_per_symmetry_orbit(monkeypatch):
@@ -348,6 +393,44 @@ def test_large_graph_compiles_and_cap_raises():
             compute()
 
 
+def flower(loops):
+    """One vertex with ``loops`` loops, loop j carrying a unit of flux of
+    generator j: J = E = loops, every flux weight 1."""
+    return gb.MagneticGraph(
+        vertices=(0,),
+        edges=tuple(gb.Edge(j + 1, 0, 0, 1.0 + 0.1 * j,
+                            tuple(int(i == j) for i in range(loops)))
+                    for j in range(loops)),
+        generators=loops)
+
+
+def test_alpha_series_above_budget_refused_before_allocation():
+    # five generators: a compile grid of 3^5 * 3^5 = 59,049 points, but an
+    # alpha-series over 64^4 grid points per edge phase monomial; refused
+    # from every entry point, with no large allocation on the way
+    big = gb.bond_matrices(flower(5))
+    assert 3 ** 5 * np.prod(2 * np.array(big.flux_weight) + 1) == 59_049
+    tracemalloc.start()
+    try:
+        for compute in (lambda: big.secular_polynomial,
+                        lambda: gb.membership_from_phases(big, np.zeros((1, 5))),
+                        lambda: gb.band_intervals(big, 1.0),
+                        lambda: gb.mc_volume(big, 10, seed=0)):
+            with pytest.raises(GraphError, match="alpha-series"):
+                compute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    # three generators stay accepted and match the LU reference
+    bs = gb.bond_matrices(random_magnetic_graph(4, generators=3))
+    assert bs.secular_polynomial.series.shape[1] == 64 ** 2
+    kappas = np.random.default_rng(22).uniform(0, 2 * np.pi, (20, bs.n_edges))
+    member = gb.membership_from_phases(bs, kappas)
+    assert 0 < member.sum() < len(member)
+    assert np.array_equal(member, lu_membership(bs, kappas))
+
+
 def test_m1_closed_form_matches_dense_alpha_reference():
     # G = c0 + 2|c1| cos(alpha + phase): member iff |c0| <= 2|c1|, from
     # compiled G and from LU determinants, for both signs of det S
@@ -381,7 +464,7 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
     # and momentum rows k l, from compiled G and from LU determinants, for
     # both signs of det S, never reach the critical points.  Seeds 17 and
     # 12 have degree 1 below their flux weight 2.
-    def critical_values(G, m):
+    def critical_values(c, m):
         raise CriticalPointsReached(m)
     monkeypatch.setattr(spectrum, "_critical_values", critical_values)
     rng = np.random.default_rng(17)
@@ -426,12 +509,35 @@ def test_m2_closed_form_degenerate_rows():
 
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        lo, hi = spectrum._extremes(rows(5), 2, even=True)
+        lo, hi = spectrum._extremes(coef, 2, even=True)
     assert not np.isnan(lo).any() and not np.isnan(hi).any()
     dense = rows(4096)
     assert np.allclose(lo, dense.min(axis=1), rtol=0, atol=1e-12)
     assert np.allclose(hi, dense.max(axis=1), rtol=0, atol=1e-12)
     assert lo[6] <= ZERO_TOL and hi[6] >= -ZERO_TOL          # flat band
+
+
+def test_critical_points_degenerate_rows():
+    # rows c_0..c_3 of degree-3 polynomials c_0 + 2 Re sum_j c_j exp(i j
+    # alpha): a regular complex row, G = 0 (a flat band), a vanishing lead
+    # (a degree-2 row at m = 3), and NaN (a failed sample).  The first two
+    # are exact; the third stays within the true range, from the 2m + 1
+    # equispaced points; the last is NaN.
+    c = np.array([[0.1, 0.3 - 0.2j, -0.25 + 0.1j, 0.15 + 0.05j],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [0.2, 0.4 + 0.1j, -0.3j, 0.0],
+                  [np.nan, 0.1, 0.1, 0.1]])
+    alpha = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
+    dense = c[:, :1].real + 2 * (c[:, 1:] @ np.exp(1j * np.outer([1, 2, 3],
+                                                                alpha))).real
+    with np.errstate(invalid="ignore"):
+        lo, hi = spectrum._extremes(c, 3, even=False)
+    # the dense grid misses the exact extremes by O(grid step^2)
+    assert dense[0].min() - 1e-8 <= lo[0] <= dense[0].min()
+    assert dense[0].max() <= hi[0] <= dense[0].max() + 1e-8
+    assert lo[1] == hi[1] == 0.0
+    assert dense[2].min() - 1e-12 <= lo[2] <= hi[2] <= dense[2].max() + 1e-12
+    assert np.isnan(lo[3]) and np.isnan(hi[3])
 
 
 def test_two_generator_slices_keep_critical_points():
@@ -461,7 +567,7 @@ def recorded_extremes(monkeypatch):
     seen = []
     extremes = spectrum._extremes
     monkeypatch.setattr(spectrum, "_extremes",
-                        lambda G, m, even: seen.append(extremes(G, m, even))
+                        lambda c, m, even: seen.append(extremes(c, m, even))
                         or seen[-1])
     return seen
 
@@ -493,8 +599,8 @@ def test_margin_sign_matches_two_comparisons(monkeypatch):
     rng = np.random.default_rng(19)
     for name, g in margin_graphs().items():
         bs = gb.bond_matrices(g)
-        edges = np.array([x for b in gb.band_intervals(bs, 30.0).bands
-                          for x in (b.lo, b.hi)])
+        bands = gb.band_intervals(bs, 30.0)
+        edges = np.concatenate([bands.lo, bands.hi])
         kappas = np.vstack([rng.uniform(0, 2 * np.pi, (1000, bs.n_edges)),
                             np.outer(edges, g.lengths)])
         old = assert_margin_sign_is_old_rule(bs, kappas, seen)
@@ -509,7 +615,7 @@ def test_margin_sign_at_exact_extremes(monkeypatch):
     values += [np.nextafter(v, t) for v in (ZERO_TOL, -ZERO_TOL)
                for t in (-np.inf, np.inf)]
     lo, hi = (a.ravel() for a in np.meshgrid(values, values))
-    monkeypatch.setattr(spectrum, "_extremes", lambda G, m, even: (lo, hi))
+    monkeypatch.setattr(spectrum, "_extremes", lambda c, m, even: (lo, hi))
     bs = gb.bond_matrices(margin_graphs()["lasso"])
     kappas = np.zeros((len(lo), 2))
     old = (lo <= ZERO_TOL) & (hi >= -ZERO_TOL)
@@ -525,7 +631,7 @@ def test_margin_sign_at_exact_extremes(monkeypatch):
         a[rng.integers(0, n, 300), rng.integers(0, 64, 300)] = \
             rng.choice(values, 300)
     monkeypatch.setattr(spectrum, "_extremes",
-                        lambda G, m, even: (lo.ravel(), hi.ravel()))
+                        lambda c, m, even: (lo.ravel(), hi.ravel()))
     bs = gb.bond_matrices(margin_graphs()["flower"])
     kappas = np.zeros((n, 3))
     old = (lo.min(axis=1) <= ZERO_TOL) & (hi.max(axis=1) >= -ZERO_TOL)
@@ -556,10 +662,10 @@ def test_band_intervals_unit_lasso_closed_form():
     bands = gb.band_intervals(UNIT_LASSO, 2 * np.pi)
     expected = [(0.0, DIAG_EDGE), (np.pi - DIAG_EDGE, np.pi + DIAG_EDGE),
                 (2 * np.pi - DIAG_EDGE, 2 * np.pi)]
-    assert len(bands.bands) == 3
-    for band, (lo, hi) in zip(bands.bands, expected):
-        assert band.lo == pytest.approx(lo, abs=1e-8)
-        assert band.hi == pytest.approx(hi, abs=1e-8)
+    assert len(bands.lo) == 3
+    for got_lo, got_hi, (lo, hi) in zip(bands.lo, bands.hi, expected):
+        assert got_lo == pytest.approx(lo, abs=1e-8)
+        assert got_hi == pytest.approx(hi, abs=1e-8)
 
 
 def test_band_count_weyl_law():
@@ -572,8 +678,8 @@ def test_band_count_weyl_law():
         K = 150.0
         bands = gb.band_intervals(bs, K)
         expected = K * bs.total_length / np.pi
-        assert len(bands.bands) <= expected + 3
-        assert len(bands.bands) >= 0.75 * expected
+        assert len(bands.lo) <= expected + 3
+        assert len(bands.lo) >= 0.75 * expected
 
 
 def test_band_intervals_grid_robustness():
@@ -583,10 +689,10 @@ def test_band_intervals_grid_robustness():
     bs = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 4))
     coarse = gb.band_intervals(bs, 100.0)
     fine = gb.band_intervals(bs, 100.0, grid_step=coarse.grid_step / 2)
-    extra = len(fine.bands) - len(coarse.bands)
+    extra = len(fine.lo) - len(coarse.lo)
     assert 0 <= extra <= 5
     change = coarse.total_measure - fine.total_measure
-    assert -2 * coarse.bisect_tol * len(coarse.bands) <= change
+    assert -2 * coarse.bisect_tol * len(coarse.lo) <= change
     assert change <= extra * coarse.grid_step + 1e-6
 
 
@@ -596,9 +702,9 @@ def test_bisect_tol_below_float_spacing():
     default = gb.band_intervals(bs, 100.0)
     tiny = gb.band_intervals(bs, 100.0, bisect_tol=1e-20)
     assert tiny.bisect_tol == 2 * np.spacing(100.0)
-    assert len(tiny.bands) == len(default.bands)
-    assert max(max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-               for a, b in zip(tiny.bands, default.bands)) <= 1e-8
+    assert len(tiny.lo) == len(default.lo)
+    assert np.abs(tiny.lo - default.lo).max() <= 1e-8
+    assert np.abs(tiny.hi - default.hi).max() <= 1e-8
 
 
 def bisected_bands(bs, k_max, step, tol):
@@ -658,7 +764,7 @@ def test_band_intervals_match_bisection_reference(monkeypatch):
         step, tol = bands.grid_step, bands.bisect_tol
         assert grid_rows == np.ceil(k_max / step) + 1, name
         assert len(rounds) <= np.ceil(np.log2(step / tol)) + 1, name
-        got = np.array([(b.lo, b.hi) for b in bands.bands])
+        got = np.column_stack([bands.lo, bands.hi])
         ref = bisected_bands(bs, k_max, step, tol)
         assert got.shape == ref.shape, name
         assert np.abs(got - ref).max() <= tol, name
@@ -678,12 +784,22 @@ def test_refinement_rounds_bounded_at_float_spacing(monkeypatch):
                                           / bands.bisect_tol)) + 1
 
 
+def band_list(lo, hi, k_max=5.0):
+    return gb.BandList(lo=np.array(lo, dtype=float),
+                       hi=np.array(hi, dtype=float), k_max=k_max,
+                       grid_step=0.1, bisect_tol=1e-10)
+
+
 def test_band_validation():
-    with pytest.raises(ValueError):
-        gb.Band(2.0, 1.0)
-    with pytest.raises(ValueError):
-        gb.BandList(bands=(gb.Band(1.0, 2.0), gb.Band(1.5, 3.0)),
-                    k_max=5.0, grid_step=0.1, bisect_tol=1e-10)
+    band_list([0.0, 1.5], [1.0, 5.0])
+    band_list([], [])
+    for lo, hi in (([2.0], [1.0]),                    # hi < lo
+                   ([1.0, 1.5], [2.0, 3.0]),          # overlap
+                   ([-1e-9], [1.0]), ([4.0], [5.1]),  # outside [0, k_max]
+                   ([0.0, np.nan], [1.0, 2.0]), ([0.0], [np.inf]),
+                   ([0.0, 1.0], [0.5]), ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError):
+            band_list(lo, hi)
     with pytest.raises(ValueError):
         gb.band_intervals(UNIT_LASSO, -1.0)
 
@@ -691,15 +807,13 @@ def test_band_validation():
 # ------------------------------------------------------------ density
 
 def test_measure_below_brute_force():
-    bands = gb.BandList(bands=(gb.Band(0.0, 1.0), gb.Band(2.0, 2.5),
-                               gb.Band(4.0, 7.0)),
-                        k_max=8.0, grid_step=0.1, bisect_tol=1e-12)
+    bands = band_list([0.0, 2.0, 4.0], [1.0, 2.5, 7.0], k_max=8.0)
     cutoffs = np.array([0.5, 1.0, 1.5, 2.2, 3.0, 5.0, 8.0])
     expected = []
     for c in cutoffs:
         total = 0.0
-        for b in bands.bands:
-            total += max(0.0, min(b.hi, c) - b.lo) if b.lo < c else 0.0
+        for lo, hi in zip(bands.lo, bands.hi):
+            total += max(0.0, min(hi, c) - lo) if lo < c else 0.0
         expected.append(total)
     assert np.abs(gb.measure_below(bands, cutoffs) - expected).max() <= 1e-14
 
