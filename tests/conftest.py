@@ -34,6 +34,17 @@ def random_magnetic_graph(seed, n_edges=5, generators=1, loops=True):
                          generators=generators)
 
 
+def flower_graph(loops):
+    """One vertex with ``loops`` loops, loop j carrying a unit of flux of
+    generator j: J = E = loops, every flux weight 1."""
+    return MagneticGraph(
+        vertices=(0,),
+        edges=tuple(Edge(id=j + 1, tail=0, head=0, length=1.0 + 0.1 * j,
+                         flux=tuple(int(i == j) for i in range(loops)))
+                    for j in range(loops)),
+        generators=loops)
+
+
 @pytest.fixture
 def record_criterion():
     def _record(line):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import random_magnetic_graph
+from conftest import flower_graph, random_magnetic_graph
 from graphbands.cli import run
 
 
@@ -159,12 +159,7 @@ def test_many_generators_fail(tmp_path, capsys):
     # a five-loop flower with one generator per loop: its alpha-series over
     # the 64^4 grid of the other generators is above COMPILE_BUDGET
     path = tmp_path / "flower5.json"
-    gb.save_graph(path, gb.MagneticGraph(
-        vertices=(0,),
-        edges=tuple(gb.Edge(j + 1, 0, 0, 1.0 + 0.1 * j,
-                            tuple(int(i == j) for i in range(5)))
-                    for j in range(5)),
-        generators=5))
+    gb.save_graph(path, flower_graph(5))
     for argv in (["bands", str(path), "--kmax", "5"],
                  ["density", str(path), "--kmax", "5"],
                  ["torus", str(path), "--samples", "10"]):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import random_magnetic_graph
+from conftest import flower_graph, random_magnetic_graph
 from graphbands import GraphError, spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
@@ -393,22 +393,11 @@ def test_large_graph_compiles_and_cap_raises():
             compute()
 
 
-def flower(loops):
-    """One vertex with ``loops`` loops, loop j carrying a unit of flux of
-    generator j: J = E = loops, every flux weight 1."""
-    return gb.MagneticGraph(
-        vertices=(0,),
-        edges=tuple(gb.Edge(j + 1, 0, 0, 1.0 + 0.1 * j,
-                            tuple(int(i == j) for i in range(loops)))
-                    for j in range(loops)),
-        generators=loops)
-
-
 def test_alpha_series_above_budget_refused_before_allocation():
     # five generators: a compile grid of 3^5 * 3^5 = 59,049 points, but an
     # alpha-series over 64^4 grid points per edge phase monomial; refused
     # from every entry point, with no large allocation on the way
-    big = gb.bond_matrices(flower(5))
+    big = gb.bond_matrices(flower_graph(5))
     assert 3 ** 5 * np.prod(2 * np.array(big.flux_weight) + 1) == 59_049
     tracemalloc.start()
     try:
@@ -425,7 +414,7 @@ def test_alpha_series_above_budget_refused_before_allocation():
     # three generators stay accepted and match the LU reference
     bs = gb.bond_matrices(random_magnetic_graph(4, generators=3))
     assert bs.secular_polynomial.series.shape[1] == 64 ** 2
-    kappas = np.random.default_rng(22).uniform(0, 2 * np.pi, (20, bs.n_edges))
+    kappas = np.random.default_rng(22).uniform(0, 2 * np.pi, (8, bs.n_edges))
     member = gb.membership_from_phases(bs, kappas)
     assert 0 < member.sum() < len(member)
     assert np.array_equal(member, lu_membership(bs, kappas))
