@@ -79,11 +79,11 @@ class BondSystem:
 
     @cached_property
     def secular_polynomial(self):
-        """The real secular function compiled to its nonzero monomials
-        (:class:`graphbands.spectrum.SecularPolynomial`); raises
-        :class:`GraphError` when its compile grid has more than
-        ``spectrum.COMPILE_BUDGET`` points.  Compiled on first use and kept
-        with the system."""
+        """The real secular function compiled to its coefficients along
+        the main generator (:class:`graphbands.spectrum.SecularPolynomial`);
+        a :class:`GraphError` when its compile grid has more points, or its
+        alpha-series more entries, than ``spectrum.COMPILE_BUDGET``.
+        Compiled on first use and kept with the system."""
         from .spectrum import compile_secular   # spectrum imports this module
         return compile_secular(self)
 

@@ -26,29 +26,28 @@ det S G(kappa, alpha).  G is compiled once per bond system: determinants
 at one point of each +-pair of the grid of 3 points per edge and of the
 grid of 2 m_j + 1 points per generator, ((3^E + 1) / 2) ((prod(2 m_j +
 1) + 1) / 2) of them, fill the whole grid through the two symmetries,
-and its FFT gives the coefficients exactly.  Only the nonzero ones are
-kept (:class:`SecularPolynomial`), which also gives the exact degree
-d_j <= m_j.  The symmetries make every coefficient real (det S = +1) or
-purely imaginary (det S = -1), so G is a sum of cos (or sin) of kappa . n
-times cos of alpha . s with real coefficients, and a membership row
-costs one cosine (or sine) per edge monomial and one small matrix
-product instead of 2m + 1 determinants.  It is the one source of G for
-membership; a graph whose compile grid, or whose alpha-series below,
-exceeds COMPILE_BUDGET is refused with a GraphError.
+and its FFT gives the coefficients exactly.  The nonzero ones give the
+exact degree d_j <= m_j.  The symmetries make every coefficient real
+(det S = +1) or purely imaginary (det S = -1), so G is a sum of cos (or
+sin) of kappa . n times real trigonometric polynomials in alpha.  Along
+the generator of highest degree m it is c_0 + 2 Re sum_j c_j exp(i j
+alpha), and the compile stores (:class:`SecularPolynomial`) the matrix
+that takes a row's cos (or sin) of kappa . n, for the kept n, to
+c_0..c_m at every point of a grid of GRID_FALLBACK_POINTS points per
+further generator.  A membership row costs one cosine (or sine) per kept
+n and one small matrix product instead of 2m + 1 determinants.  This is
+the one source of G for membership; a graph whose compile grid, or
+whose alpha-series, exceeds COMPILE_BUDGET is refused with a GraphError.
 
-Along the generator of highest degree m, G is c_0 + 2 Re sum_j c_j
-exp(i j alpha), and the compile also stores the matrix that takes a
-row's cos (or sin) of the edge monomials to c_0..c_m at every point of
-a grid of GRID_FALLBACK_POINTS points per further generator.  For m = 1
-G is c_0 + 2|c_1| cos(alpha + phase), so a row is a member iff |c_0| <=
-2|c_1| (+ ZERO_TOL).  With one generator G is even in alpha, because S
-is symmetric under bond reversal, so for m = 2 it is a quadratic in
-cos(alpha) with closed-form extremes on [-1, 1].  For m >= 3, and along
-the main generator when J >= 2, where a slice of G is not even, G is
-evaluated at 2m + 1 equispaced points and at its critical points, roots
-of a companion eigenproblem, which make the minimum and maximum along
-that axis exact.  The extremes are taken over the whole grid of further
-generators.  Extra evaluation points never create a false member.
+For m = 1 G is c_0 + 2|c_1| cos(alpha + phase), so a row is a member
+iff |c_0| <= 2|c_1| (+ ZERO_TOL).  With one generator G is even in
+alpha, so for m = 2 it is a quadratic in cos(alpha) with closed-form
+extremes on [-1, 1].  For m >= 3, and along the main generator when J
+>= 2, where a slice of G is not even, G is evaluated at 2m + 1
+equispaced points and at its critical points, roots of a companion
+eigenproblem, which make the minimum and maximum along that axis exact.
+The extremes are taken over the whole grid of further generators.
+Extra evaluation points never create a false member.
 
 The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
 edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
@@ -76,7 +75,7 @@ from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
-COMPILE_BUDGET = 2_000_000   # most compile grid points, and alpha-series entries
+COMPILE_BUDGET = 2_000_000   # most compile grid points, and series entries
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
 # on every graph tried the nonzero ones were >= 0.005 and the FFT noise
 # of the zero ones <= 5e-16, so the cut sits far from both.
@@ -134,53 +133,36 @@ def real_secular_values(bs: BondSystem, kappas, alphas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SecularPolynomial:
-    """The real secular function G as a sparse trigonometric polynomial,
+    """The real secular function G as its coefficients along the
+    generator of highest degree m, the main one.  At point b of the grid
+    of GRID_FALLBACK_POINTS points per other generator (the first
+    slowest) G = c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha_main), with
 
-        G(kappa; alpha) = sum_{r, s} coef[r, s] t(kappa_freq[r] . kappa)
-                                                cos(alpha_freq[s] . alpha),
+        c_j = sum_r series[r, b, j] t(kappa_freq[r] . kappa),
 
-    over the monomials whose coefficient is nonzero, with t = cos when
-    ``parity`` (det S) is +1 and t = sin when it is -1.  G is real, even
-    in alpha and has G(-kappa, alpha) = det S G(kappa, alpha), so the
-    Fourier coefficient c of frequencies (n, s) equals that of (n, -s)
-    and det S times that of (-n, s), and is real (det S = +1) or purely
-    imaginary (det S = -1).  ``kappa_freq`` holds one n of each pair +-n
-    (entries in {-1, 0, 1}, first nonzero entry 1) and ``coef`` twice
-    Re c, or -2 Im c, plus the n = 0 row once, which only det S = +1
-    has; ``alpha_freq`` holds both s and -s.  ``monomials`` counts the
-    nonzero coefficients of G before that folding.  ``degree`` is the
-    exact degree of G in each quasi-momentum, at most its flux weight.
-
-    ``series`` holds G along the generator of highest degree m, the main
-    one.  At point b of the grid of GRID_FALLBACK_POINTS points per other
-    generator (the first slowest), G = c_0 + 2 Re sum_{j=1..m} c_j
-    exp(i j alpha_main) with c_j = sum_r series[r, b, j] t(kappa_freq[r]
-    . kappa).  It is real when J <= 1, where that grid is one point.
+    t = cos when ``parity`` (det S) is +1 and t = sin when it is -1.
+    The Fourier coefficients of G at edge phase frequencies n and -n are
+    equal and real when det S = +1, opposite and purely imaginary when
+    det S = -1.  ``kappa_freq`` holds one n of each pair with a
+    nonzero coefficient (entries in {-1, 0, 1}, first nonzero entry 1),
+    and ``series`` sums twice their real part, or minus twice their
+    imaginary part, plus the n = 0 row once, which only det S = +1 has.
+    It is real when J <= 1, where the grid is one point.  ``degree`` is
+    the exact degree of G in each quasi-momentum, at most its flux weight.
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
-    alpha_freq: np.ndarray       # (Ra, J) float, integer valued
-    coef: np.ndarray             # (Rk, Ra) float
-    parity: int                  # det S, +1 or -1
-    monomials: int
     series: np.ndarray           # (Rk, 64^(J-1), m + 1) float (J <= 1) or complex
-
-    @property
-    def degree(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in
-                     np.abs(self.alpha_freq).max(axis=0, initial=0))
-
-    def values(self, kappas, alphas) -> np.ndarray:
-        """G at every pair of an edge phase row (n, E) and a quasi-momentum
-        row (NA, J); shape (n, NA)."""
-        trig = np.cos if self.parity == 1 else np.sin
-        return (trig(kappas @ self.kappa_freq.T)
-                @ (self.coef @ np.cos(self.alpha_freq @ alphas.T)))
+    parity: int                  # det S, +1 or -1
+    degree: tuple[int, ...]
 
 
 def compile_secular(bs: BondSystem) -> SecularPolynomial:
     """Compile G of ``bs``; a :class:`GraphError` naming the count when
-    the sampling grid has more than COMPILE_BUDGET points.
+    the sampling grid has more than COMPILE_BUDGET points or the
+    ``series`` more than COMPILE_BUDGET entries.  J >= 5 generators are
+    refused before any determinant: the grid of the other generators
+    alone has more points than that.
 
     G is sampled on 3 points per edge phase and 2 m_j + 1 per generator,
     which holds every frequency it has exactly once, so the FFT of the
@@ -190,63 +172,53 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     + 1) + 1) / 2) in all; the rest of the grid follows from G(kappa,
     -alpha) = G(kappa, alpha) and G(-kappa, alpha) = det S G(kappa,
     alpha).  Coefficients at or below _DROP_TOL are exact zeros lost in
-    roundoff and are dropped.  Use ``bs.secular_polynomial``, which
-    compiles once and keeps it.
+    roundoff and are dropped; the rest give the exact degrees.  The main
+    generator keeps frequencies 0..m, and each other one is summed at
+    its grid points beta, sum_s c_s exp(i s beta).  Use
+    ``bs.secular_polynomial``, which compiles once and keeps it.
     """
-    E = bs.n_edges
+    E, J = bs.n_edges, bs.generators
     sizes = [3] * E + [2 * m + 1 for m in bs.flux_weight]
     count = math.prod(sizes)                  # exact; 3**E overflows int64
     if count > COMPILE_BUDGET:
         raise GraphError("the grid the secular function is compiled on has "
                          "%d points, above COMPILE_BUDGET = %d"
                          % (count, COMPILE_BUDGET))
+    n = GRID_FALLBACK_POINTS
+    points = n ** max(J - 1, 0)               # entries of one row of degree 0
+    if points > COMPILE_BUDGET:
+        raise GraphError("the alpha-series of the secular function has at "
+                         "least %d entries, above COMPILE_BUDGET = %d"
+                         % (points, COMPILE_BUDGET))
     kappas, k_row, k_own = _half_grid(sizes[:E])
     alphas, a_row, _ = _half_grid(sizes[E:])
     G = real_secular_values(bs, kappas, alphas)[np.ix_(k_row, a_row)]
     G[~k_own] *= bs.parity                    # G(-kappa) = det S G(kappa)
     c = np.fft.fftn(G.reshape(sizes)) / G.size
-    kept = np.nonzero(np.abs(c) > _DROP_TOL)
-    freq = np.stack([np.fft.fftfreq(n, 1.0 / n)[i]
-                     for n, i in zip(sizes, kept)], axis=1)
-    lead = freq[np.arange(len(freq)), np.argmax(freq[:, :E] != 0, axis=1)]
-    half = lead >= 0                          # n = 0, or first nonzero n_e = 1
-    kappa_freq, r = np.unique(freq[half, :E], axis=0, return_inverse=True)
-    alpha_freq, s = np.unique(freq[half, E:], axis=0, return_inverse=True)
-    c = c[kept][half]
-    coef = np.zeros((len(kappa_freq), len(alpha_freq)))
-    coef[r.ravel(), s.ravel()] = (np.where(lead[half] > 0, 2.0, 1.0)
-                                  * (c.real if bs.parity == 1 else -c.imag))
-    return SecularPolynomial(kappa_freq, alpha_freq, coef, bs.parity,
-                             len(freq), _alpha_series(alpha_freq, coef))
-
-
-def _alpha_series(alpha_freq: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """The ``series`` of :class:`SecularPolynomial`.  cos(s . alpha) is
-    (exp(i s . alpha) + exp(-i s . alpha)) / 2, so at a grid point beta
-    of the other generators the first term adds exp(i beta . s') / 2 to
-    c_j for j = s_main and the second its conjugate for j = -s_main, s'
-    the other entries of s.  Raises :class:`GraphError` naming the count,
-    before allocating, when the series and that table of terms would have
-    more than COMPILE_BUDGET entries (in practice from J = 4 on)."""
-    J = alpha_freq.shape[1]
-    main = np.arange(J) == (np.argmax(np.abs(alpha_freq).max(axis=0))
-                            if J else -1)
-    along = alpha_freq[:, main].sum(axis=1)          # 0 when J = 0
-    m = int(np.abs(along).max(initial=0))
-    n = GRID_FALLBACK_POINTS
-    count = (len(coef) + len(alpha_freq)) * n ** max(J - 1, 0) * (m + 1)
+    c[np.abs(c) <= _DROP_TOL] = 0.0
+    c = (c.real if bs.parity == 1 else -c.imag).reshape(len(G), -1)
+    freq = ((_grid_index(sizes[:E]) + 1) % 3 - 1).astype(float)  # 0, 1, -1
+    lead = freq[np.arange(len(freq)), np.argmax(freq != 0, axis=1)]
+    rows = (lead >= 0) & c.any(axis=1)        # n = 0, or first nonzero n_e = 1
+    c[lead > 0] *= 2.0                        # the pair n, -n
+    c = c[rows].reshape(-1, *sizes[E:])
+    freqs = [np.fft.fftfreq(size, 1.0 / size) for size in sizes[E:]]
+    degree = tuple(int(np.abs(f[i]).max(initial=0))
+                   for f, i in zip(freqs, np.nonzero(c)[1:]))
+    m = max(degree, default=0)
+    main = degree.index(m) if J else 0
+    count = len(c) * points * (m + 1)
     if count > COMPILE_BUDGET:
-        raise GraphError("the alpha-series of the secular function and its "
-                         "table have %d entries, above COMPILE_BUDGET = %d"
+        raise GraphError("the alpha-series of the secular function has %d "
+                         "entries, above COMPILE_BUDGET = %d"
                          % (count, COMPILE_BUDGET))
-    beta = _grid_index([n] * (J - 1)) * (2.0 * np.pi / n)
-    phase = np.exp(1j * alpha_freq[:, ~main] @ beta.T)[:, :, None] / 2.0
-    j = np.arange(m + 1)
-    table = (phase * (along[:, None] == j)[:, None, :]
-             + phase.conj() * (along[:, None] == -j)[:, None, :])
-    series = (coef @ table.reshape(len(table), -1)).reshape(
-        len(coef), *table.shape[1:])
-    return series if J > 1 else series.real.copy()   # contiguous, for _margin
+    series = np.moveaxis(c, main + 1, -1)[..., :m + 1] if J else c[..., None]
+    beta = 2.0 * np.pi * np.arange(n) / n
+    for axis, f in enumerate(freqs[:main] + freqs[main + 1:], start=1):
+        series = np.moveaxis(np.tensordot(np.exp(1j * np.outer(beta, f)),
+                                          series, axes=(1, axis)), 0, axis)
+    return SecularPolynomial(freq[rows], np.ascontiguousarray(
+        series.reshape(len(c), points, m + 1)), bs.parity, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +230,24 @@ def _critical_values(c: np.ndarray, m: int) -> np.ndarray:
     c_j exp(i j alpha) of degree m >= 2 (rows of c) at the 2m + 1
     equispaced points and at the arguments of the 2m roots of sum_j j c_j
     z^(j+m), c_{-j} = conj(c_j), their critical points when on the unit
-    circle.  Non-finite entries past the first 2m + 1 mark failed roots;
-    the equispaced points keep rows with G = 0 or a vanishing lead
-    exact."""
+    circle.  A row whose top nonzero c_j has j = d < m is first
+    multiplied by z^(m - d), so that its 2d roots come with 2(m - d) at
+    z = 0, which are NaN on the circle.  Non-finite entries past the
+    first 2m + 1 mark those and failed roots; the equispaced points keep
+    a row with G = 0 exact."""
     j = np.arange(1, m + 1)
     P = np.zeros((len(c), 2 * m + 1), dtype=complex)
     P[:, m + 1:] = j * c[:, 1:]
     P[:, m - 1::-1] = -j * np.conj(c[:, 1:])
+    # shift by m - d; the indices below 0 wrap onto the zeros above m + d
+    shift = np.argmax(c[:, :0:-1] != 0, axis=1)
+    P = np.take_along_axis(P, np.arange(2 * m + 1) - shift[:, None], axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         monic = P[:, :-1] / P[:, -1:]
     C = np.zeros((len(c), 2 * m, 2 * m), dtype=complex)
     idx = np.arange(2 * m - 1)
     C[:, idx + 1, idx] = 1.0
-    # a row with a vanishing lead gets arbitrary, hence harmless, points
+    # a row with G = 0 gets arbitrary, hence harmless, points
     C[:, :, -1] = -np.where(np.isfinite(monic), monic, 0.0)
     roots = np.linalg.eigvals(C)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -353,7 +330,7 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
 
     G and its exact degrees come from the compiled polynomial
     ``bs.secular_polynomial``, which raises :class:`GraphError` for a
-    graph above COMPILE_BUDGET (in practice from J = 4 generators on).
+    graph above COMPILE_BUDGET (always from J = 5 generators on).
     """
     return _margin(bs, _edge_phases(bs, kappas)) >= 0
 

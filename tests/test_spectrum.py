@@ -220,25 +220,46 @@ def lu_real_secular(bs, kappas, alphas):
     return F.real if bs.parity == 1 else F.imag
 
 
+def series_alphas(bs, alpha_main):
+    """Quasi-momentum rows at every point of the GRID_FALLBACK_POINTS grid
+    over the generators other than the one of highest exact degree (the
+    first of them slowest) and, fastest, at each of ``alpha_main`` along
+    that one; shape (64^(J - 1) len(alpha_main), J)."""
+    degree = bs.secular_polynomial.degree
+    J = len(degree)
+    if J == 0:
+        return np.zeros((len(alpha_main), 0))
+    n = spectrum.GRID_FALLBACK_POINTS
+    axes = [2 * np.pi * np.arange(n) / n] * (J - 1) + [alpha_main]
+    alphas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    main = int(np.argmax(degree))
+    order = [j for j in range(J) if j != main] + [main]
+    return alphas.reshape(-1, J)[:, np.argsort(order)]
+
+
 def lu_series(bs, kappas):
     """Reference coefficients c_0..c_m of G along the generator of highest
     exact degree m, at every point of the GRID_FALLBACK_POINTS grid over
     the other generators (the first of them slowest): the FFT of LU
     samples at 2m + 1 equispaced points; shape (n, 64^(J - 1), m + 1)."""
-    degree = bs.secular_polynomial.degree
-    J = len(degree)
-    if J == 0:
-        return lu_real_secular(bs, kappas, np.zeros((1, 0)))[:, :, None]
-    main = int(np.argmax(degree))
-    m = degree[main]
-    n = spectrum.GRID_FALLBACK_POINTS
-    order = [j for j in range(J) if j != main] + [main]
-    axes = ([2 * np.pi * np.arange(n) / n] * (J - 1)
-            + [2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1)])
-    alphas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    alphas = alphas.reshape(-1, J)[:, np.argsort(order)]
+    m = max(bs.secular_polynomial.degree, default=0)
+    alphas = series_alphas(bs, 2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1))
     G = lu_real_secular(bs, kappas, alphas).reshape(len(kappas), -1, 2 * m + 1)
     return np.fft.rfft(G, axis=-1) / (2 * m + 1)
+
+
+def series_values(bs, kappas, alpha_main):
+    """G from the compiled series, c_0 + 2 Re sum_j c_j exp(i j alpha), at
+    rows of edge phases (n, E), at every point of the grid over the other
+    generators and at each of ``alpha_main``; shape (n, 64^(J - 1),
+    len(alpha_main))."""
+    poly = bs.secular_polynomial
+    trig = np.cos if poly.parity == 1 else np.sin
+    c = np.einsum("nr,rbj->nbj", trig(kappas @ poly.kappa_freq.T), poly.series)
+    j = np.arange(c.shape[-1])[:, None]
+    weight = np.where(j > 0, 2.0, 1.0)
+    return (c.real @ (weight * np.cos(j * alpha_main))
+            - c.imag @ (weight * np.sin(j * alpha_main)))
 
 
 def lu_membership(bs, kappas):
@@ -266,21 +287,6 @@ def compiled_graphs():
     return graphs
 
 
-def test_compiled_secular_matches_determinants():
-    rng = np.random.default_rng(12)
-    for name, g in compiled_graphs().items():
-        bs = gb.bond_matrices(g)
-        poly = bs.secular_polynomial
-        grid = 3 ** bs.n_edges * np.prod(2 * np.array(bs.flux_weight) + 1)
-        assert 0 < poly.monomials < grid, name
-        assert np.all(np.array(poly.degree) <= bs.flux_weight), name
-        kappas = rng.uniform(0, 2 * np.pi, (200, bs.n_edges))
-        alphas = rng.uniform(0, 2 * np.pi, (8, bs.generators))
-        ref = lu_real_secular(bs, kappas, alphas)
-        got = poly.values(kappas, alphas)
-        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
-
-
 def test_secular_symmetries():
     # G(kappa, -alpha) = G(kappa, alpha) and G(-kappa, alpha) = det S
     # G(kappa, alpha), which the compile uses to fill its grid
@@ -304,9 +310,11 @@ def test_secular_symmetries():
 
 def test_alpha_series_matches_lu_fft():
     # the stored series, contracted with the cos (sin) of the edge phase
-    # monomials, gives the coefficients of G along the main generator at
+    # frequencies, gives the coefficients of G along the main generator at
     # every grid point of the others; the reference is the FFT of LU
-    # samples on the 2m + 1 x 64^(J - 1) grid.  Covers J = 0, 1 and 2.
+    # samples on the 2m + 1 x 64^(J - 1) grid.  G from these coefficients
+    # matches LU determinants at random points along the main generator.
+    # Covers J = 0, 1 and 2.
     rng = np.random.default_rng(21)
     graphs = dict(compiled_graphs(),
                   J0=random_magnetic_graph(5, generators=0),
@@ -315,6 +323,8 @@ def test_alpha_series_matches_lu_fft():
     for name, g in graphs.items():
         bs = gb.bond_matrices(g)
         poly = bs.secular_polynomial
+        assert 0 < len(poly.kappa_freq) <= (3 ** bs.n_edges + 1) // 2, name
+        assert np.all(np.array(poly.degree) <= bs.flux_weight), name
         kappas = rng.uniform(0, 2 * np.pi, (50, bs.n_edges))
         ref = lu_series(bs, kappas)
         assert poly.series.shape[1:] == ref.shape[1:], name
@@ -322,6 +332,11 @@ def test_alpha_series_matches_lu_fft():
         trig = np.cos if poly.parity == 1 else np.sin
         got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
                         poly.series)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
+        kappas = rng.uniform(0, 2 * np.pi, (200, bs.n_edges))
+        alpha_main = rng.uniform(0, 2 * np.pi, 8)
+        ref = lu_real_secular(bs, kappas, series_alphas(bs, alpha_main))
+        got = series_values(bs, kappas, alpha_main).reshape(len(kappas), -1)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
 
 
@@ -346,7 +361,7 @@ def test_compile_takes_one_determinant_per_symmetry_orbit(monkeypatch):
         dets.clear()
         poly = spectrum.compile_secular(bs)
         assert sum(dets) == expected, name
-        assert poly.coef.dtype == np.float64, name
+        assert np.isrealobj(poly.series) == (bs.generators <= 1), name
         assert poly.parity == bs.parity, name
 
 
@@ -393,10 +408,18 @@ def test_large_graph_compiles_and_cap_raises():
             compute()
 
 
-def test_alpha_series_above_budget_refused_before_allocation():
+def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
     # five generators: a compile grid of 3^5 * 3^5 = 59,049 points, but an
-    # alpha-series over 64^4 grid points per edge phase monomial; refused
-    # from every entry point, with no large allocation on the way
+    # alpha-series over 64^4 grid points per edge phase frequency; refused
+    # from every entry point, before any determinant and with no large
+    # allocation on the way
+    dets = []
+
+    def counted(*args, **kwargs):
+        dets.append(1)
+        return secular_values(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "secular_values", counted)
     big = gb.bond_matrices(flower_graph(5))
     assert 3 ** 5 * np.prod(2 * np.array(big.flux_weight) + 1) == 59_049
     tracemalloc.start()
@@ -411,6 +434,7 @@ def test_alpha_series_above_budget_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+    assert dets == []
     # three generators stay accepted and match the LU reference
     bs = gb.bond_matrices(random_magnetic_graph(4, generators=3))
     assert bs.secular_polynomial.series.shape[1] == 64 ** 2
@@ -457,7 +481,7 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
         raise CriticalPointsReached(m)
     monkeypatch.setattr(spectrum, "_critical_values", critical_values)
     rng = np.random.default_rng(17)
-    alphas = 2 * np.pi * np.arange(4096)[:, None] / 4096
+    alphas = 2 * np.pi * np.arange(4096) / 4096
     graphs = [(gb.bloch_reduce(LADDER_CELL), 2), (random_magnetic_graph(3), 2),
               (random_magnetic_graph(19), 2), (random_magnetic_graph(17), 1),
               (random_magnetic_graph(12), 1)]
@@ -469,7 +493,7 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
         ks = rng.uniform(0, 500, 1000)
         kappas = np.vstack([rng.uniform(0, 2 * np.pi, (1000, bs.n_edges)),
                             ks[:, None] * g.lengths])
-        G = bs.secular_polynomial.values(kappas, alphas)
+        G = series_values(bs, kappas, alphas).reshape(len(kappas), -1)
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         assert 0 < dense.sum() < len(dense)
         assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
@@ -508,13 +532,13 @@ def test_m2_closed_form_degenerate_rows():
 
 def test_critical_points_degenerate_rows():
     # rows c_0..c_3 of degree-3 polynomials c_0 + 2 Re sum_j c_j exp(i j
-    # alpha): a regular complex row, G = 0 (a flat band), a vanishing lead
-    # (a degree-2 row at m = 3), and NaN (a failed sample).  The first two
-    # are exact; the third stays within the true range, from the 2m + 1
-    # equispaced points; the last is NaN.
+    # alpha): a regular complex row, G = 0 (a flat band), vanishing leads
+    # (rows of degree 2 and 1 at m = 3), and NaN (a failed sample).  All
+    # but the last are exact; the last is NaN.
     c = np.array([[0.1, 0.3 - 0.2j, -0.25 + 0.1j, 0.15 + 0.05j],
                   [0.0, 0.0, 0.0, 0.0],
                   [0.2, 0.4 + 0.1j, -0.3j, 0.0],
+                  [0.2, 0.4 + 0.1j, 0.0, 0.0],
                   [np.nan, 0.1, 0.1, 0.1]])
     alpha = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
     dense = c[:, :1].real + 2 * (c[:, 1:] @ np.exp(1j * np.outer([1, 2, 3],
@@ -522,11 +546,11 @@ def test_critical_points_degenerate_rows():
     with np.errstate(invalid="ignore"):
         lo, hi = spectrum._extremes(c, 3, even=False)
     # the dense grid misses the exact extremes by O(grid step^2)
-    assert dense[0].min() - 1e-8 <= lo[0] <= dense[0].min()
-    assert dense[0].max() <= hi[0] <= dense[0].max() + 1e-8
+    for row in (0, 2, 3):
+        assert dense[row].min() - 1e-8 <= lo[row] <= dense[row].min(), row
+        assert dense[row].max() <= hi[row] <= dense[row].max() + 1e-8, row
     assert lo[1] == hi[1] == 0.0
-    assert dense[2].min() - 1e-12 <= lo[2] <= hi[2] <= dense[2].max() + 1e-12
-    assert np.isnan(lo[3]) and np.isnan(hi[3])
+    assert np.isnan(lo[4]) and np.isnan(hi[4])
 
 
 def test_two_generator_slices_keep_critical_points():
@@ -538,13 +562,11 @@ def test_two_generator_slices_keep_critical_points():
     poly = bs.secular_polynomial
     assert poly.degree == (2, 1)
     kappas = np.random.default_rng(18).uniform(0, 2 * np.pi, (400, bs.n_edges))
-    n = spectrum.GRID_FALLBACK_POINTS
-    grid = np.meshgrid(2 * np.pi * np.arange(1024) / 1024,
-                       2 * np.pi * np.arange(n) / n, indexing="ij")
-    alphas = np.stack(grid, axis=-1).reshape(-1, 2)
+    alpha_main = 2 * np.pi * np.arange(1024) / 1024
     dense = np.concatenate([
-        (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
-        for G in (poly.values(rows, alphas) for rows in np.split(kappas, 8))])
+        (G.min(axis=(1, 2)) <= ZERO_TOL) & (G.max(axis=(1, 2)) >= -ZERO_TOL)
+        for G in (series_values(bs, rows, alpha_main)
+                  for rows in np.split(kappas, 16))])
     assert 0 < dense.sum() < len(dense)
     assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
 
