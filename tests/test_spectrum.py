@@ -308,14 +308,12 @@ def test_secular_symmetries():
     assert parities == {1, -1}
 
 
-def test_alpha_series_matches_lu_fft():
-    # the stored series, contracted with the cos (sin) of the edge phase
-    # frequencies, gives the coefficients of G along the main generator at
-    # every grid point of the others; the reference is the FFT of LU
-    # samples on the 2m + 1 x 64^(J - 1) grid.  G from these coefficients
-    # matches LU determinants at random points along the main generator.
-    # Covers J = 0, 1 and 2.
-    rng = np.random.default_rng(21)
+def test_compiled_secular_matches_determinants():
+    # G from the compiled series matches LU determinants at random points
+    # along the main generator, with at most one kept edge-phase row per
+    # +-pair and exact degrees within the flux weights.  Covers J = 0, 1
+    # and 2.
+    rng = np.random.default_rng(12)
     graphs = dict(compiled_graphs(),
                   J0=random_magnetic_graph(5, generators=0),
                   J2=random_magnetic_graph(17, generators=2))
@@ -325,6 +323,25 @@ def test_alpha_series_matches_lu_fft():
         poly = bs.secular_polynomial
         assert 0 < len(poly.kappa_freq) <= (3 ** bs.n_edges + 1) // 2, name
         assert np.all(np.array(poly.degree) <= bs.flux_weight), name
+        kappas = rng.uniform(0, 2 * np.pi, (200, bs.n_edges))
+        alpha_main = rng.uniform(0, 2 * np.pi, 8)
+        ref = lu_real_secular(bs, kappas, series_alphas(bs, alpha_main))
+        got = series_values(bs, kappas, alpha_main).reshape(len(kappas), -1)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
+
+
+def test_alpha_series_matches_lu_fft():
+    # the stored series, contracted with the cos (sin) of the edge phase
+    # frequencies, gives the coefficients of G along the main generator at
+    # every grid point of the others; the reference is the FFT of LU
+    # samples on the 2m + 1 x 64^(J - 1) grid.  Covers J = 0, 1 and 2.
+    rng = np.random.default_rng(21)
+    graphs = dict(compiled_graphs(),
+                  J0=random_magnetic_graph(5, generators=0),
+                  J2=random_magnetic_graph(17, generators=2))
+    for name, g in graphs.items():
+        bs = gb.bond_matrices(g)
+        poly = bs.secular_polynomial
         kappas = rng.uniform(0, 2 * np.pi, (50, bs.n_edges))
         ref = lu_series(bs, kappas)
         assert poly.series.shape[1:] == ref.shape[1:], name
@@ -332,11 +349,6 @@ def test_alpha_series_matches_lu_fft():
         trig = np.cos if poly.parity == 1 else np.sin
         got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
                         poly.series)
-        assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
-        kappas = rng.uniform(0, 2 * np.pi, (200, bs.n_edges))
-        alpha_main = rng.uniform(0, 2 * np.pi, 8)
-        ref = lu_real_secular(bs, kappas, series_alphas(bs, alpha_main))
-        got = series_values(bs, kappas, alpha_main).reshape(len(kappas), -1)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
 
 
