@@ -1,17 +1,19 @@
 """Band structure and band density of periodic quantum graphs.
 
 Workflow: describe one translational cell of the periodic graph (or a
-pre-reduced magnetic graph), reduce it with :func:`bloch_reduce`, build
-the bond scattering system, and then either scan momentum bands directly
+pre-reduced magnetic graph), reduce it with :func:`bloch_reduce`, merge
+its degree-2 vertices (:func:`merge_series`; :func:`core_shape` also cuts
+flux-free bridge decorations for the torus route), build the bond
+scattering system, and then either scan momentum bands directly
 or sample the band set on the torus of edge phases.  For generic edge
 lengths both routes estimate the same length-independent band density.
 """
 
 from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
                           Identification, MagneticGraph, bind_lengths,
-                          bloch_reduce, build_example, from_payload,
-                          load_graph, save_graph, to_payload, validate_cell,
-                          with_random_lengths)
+                          bloch_reduce, build_example, core_shape,
+                          from_payload, load_graph, merge_series, save_graph,
+                          to_payload, validate_cell, with_random_lengths)
 from .bond_system import BondSystem, bond_matrices, vertex_scattering
 from .secular import secular_values
 from .spectrum import (BandList, DensitySeries, band_intervals, density,
@@ -31,11 +33,12 @@ __all__ = [
     "Edge", "FundamentalCell", "GraphError", "Identification",
     "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
     "VolumeEstimate", "band_intervals", "bind_lengths", "bloch_reduce",
-    "bond_matrices", "build_example", "density", "dihedral_density",
-    "dihedral_membership", "dihedral_secular", "effective_reflection",
-    "from_payload", "in_spectrum", "lasso_membership",
-    "lasso_reference_density", "load_graph", "mc_volume", "measure_below",
-    "membership_from_phases", "momentum_membership", "phi_lasso",
-    "real_secular_values", "save_graph", "secular_values", "to_payload",
-    "validate_cell", "vertex_scattering", "with_random_lengths",
+    "bond_matrices", "build_example", "core_shape", "density",
+    "dihedral_density", "dihedral_membership", "dihedral_secular",
+    "effective_reflection", "from_payload", "in_spectrum",
+    "lasso_membership", "lasso_reference_density", "load_graph",
+    "mc_volume", "measure_below", "merge_series", "membership_from_phases",
+    "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
+    "secular_values", "to_payload", "validate_cell", "vertex_scattering",
+    "with_random_lengths",
 ]

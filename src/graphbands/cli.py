@@ -1,6 +1,12 @@
 """Command line interface.
 
 Subcommands: validate, scattering, bands, density, torus, reference.
+``bands`` and ``density`` run on the graph with its degree-2 vertices
+merged away (:func:`merge_series`), which keeps the band set; ``torus``
+runs on its core shape (:func:`core_shape`), which also cuts flux-free
+bridge decorations back to pendant edges and keeps only the torus
+volume.  Lengths are bound first, so ``--lengths`` takes one value per
+edge of the file.  ``scattering`` dumps the graph as given.
 All numeric output is CSV with 17 significant digits, so runs are
 byte-reproducible given the same arguments, input file and seeds.
 Exit codes: 0 success, 1 invalid input or computation failure, 2 usage.
@@ -15,7 +21,8 @@ import numpy as np
 
 from .bond_system import bond_matrices
 from .graph_model import (FundamentalCell, GraphError, bind_lengths,
-                          bloch_reduce, load_graph, with_random_lengths)
+                          bloch_reduce, core_shape, load_graph, merge_series,
+                          with_random_lengths)
 # not called here (bloch_reduce validates); bench/tracer.py wraps the name
 from .graph_model import validate_cell  # noqa: F401
 from .reference_models import (InteriorResonanceError, dihedral_density,
@@ -97,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_length_options(p)
     _add_common(p)
 
-    p = sub.add_parser("bands", help="band intervals in [0, kmax]")
+    p = sub.add_parser("bands", help="band intervals in [0, kmax], with "
+                       "degree-2 vertices merged first")
     p.add_argument("file")
     p.add_argument("--kmax", type=_positive_float, required=True)
     p.add_argument("--grid-step", type=_positive_float, default=None,
@@ -108,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("density",
-                       help="band density with geometric convergence checkpoints")
+                       help="band density with geometric convergence "
+                            "checkpoints, with degree-2 vertices merged first")
     p.add_argument("file")
     p.add_argument("--kmax", type=_positive_float, required=True)
     p.add_argument("--checkpoints", type=_positive_int, default=16)
@@ -118,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("torus",
-                       help="Monte Carlo torus volume of the band set")
+                       help="Monte Carlo torus volume of the band set, on the "
+                            "core shape: degree-2 vertices merged, flux-free "
+                            "bridge decorations cut to pendant edges")
     p.add_argument("file")
     p.add_argument("--samples", type=_positive_int, required=True)
     _add_length_options(p)
@@ -195,8 +206,7 @@ def _cmd_scattering(args) -> int:
 
 
 def _cmd_bands(args) -> int:
-    g = _load_magnetic(args)
-    bs = bond_matrices(g)
+    bs = bond_matrices(merge_series(_load_magnetic(args)))
     result = band_intervals(bs, args.kmax, grid_step=args.grid_step,
                             bisect_tol=args.bisect_tol)
     _emit(args, ["%s,%s" % (_fmt(lo), _fmt(hi))
@@ -205,8 +215,7 @@ def _cmd_bands(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    g = _load_magnetic(args)
-    bs = bond_matrices(g)
+    bs = bond_matrices(merge_series(_load_magnetic(args)))
     series = density(bs, args.kmax, checkpoints=args.checkpoints,
                      grid_step=args.grid_step, bisect_tol=args.bisect_tol)
     _emit(args, ["%s,%s" % (_fmt(k), _fmt(v))
@@ -215,8 +224,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_torus(args) -> int:
-    g = _load_magnetic(args)
-    bs = bond_matrices(g)
+    bs = bond_matrices(core_shape(_load_magnetic(args)))
     est = mc_volume(bs, args.samples, args.seed)
     _emit(args, ["%s,%s,%d,%d" % (_fmt(est.value), _fmt(est.std_error),
                                   est.samples, est.seed)])

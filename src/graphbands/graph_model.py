@@ -6,7 +6,9 @@ graph together with a list of vertex identifications, one per lattice
 generator, telling which boundary vertex is glued to which translate.
 Quasi-periodic boundary conditions are traded for magnetic fluxes on the
 compact quotient graph: every edge ending at an identified "plus" vertex
-picks up one unit of flux for that generator.
+picks up one unit of flux for that generator.  :func:`merge_series` and
+:func:`core_shape` reduce a magnetic graph further, to fewer edges with
+the same band set or the same torus volume.
 """
 
 from __future__ import annotations
@@ -285,6 +287,134 @@ def with_random_lengths(g: MagneticGraph, seed: int) -> MagneticGraph:
     """
     rng = np.random.default_rng(seed)
     return bind_lengths(g, rng.uniform(1.0, 2.0, size=g.edge_count))
+
+
+# ---------------------------------------------------------------------------
+# reduction to the core shape
+# ---------------------------------------------------------------------------
+
+def _cycle_flux(vertices, edges, generators) -> list[tuple[int, ...]]:
+    """Each edge's flux minus the potential step phi[head] - phi[tail],
+    with phi summed along the breadth-first spanning tree from the first
+    vertex (edges taken in order): zero on tree edges, and on every other
+    edge the net flux of the cycle it closes with the tree."""
+    phi = {vertices[0]: (0,) * generators}
+    queue = [vertices[0]]
+    for u in queue:
+        for e in edges:
+            if e.tail == u and e.head not in phi:
+                phi[e.head] = tuple(p + f for p, f in zip(phi[u], e.flux))
+                queue.append(e.head)
+            elif e.head == u and e.tail not in phi:
+                phi[e.tail] = tuple(p - f for p, f in zip(phi[u], e.flux))
+                queue.append(e.tail)
+    return [tuple(f - h + t
+                  for f, h, t in zip(e.flux, phi[e.head], phi[e.tail]))
+            for e in edges]
+
+
+def merge_series(g: MagneticGraph) -> MagneticGraph:
+    """``g`` with every degree-2 vertex merged away, in a tree gauge that
+    never raises the flux weight.  Exact: the band set is unchanged.
+
+    A degree-2 vertex back-scatters with -1 + 2/2 = 0, so a wave passes it
+    in full: its two distinct edges are one edge, with the summed length
+    and the summed flux, each flux taken along the path.  The merged edge
+    takes the place, id and direction of the first of the two in edge
+    order.  Self-loops are never merged.  Vertex degrees other than the
+    merged one do not change, so one pass over the vertices leaves none.
+
+    Then, one generator at a time, the flux is shifted by the vertex
+    potentials of a spanning tree (:func:`_cycle_flux`): every cycle
+    keeps its net flux, so the secular function is unchanged, and the
+    shifted flux is kept only where it lowers that generator's
+    edge-summed |flux|, the degree bound that sizes the compile grid.
+    Edge ids, orientations and surviving vertex ids are kept.  Returns
+    ``g`` itself when nothing changes.  Lengths must be bound.
+    """
+    if not g.is_bound:
+        raise GraphError("graph has unbound length slots; bind lengths first")
+    degree = g.degrees()
+    edges, vertices = list(g.edges), list(g.vertices)
+    for v in g.vertices:
+        pair = [i for i, e in enumerate(edges) if v in (e.tail, e.head)]
+        if degree[v] != 2 or len(pair) != 2:
+            continue
+        a, b = edges[pair[0]], edges[pair[1]]
+        far = b.head if b.tail == v else b.tail
+        along = 1 if (b.tail == v) == (a.head == v) else -1
+        ends = (a.tail, far) if a.head == v else (far, a.head)
+        edges[pair[0]] = Edge(a.id, *ends, a.length + b.length,
+                              tuple(x + along * y
+                                    for x, y in zip(a.flux, b.flux)))
+        del edges[pair[1]]
+        vertices.remove(v)
+    shifted = _cycle_flux(vertices, edges, g.generators)
+    lower = [sum(map(abs, s)) < sum(map(abs, f)) for s, f in
+             zip(zip(*shifted), zip(*(e.flux for e in edges)))]
+    if any(lower):
+        edges = [replace(e, flux=tuple(s if low else f for s, f, low
+                                       in zip(shift, e.flux, lower)))
+                 for e, shift in zip(edges, shifted)]
+    elif len(edges) == g.edge_count:
+        return g                                # nothing merged or gauged
+    return MagneticGraph(vertices=tuple(vertices), edges=tuple(edges),
+                         generators=g.generators, name=g.name)
+
+
+def core_shape(g: MagneticGraph) -> MagneticGraph:
+    """:func:`merge_series` of ``g`` with every flux-free bridge decoration
+    cut back to a pendant edge.  Exact for the torus volume of the band
+    set only, not for the band set itself.
+
+    A side of a bridge is flux-free when every cycle in it carries zero
+    net flux, read from the tree potentials (:func:`_cycle_flux`), never
+    from the raw edge fluxes.  A flux-free side with at least one edge,
+    in a graph that carries flux (so its other side does), is dropped:
+    the bridge stays, with its id and length and flux 0, and its end on
+    the dropped side becomes a leaf.  Seen from the rest, the dropped
+    side with the bridge reflects with exp(2i kappa_c) Theta, where Theta
+    is the reflection coefficient of the decoration
+    (:func:`graphbands.reference_models.effective_reflection`) and
+    kappa_c the bridge's own phase.  kappa_c is uniform on the torus and
+    independent of every other phase, so that reflection is uniform on
+    the circle whatever Theta is, exactly as a pendant's exp(2i kappa):
+    the torus volume is unchanged.  The band set along kappa = k l is
+    not, since it depends on the lengths.  Returns ``g`` itself when
+    nothing reduces.
+    """
+    h = merge_series(g)
+    fluxed = {e.id for e, f in zip(h.edges, _cycle_flux(
+        h.vertices, h.edges, h.generators)) if any(f)}
+    if not fluxed:
+        return h
+    degree = h.degrees()
+    drop_vertices, drop_edges, pendants = set(), set(), set()
+    for bridge in h.edges:
+        if bridge.tail == bridge.head or 1 in (degree[bridge.tail],
+                                               degree[bridge.head]):
+            continue                # a self-loop, or a pendant: nothing to cut
+        root = _roots(h.vertices, [(e.tail, e.head) for e in h.edges
+                                   if e is not bridge])
+        if root[bridge.tail] == root[bridge.head]:
+            continue                            # not a bridge
+        near = {v for v in h.vertices if root[v] == root[bridge.tail]}
+        for side, end in ((near, bridge.tail),
+                          (set(h.vertices) - near, bridge.head)):
+            inside = {e.id for e in h.edges
+                      if e is not bridge and e.tail in side}
+            if inside and not inside & fluxed:
+                drop_vertices |= side - {end}
+                drop_edges |= inside
+                pendants.add(bridge.id)
+    if not drop_edges:
+        return h
+    zero = (0,) * h.generators
+    return MagneticGraph(
+        vertices=tuple(v for v in h.vertices if v not in drop_vertices),
+        edges=tuple(replace(e, flux=zero) if e.id in pendants else e
+                    for e in h.edges if e.id not in drop_edges),
+        generators=h.generators, name=h.name)
 
 
 # ---------------------------------------------------------------------------

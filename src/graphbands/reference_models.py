@@ -6,9 +6,13 @@ as ground truth for the numerical pipeline: the loop-with-pendant graph
 function) and a dihedral-symmetric three-edge graph whose band density
 (about 0.43) shows the universal constant is shape-dependent, not
 literally universal.  The reflection coefficient of a pendant
-decoration explains why whole families of graphs share one band set: a
-decoration enters the secular equation only through a unimodular phase,
-which a change of variables absorbs into one torus coordinate.
+decoration explains why whole families of graphs share one band
+density: a flux-free decoration behind a bridge enters the secular
+equation only through a unimodular phase exp(2i kappa_c) Theta, which
+the shift of the bridge phase kappa_c absorbs on the torus.  That is
+the mechanism :func:`graphbands.graph_model.core_shape` applies: it
+cuts every such decoration back to a pendant edge, and the torus route
+runs on the result.
 
 The reflection coefficient eliminates the interior bonds of the
 :func:`bond_matrices` system of the decoration with its lead attached.
@@ -214,7 +218,8 @@ def effective_reflection(decoration: MagneticGraph, entry_vertex, k: float):
     amplitude Theta(k) of modulus one.  In the secular equation the whole
     decoration can be replaced by this phase, so graphs differing by a
     decoration have band sets related by a shift of one torus coordinate;
-    that is the mechanism behind their equal band densities.
+    that is the mechanism behind their equal band densities, and the one
+    :func:`graphbands.graph_model.core_shape` applies.
 
     The entry vertex is treated with degree one higher than inside the
     decoration (the attachment edge counts).  Raises

@@ -45,6 +45,28 @@ def flower_graph(loops):
         generators=loops)
 
 
+def loop_with(decoration, loop_flux=1):
+    """A loop of flux ``loop_flux`` at vertex 0 plus ``decoration``, a list
+    of (tail, head, flux) edges; lengths 1.1, 1.2, ... in edge order."""
+    ends = [(0, 0, loop_flux)] + list(decoration)
+    vertices = tuple(sorted({v for t, h, _ in ends for v in (t, h)}))
+    return MagneticGraph(vertices, tuple(
+        Edge(i, t, h, 1.0 + 0.1 * i, (f,))
+        for i, (t, h, f) in enumerate(ends, 1)), generators=1)
+
+
+def marker_fig1d(lengths):
+    """fig1d given as a magnetic graph with its loop cut at a degree-2
+    marker vertex 5: loop halves 1 (flux 1) and 6, connector 2, triangle
+    3, 4, 5.  Six edges."""
+    ends = ((0, 5), (2, 0), (2, 3), (3, 4), (4, 2), (5, 0))
+    return MagneticGraph(
+        vertices=(0, 2, 3, 4, 5),
+        edges=tuple(Edge(i, t, h, float(l), (int(i == 1),))
+                    for i, ((t, h), l) in enumerate(zip(ends, lengths), 1)),
+        generators=1, name="fig1d")
+
+
 @pytest.fixture
 def record_criterion():
     def _record(line):

@@ -15,13 +15,14 @@ PUBLIC = frozenset((
     "Edge", "FundamentalCell", "GraphError", "Identification",
     "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
     "VolumeEstimate", "band_intervals", "bind_lengths", "bloch_reduce",
-    "bond_matrices", "build_example", "density", "dihedral_density",
-    "dihedral_membership", "dihedral_secular", "effective_reflection",
-    "from_payload", "in_spectrum", "lasso_membership",
-    "lasso_reference_density", "load_graph", "mc_volume", "measure_below",
-    "membership_from_phases", "momentum_membership", "phi_lasso",
-    "real_secular_values", "save_graph", "secular_values", "to_payload",
-    "validate_cell", "vertex_scattering", "with_random_lengths",
+    "bond_matrices", "build_example", "core_shape", "density",
+    "dihedral_density", "dihedral_membership", "dihedral_secular",
+    "effective_reflection", "from_payload", "in_spectrum",
+    "lasso_membership", "lasso_reference_density", "load_graph",
+    "mc_volume", "measure_below", "merge_series", "membership_from_phases",
+    "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
+    "secular_values", "to_payload", "validate_cell", "vertex_scattering",
+    "with_random_lengths",
 ))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import flower_graph, random_magnetic_graph
+from conftest import flower_graph, marker_fig1d, random_magnetic_graph
 from graphbands.cli import run
 
 
@@ -225,6 +225,33 @@ def test_cell_file_reduced_before_computation(cell_file, capsys):
     assert run(["bands", cell_file, "--kmax", "10"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows
+
+
+def test_torus_runs_on_the_core_shape(tmp_path, capsys):
+    # fig1c and fig1d print what torus prints on the lasso of the same
+    # loop and connector: their cores are that lasso, loop then pendant
+    fig1c = gb.with_random_lengths(gb.build_example("fig1c"), 3)
+    l1, l2, l3 = fig1c.lengths
+    fig1d = marker_fig1d([0.6, l2 + l3, 1.3, 1.4, 1.5, l1 - 0.6])
+    outputs = []
+    for name, g in (("lasso", gb.bind_lengths(gb.build_example("lasso"),
+                                              [l1, l2 + l3])),
+                    ("fig1c", fig1c), ("fig1d", fig1d)):
+        path = tmp_path / (name + ".json")
+        gb.save_graph(path, g)
+        assert run(["torus", str(path), "--samples", "30000",
+                    "--seed", "11"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # lengths are bound before the reduction: one per edge of the file
+    path = str(tmp_path / "fig1c.json")
+    assert run(["torus", path, "--samples", "10",
+                "--lengths", "1.1,1.2,1.3"]) == 0
+    assert run(["torus", path, "--samples", "10", "--lengths", "1.1,1.2"]) == 1
+    assert "expected 3 lengths" in capsys.readouterr().err
+    # scattering dumps the graph as the file gives it
+    assert run(["scattering", path]) == 0
+    assert capsys.readouterr().out.startswith("# scattering matrix (6 x 6)")
 
 
 def test_reference_commands(capsys):

@@ -1,9 +1,20 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 import graphbands as gb
+from conftest import (flower_graph, loop_with, marker_fig1d,
+                      random_magnetic_graph)
+
+FLOWER_CELL = gb.FundamentalCell(
+    vertices=(0, 1, 2, 3),
+    edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
+           gb.Edge(3, 0, 3, 1.236)),
+    identifications=(gb.Identification(1, plus=1, minus=0),
+                     gb.Identification(2, plus=2, minus=0)),
+    generators=2)
 
 
 def lasso_style_cell():
@@ -191,6 +202,107 @@ def test_flux_sign_orientation_convention():
     flux = {e.id: e.flux for e in g.edges}
     assert flux[1] == (1,)   # head was plus
     assert flux[2] == (-1,)  # tail was plus
+
+
+# ---------------------------------------------------------------- core shape
+
+def test_merge_series_merges_paths_and_keeps_ids():
+    g = gb.with_random_lengths(gb.build_example("fig1c"), 5)
+    h = gb.merge_series(g)
+    # the pendant path 3 -> 2 -> 0 is one edge, in the place, id and
+    # direction of its first edge; vertex 2 is gone
+    assert h.vertices == (0, 3)
+    assert [(e.id, e.tail, e.head, e.flux) for e in h.edges] == \
+        [(1, 0, 0, (1,)), (2, 3, 0, (0,))]
+    assert h.edges[1].length == g.edges[1].length + g.edges[2].length
+    # a cycle of degree-2 vertices ends as one self-loop; flux is summed
+    # along the path, against an edge's direction negated
+    g = gb.MagneticGraph((0, 1, 2), (
+        gb.Edge(1, 0, 1, 1.0, (2,)), gb.Edge(2, 2, 1, 1.5, (1,)),
+        gb.Edge(3, 2, 0, 0.5, (0,))), 1)
+    h = gb.merge_series(g)
+    assert h.vertices == (2,)
+    assert h.edges == (gb.Edge(1, 2, 2, 3.0, (1,)),)
+    with pytest.raises(gb.GraphError, match="unbound"):
+        gb.merge_series(gb.build_example("fig1c"))
+
+
+def test_core_shape_of_the_lasso_class_is_the_lasso():
+    graphs = [gb.with_random_lengths(gb.build_example(name), 5)
+              for name in ("fig1c", "fig1d")]
+    graphs.append(marker_fig1d([1.1, 1.2, 1.3, 1.4, 1.5, 1.6]))
+    for g in graphs:
+        core = gb.core_shape(g)
+        loop, pendant = core.edges
+        assert (loop.id, loop.tail, loop.head, loop.flux) == (1, 0, 0, (1,))
+        assert (pendant.id, pendant.head, pendant.flux) == (2, 0, (0,))
+        assert sorted(core.degrees().values()) == [1, 3]
+    # the band route keeps the triangle, as one flux-free self-loop
+    assert gb.merge_series(graphs[-1]).edges[2] == \
+        gb.Edge(3, 2, 2, 1.3 + 1.4 + 1.5, (0,))
+
+
+def test_core_shape_returns_irreducible_graphs_unchanged():
+    ladder = gb.load_graph(pathlib.Path(__file__).parents[1]
+                           / "demos" / "graphs" / "ladder_cell.json")
+    graphs = [gb.bind_lengths(gb.build_example("lasso"), [1.3, 0.9]),
+              gb.bloch_reduce(ladder),
+              gb.bloch_reduce(FLOWER_CELL),
+              gb.MagneticGraph((0,), (gb.Edge(1, 0, 0, 1.0, (1,)),), 1)]
+    graphs += [flower_graph(k) for k in (1, 2, 3, 4)]
+    for g in graphs:
+        assert gb.merge_series(g) is g
+        assert gb.core_shape(g) is g
+
+
+def test_core_shape_keeps_fluxed_and_unbridged_parts():
+    # a triangle with flux behind a bridge is not a decoration
+    g = loop_with([(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 1, 0)])
+    assert gb.core_shape(g) == gb.merge_series(g)
+    assert gb.core_shape(g).edge_count == 3
+    # a flux-free triangle on the loop vertex hangs off no bridge: it
+    # merges to a self-loop and stays (the volume is 0.500, not 0.637)
+    g = loop_with([(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+    core = gb.core_shape(g)
+    assert core == gb.merge_series(g)
+    assert core.vertices == (0,) and core.edge_count == 2
+    # a flux-free graph keeps its bridges: no side carries flux
+    g = loop_with([(0, 1, 0), (1, 1, 0)], loop_flux=0)
+    assert gb.core_shape(g) is g
+
+
+def test_core_shape_reads_cycle_flux_not_edge_flux():
+    # behind the bridge 0 -> 1: parallel edges 1 -> 2 with flux 1 each, a
+    # cycle of net flux 0, then a self-loop at 3.  Flux-free, so cut.
+    g = loop_with([(0, 1, 0), (1, 2, 1), (1, 2, 1), (2, 3, 0), (3, 3, 0)])
+    core = gb.core_shape(g)
+    assert [e.id for e in core.edges] == [1, 2]
+    assert core.vertices == (0, 1) and core.edges[1].flux == (0,)
+    # parallel edges with flux 1 and 0 make a cycle of flux 1: kept
+    g = loop_with([(0, 1, 0), (1, 2, 1), (1, 2, 0), (2, 3, 0), (3, 3, 0)])
+    assert gb.core_shape(g).edge_count == 5
+    # flux on the bridge itself is a gauge; a fluxed loop on the far side
+    # cuts the near side instead: the pendant then hangs off vertex 1
+    g = loop_with([(0, 1, 1), (1, 1, 1), (0, 0, 0)], loop_flux=0)
+    core = gb.core_shape(g)
+    assert [(e.id, e.tail, e.head, e.flux) for e in core.edges] == \
+        [(2, 0, 1, (0,)), (3, 1, 1, (1,))]
+
+
+def test_tree_gauge_never_raises_the_flux_weight():
+    # corpus graphs: the gauge is kept per generator only where it lowers
+    # the edge-summed |flux|, so no weight rises and the sum falls
+    before = after = 0
+    for seed in range(200):
+        for g in (random_magnetic_graph(seed),
+                  random_magnetic_graph(seed, generators=2)):
+            w0 = np.abs([e.flux for e in g.edges]).sum(axis=0)
+            w1 = np.abs([e.flux for e in gb.merge_series(g).edges]).sum(axis=0)
+            assert np.all(w1 <= w0), seed
+            before, after = before + w0.sum(), after + w1.sum()
+    assert after < 0.8 * before
+    g = random_magnetic_graph(2, n_edges=10)
+    assert gb.bond_matrices(gb.merge_series(g)).flux_weight == (9,)
 
 
 # ------------------------------------------------------------------ builders

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import flower_graph, random_magnetic_graph
+from conftest import flower_graph, marker_fig1d, random_magnetic_graph
 from graphbands import GraphError, spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
@@ -152,15 +152,23 @@ def test_flat_band_detected_via_zero_polynomial():
         assert gb.in_spectrum(bs, k)
 
 
+def dense_alpha_values(secular, bs, kappas, n):
+    """G at alpha_j = 2 pi j / n, j = 0..n-1, with determinants
+    (``secular(bs, kappas, alphas)``) at j <= n / 2 only: the rest
+    mirrors through G(kappa, 2 pi - alpha) = G(kappa, alpha), which
+    test_secular_symmetries and criterion 11 check."""
+    half = secular(bs, kappas, 2 * np.pi * np.arange(n // 2 + 1)[:, None] / n)
+    return np.hstack([half, half[:, (n + 1) // 2 - 1:0:-1]])
+
+
 def test_membership_matches_dense_alpha_reference():
     # seeds cover exact degrees 1..4 and both signs of det S
-    alphas = 2 * np.pi * np.arange(1024)[:, None] / 1024
     rng = np.random.default_rng(4)
     for seed, degree in DEGREE_SEEDS.items():
         bs = gb.bond_matrices(random_magnetic_graph(seed))
         assert bs.secular_polynomial.degree == (degree,), seed
         kappas = rng.uniform(0, 2 * np.pi, (300, bs.n_edges))
-        G = gb.real_secular_values(bs, kappas, alphas)
+        G = dense_alpha_values(gb.real_secular_values, bs, kappas, 1024)
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         member = gb.membership_from_phases(bs, kappas)
         assert np.array_equal(member, dense), seed
@@ -470,8 +478,7 @@ def test_m1_closed_form_matches_dense_alpha_reference():
         assert bs.flux_weight == (1,)
         parities.add(bs.parity)
         kappas = rng.uniform(0, 2 * np.pi, (n, bs.n_edges))
-        alphas = 2 * np.pi * np.arange(samples)[:, None] / samples
-        G = lu_real_secular(bs, kappas, alphas)
+        G = dense_alpha_values(lu_real_secular, bs, kappas, samples)
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         assert 0 < dense.sum() < n
         assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
@@ -581,6 +588,53 @@ def test_two_generator_slices_keep_critical_points():
                   for rows in np.split(kappas, 16))])
     assert 0 < dense.sum() < len(dense)
     assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
+
+
+# ------------------------------------------------------------ series merge
+
+def merged_phases(g, h):
+    """0/1 matrix taking edge phase rows of ``g`` to those of h =
+    merge_series(g): each edge of h sums the chain of edges of g merged
+    into it, the chains joined at the vertices h no longer has."""
+    chain = {e.id: e.id for e in g.edges}
+
+    def root(i):
+        while chain[i] != i:
+            i = chain[i]
+        return i
+    for v in set(g.vertices) - set(h.vertices):
+        a, b = [e.id for e in g.edges if v in (e.tail, e.head)]
+        chain[root(a)] = root(b)
+    kept = [root(e.id) for e in h.edges]
+    return np.array([[root(e.id) == k for k in kept] for e in g.edges],
+                    dtype=float)
+
+
+def test_merge_series_keeps_the_margin():
+    # torus rows of g and of merge_series(g), each merged phase the sum of
+    # its chain: the margins agree to 1e-13, series merges and tree gauge
+    # alike.  Momentum rows are not compared at that tolerance: k (la +
+    # lb) rounds differently from k la + k lb, 1.8e-12 relative at k 227.
+    graphs = [gb.with_random_lengths(gb.build_example(name), 5)
+              for name in ("fig1c", "fig1d")]
+    graphs.append(marker_fig1d(np.random.default_rng(9).uniform(1, 2, 6)))
+    corpus = [random_magnetic_graph(seed) for seed in range(60)]
+    corpus += [random_magnetic_graph(seed, generators=2) for seed in range(6)]
+    graphs += [g for g in corpus if gb.merge_series(g) is not g]
+    merged = 0
+    rng = np.random.default_rng(23)
+    for g in graphs:
+        h = gb.merge_series(g)
+        M = merged_phases(g, h)
+        assert np.array_equal(M.sum(axis=1), np.ones(g.edge_count))
+        assert np.allclose(g.lengths @ M, h.lengths, rtol=1e-15, atol=0)
+        merged += h.edge_count < g.edge_count
+        rows = 4000 if g.generators == 1 else 200   # J = 2: 64 slices a row
+        kappas = rng.uniform(0, 2 * np.pi, (rows, g.edge_count))
+        mu = spectrum._margin(gb.bond_matrices(g), kappas)
+        mu_h = spectrum._margin(gb.bond_matrices(h), kappas @ M)
+        assert np.abs(mu - mu_h).max() <= 1e-13
+    assert merged >= 20 and len(graphs) - merged >= 10  # the rest: gauge only
 
 
 # ------------------------------------------------------------ margin

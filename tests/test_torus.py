@@ -1,8 +1,12 @@
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
 import graphbands as gb
 import graphbands.torus as torus_mod
+from conftest import loop_with, random_magnetic_graph
 
 LASSO = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 42))
 
@@ -119,3 +123,54 @@ def test_cross_route_agreement():
     series = gb.density(LASSO, 1500.0, checkpoints=1)
     assert abs(est.value - series.final) < 0.02
 
+
+
+# ------------------------------------------------------------- core shape
+
+def volume_gap_bound(a, b, tests):
+    """z sqrt(SE_a^2 + SE_b^2) for two independent volume estimates, z
+    the two-sided normal quantile at a Bonferroni share 1e-3 / tests of a
+    1e-3 family-wise false-alarm rate."""
+    z = NormalDist().inv_cdf(1.0 - 0.5e-3 / tests)
+    return z * math.hypot(a.std_error, b.std_error)
+
+
+def test_core_shape_keeps_the_torus_volume():
+    """For every corpus graph (random_magnetic_graph(0..199)) that
+    core_shape shrinks, the torus volumes of the graph and of its core
+    agree: |V - V_core| <= z sqrt(SE^2 + SE_core^2).
+
+    The two estimates are independent (Philox seeds 2s and 2s + 1, 4,000
+    samples each; both fixed before the first run), so when the volumes
+    are equal their difference is close to normal with that standard
+    error.  The test makes one comparison per shrunk graph, N of them
+    (107).  A Bonferroni split of a 1e-3 family-wise false-alarm rate
+    gives each a two-sided rate of 1e-3 / N, so z = Phi^-1(1 - 5e-4 / N),
+    4.42 at N = 107.  A flat "3 SE" gate would fail by chance in about
+    one run of four over that many graphs.
+    """
+    shrunk = []
+    for seed in range(200):
+        g = random_magnetic_graph(seed)
+        core = gb.core_shape(g)
+        if core.edge_count < g.edge_count:
+            shrunk.append((seed, g, core))
+    assert len(shrunk) == 107
+    for seed, g, core in shrunk:
+        a = gb.mc_volume(gb.bond_matrices(g), 4000, 2 * seed)
+        b = gb.mc_volume(gb.bond_matrices(core), 4000, 2 * seed + 1)
+        assert abs(a.value - b.value) <= volume_gap_bound(a, b, len(shrunk)), \
+            (seed, a.value, b.value)
+
+
+def test_bridge_move_needs_a_bridge_and_a_flux_free_side():
+    # the two shapes core_shape must keep, against the lasso they would
+    # become if cut: a fluxed triangle behind a bridge, and a flux-free
+    # triangle on the loop vertex with no bridge (0.500, not 0.637)
+    lasso = gb.mc_volume(LASSO, 40_000, 0)
+    for decoration in ([(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 1, 0)],
+                       [(0, 1, 0), (1, 2, 0), (2, 0, 0)]):
+        g = loop_with(decoration)
+        assert gb.core_shape(g) == gb.merge_series(g)
+        kept = gb.mc_volume(gb.bond_matrices(gb.core_shape(g)), 40_000, 1)
+        assert abs(kept.value - lasso.value) > volume_gap_bound(kept, lasso, 2)
