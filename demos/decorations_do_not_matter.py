@@ -32,8 +32,8 @@ print()
 l3 = 0.6
 pendant = gb.MagneticGraph(vertices=(0, 1), edges=(gb.Edge(1, 0, 1, l3),),
                            generators=0)
-for k in (0.7, 1.9, 3.1):
-    theta = gb.effective_reflection(pendant, 0, k)
+ks = np.array([0.7, 1.9, 3.1])
+for k, theta in zip(ks, gb.effective_reflection(pendant, 0, ks)):
     print("k=%.1f  reflection %.4f%+.4fi  |theta|=%.12f  exp(2ikl)=%.4f%+.4fi"
           % (k, theta.real, theta.imag, abs(theta),
              np.exp(2j * k * l3).real, np.exp(2j * k * l3).imag))

@@ -96,8 +96,7 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
     into each other's reversals like any other pair.  Raises
     :class:`GraphError` on unbound length slots.
     """
-    if not g.is_bound:
-        raise GraphError("graph has unbound length slots; bind lengths first")
+    lengths = g.lengths
     E = g.edge_count
     n = 2 * E
 
@@ -128,7 +127,6 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
     # orthogonal, so |det S| = 1 and its sign is exact
     parity = 1 if np.linalg.det(S) > 0 else -1
 
-    lengths = g.lengths
     flux = np.array([e.flux for e in g.edges], dtype=float)
     flux = flux.reshape(E, g.generators)
     return BondSystem(

@@ -25,12 +25,10 @@ from .graph_model import (FundamentalCell, GraphError, bind_lengths,
                           with_random_lengths)
 # not called here (bloch_reduce validates); bench/tracer.py wraps the name
 from .graph_model import validate_cell  # noqa: F401
-from .reference_models import (InteriorResonanceError, dihedral_density,
-                               lasso_reference_density)
+from .reference_models import dihedral_density, lasso_reference_density
 from .spectrum import band_intervals, density
 from .torus import mc_volume
 
-USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 
@@ -259,7 +257,7 @@ def run(argv=None) -> int:
         for line in exc.violations:
             print("error: %s" % line, file=sys.stderr)
         return FAILURE_EXIT
-    except (InteriorResonanceError, OSError) as exc:
+    except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return FAILURE_EXIT
 

@@ -267,14 +267,13 @@ def bloch_reduce(cell: FundamentalCell) -> MagneticGraph:
 def bind_lengths(g: MagneticGraph, values) -> MagneticGraph:
     """Assign numeric lengths to the edges of ``g`` in edge order.
 
-    ``values`` must have one strictly positive finite entry per edge.
+    ``values`` must have one entry per edge; the new graph's validation
+    refuses, by edge, a length that is not strictly positive and finite.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (g.edge_count,):
         raise GraphError("expected %d lengths, got shape %r"
                          % (g.edge_count, values.shape))
-    if not np.all(np.isfinite(values)) or np.any(values <= 0):
-        raise GraphError("lengths must be strictly positive and finite")
     edges = tuple(replace(e, length=float(l)) for e, l in zip(g.edges, values))
     return replace(g, edges=edges)
 
@@ -373,15 +372,16 @@ def core_shape(g: MagneticGraph) -> MagneticGraph:
     in a graph that carries flux (so its other side does), is dropped:
     the bridge stays, with its id and length and flux 0, and its end on
     the dropped side becomes a leaf.  Seen from the rest, the dropped
-    side with the bridge reflects with exp(2i kappa_c) Theta, where Theta
-    is the reflection coefficient of the decoration
-    (:func:`graphbands.reference_models.effective_reflection`) and
-    kappa_c the bridge's own phase.  kappa_c is uniform on the torus and
-    independent of every other phase, so that reflection is uniform on
-    the circle whatever Theta is, exactly as a pendant's exp(2i kappa):
-    the torus volume is unchanged.  The band set along kappa = k l is
-    not, since it depends on the lengths.  Returns ``g`` itself when
-    nothing reduces.
+    side with the bridge reflects with exp(2i kappa_c) Theta, where
+    kappa_c is the bridge's own phase and Theta the reflection
+    coefficient of the decoration, -B/A of the secular determinant A + B
+    exp(2ip) of the decoration closed by a lead of phase p
+    (:func:`graphbands.reference_models.effective_reflection`).  kappa_c
+    is uniform on the torus and independent of every other phase, so
+    that reflection is uniform on the circle whatever Theta is, exactly
+    as a pendant's exp(2i kappa): the torus volume is unchanged.  The
+    band set along kappa = k l is not, since it depends on the lengths.
+    Returns ``g`` itself when nothing reduces.
     """
     h = merge_series(g)
     fluxed = {e.id for e, f in zip(h.edges, _cycle_flux(

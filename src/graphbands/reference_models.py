@@ -14,11 +14,11 @@ the mechanism :func:`graphbands.graph_model.core_shape` applies: it
 cuts every such decoration back to a pendant edge, and the torus route
 runs on the result.
 
-The reflection coefficient eliminates the interior bonds of the
-:func:`bond_matrices` system of the decoration with its lead attached.
-The dihedral density samples no indicator: along k1 its band set is a
-union of arcs of exact length, and that length is averaged over
-randomly shifted grids on (k2, k3).
+The reflection coefficient is -B/A of the secular determinant A + B
+exp(2ip) of the decoration closed by a lead of phase p.  The dihedral
+density samples no indicator: along k1 its band set is a union of arcs
+of exact length, and that length is averaged over randomly shifted
+grids on (k2, k3).
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bond_system import bond_matrices
-from .graph_model import Edge, GraphError, MagneticGraph
+from .graph_model import Edge, GraphError, MagneticGraph, _cycle_flux
+from .secular import secular_values
 from .torus import TWO_PI, sample_count
 
 UNITARITY_TOL = 1e-10
-_RESONANCE_RTOL = 1e-10
+_RESONANCE_TOL = 1e-6   # roundoff of F, relative to |A|, of a resonance
 _SHIFTS = 16             # randomly shifted grids of the dihedral density
 # points per block of grid rows: float64 temporaries of 64 KiB; blocks of
 # 16,384 points made a 2M-point dihedral density run 2x slower
@@ -210,58 +211,58 @@ class InteriorResonanceError(ArithmeticError):
     its reflection coefficient is not defined."""
 
 
-def effective_reflection(decoration: MagneticGraph, entry_vertex, k: float):
-    """Reflection coefficient of a flux-free decoration seen from outside.
+def effective_reflection(decoration: MagneticGraph, entry_vertex, k):
+    """Reflection coefficient Theta(k) of a flux-free decoration seen from
+    outside, for a real momentum ``k`` (returns a complex) or an array of
+    them (returns a complex array of the same shape).
 
     The decoration hangs off the rest of the graph by a single edge
     arriving at ``entry_vertex``; a wave entering there returns with
-    amplitude Theta(k) of modulus one.  In the secular equation the whole
-    decoration can be replaced by this phase, so graphs differing by a
-    decoration have band sets related by a shift of one torus coordinate;
-    that is the mechanism behind their equal band densities, and the one
-    :func:`graphbands.graph_model.core_shape` applies.
+    amplitude Theta(k) of modulus one, and that phase replaces the
+    decoration in the secular equation, as in
+    :func:`graphbands.graph_model.core_shape`.  Flux-free means, as
+    there, that every cycle carries zero net flux.
 
-    The entry vertex is treated with degree one higher than inside the
-    decoration (the attachment edge counts).  Raises
-    :class:`InteriorResonanceError` at momenta where the interior wave
-    system is singular.
+    Closed by a lead of phase p at a new leaf, the decoration has the
+    secular determinant F(p) = A + B exp(2ip) = A (1 - Theta exp(2ip)),
+    A the interior determinant: the leaf reflects with +1, and a closed
+    orbit uses both lead bonds or neither.  One batched
+    :func:`graphbands.secular.secular_values` pass at p = 0 and pi/2
+    gives A and Theta; a third row, at p = pi/4, where F = A + iB, leaves
+    the roundoff r of F.  At distance d from an interior resonance of any
+    multiplicity |r|/|A| grows like eps/d, so
+    :class:`InteriorResonanceError` names the first momentum where |r| >
+    _RESONANCE_TOL |A| (within about 1e-10 of the unit triangle's
+    resonances) or ||Theta| - 1| > UNITARITY_TOL.
     """
     if entry_vertex not in decoration.vertices:
         raise GraphError("entry vertex %r not in decoration" % (entry_vertex,))
-    if decoration.generators and any(any(e.flux) for e in decoration.edges):
+    if any(map(any, _cycle_flux(decoration.vertices, decoration.edges,
+                                decoration.generators))):
         raise GraphError("decoration must be flux-free")
-    E = decoration.edge_count
-    if E == 0:
-        return complex(1.0)
-    if not decoration.is_bound:
-        raise GraphError("decoration has unbound length slots")
-
-    # the lead is one more edge into the entry vertex; its bonds are
-    # E (arriving) and 2E + 1 (leaving), the others are the interior
-    lead = Edge(max(e.id for e in decoration.edges) + 1,
+    lead = Edge(max((e.id for e in decoration.edges), default=0) + 1,
                 max(decoration.vertices) + 1, entry_vertex, 1.0,
                 (0,) * decoration.generators)
     bs = bond_matrices(replace(decoration,
                                vertices=decoration.vertices + (lead.tail,),
                                edges=decoration.edges + (lead,)))
-    arrive, leave = E, 2 * E + 1
-    interior = np.r_[0:E, E + 1:2 * E + 1]
-    S = bs.scattering[np.ix_(interior, interior)]
-    source = bs.scattering[interior, arrive]
-
-    phases = np.exp(1j * k * bs.bond_lengths[interior])
-    M = np.eye(2 * E, dtype=complex) - S * phases[None, :]
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= _RESONANCE_RTOL * sv[0]:
+    ks = np.asarray(k, dtype=float)
+    lead_bonds = [bs.n_edges - 1, bs.n_bonds - 1]     # the last edge's
+    rows = np.repeat(ks.reshape(-1, 1) * bs.bond_lengths, 3, axis=0)
+    for j, p in enumerate((0.0, np.pi / 2, np.pi / 4)):
+        rows[j::3, lead_bonds] = p
+    F = secular_values(bs, rows)[:, 0].reshape(-1, 3)
+    A, B = (F[:, 0] + F[:, 1]) / 2, (F[:, 0] - F[:, 1]) / 2
+    roundoff = np.abs(F[:, 2] - A - 1j * B)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta = -B / A                  # A = 0 gives NaN, a resonance
+    bad = ~((roundoff <= _RESONANCE_TOL * np.abs(A))        # NaN is bad
+            & (np.abs(np.abs(theta) - 1.0) <= UNITARITY_TOL))
+    if bad.any():
+        i = np.argmax(bad)
         raise InteriorResonanceError(
-            "decoration is resonant at k=%r (singular interior system)" % (k,))
-    x = np.linalg.solve(M, source)
-
-    theta = complex(bs.scattering[leave, arrive]
-                    + bs.scattering[leave, interior] @ (phases * x))
-    if abs(abs(theta) - 1.0) > UNITARITY_TOL:
-        raise InteriorResonanceError(
-            "reflection lost unitarity at k=%r (|Theta| = %.12f), "
-            "momentum is too close to an interior resonance"
-            % (k, abs(theta)))
-    return theta
+            "decoration is resonant at k=%r (|A| = %.3e, roundoff %.3e, "
+            "|Theta| = %.12f)" % (float(ks.flat[i]), abs(A[i]), roundoff[i],
+                                  abs(theta[i])))
+    theta = theta.reshape(ks.shape)
+    return theta if theta.ndim else complex(theta)

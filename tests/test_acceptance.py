@@ -214,8 +214,8 @@ def test_criterion_09_decoration_reduction(record_criterion):
                                edges=(gb.Edge(1, 0, 1, length),),
                                generators=0)
     ks = np.linspace(0.0, 50.0, 401)
-    worst_theta = max(abs(gb.effective_reflection(pendant, 0, k)
-                          - np.exp(2j * k * length)) for k in ks)
+    worst_theta = np.abs(gb.effective_reflection(pendant, 0, ks)
+                         - np.exp(2j * ks * length)).max()
 
     # part 2: lasso system with Theta substituted at the pendant end
     # reproduces the secular roots of the full subdivided-pendant graph
@@ -229,7 +229,7 @@ def test_criterion_09_decoration_reduction(record_criterion):
     total = l1 + l2 + l3
 
     def reduced_real(ks, alpha):
-        thetas = np.array([gb.effective_reflection(dec, 0, k) for k in ks])
+        thetas = gb.effective_reflection(dec, 0, ks)
         S = np.broadcast_to(lasso.scattering, (len(ks), 4, 4)).astype(complex)
         S = S.copy()
         S[:, 1, 3] = thetas

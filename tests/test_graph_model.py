@@ -343,6 +343,11 @@ def test_bind_lengths_checks():
         gb.bind_lengths(g, [1.0])
     with pytest.raises(gb.GraphError):
         gb.bind_lengths(g, [1.0, -1.0])
+    # the graph's own validation refuses the length and names the edge
+    with pytest.raises(gb.GraphError, match="edge 2 has nonpositive length"):
+        gb.bind_lengths(g, [1.0, 0.0])
+    with pytest.raises(gb.GraphError, match="edge 1 has non-finite length"):
+        gb.bind_lengths(g, [np.inf, 1.0])
     bound = gb.bind_lengths(g, [1.5, 0.5])
     assert bound.lengths.tolist() == [1.5, 0.5]
     assert not g.is_bound  # original untouched

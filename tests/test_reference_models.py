@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -275,28 +277,87 @@ def test_reflection_is_unimodular():
         assert abs(abs(theta) - 1.0) <= 1e-10
 
 
+def test_reflection_array_matches_scalar_calls():
+    # one call over an array of momenta, element by element the scalar
+    # calls, in the shape of k
+    rng = np.random.default_rng(4)
+    dec = gb.MagneticGraph(
+        vertices=(0, 1, 2, 3),
+        edges=(gb.Edge(1, 0, 1, 0.7), gb.Edge(2, 1, 2, 1.3),
+               gb.Edge(3, 2, 1, 0.9), gb.Edge(4, 2, 3, 1.6)),
+        generators=0)
+    ks = rng.uniform(0.1, 30.0, (6, 7))
+    thetas = gb.effective_reflection(dec, 0, ks)
+    assert thetas.shape == ks.shape and thetas.dtype == complex
+    scalar = [gb.effective_reflection(dec, 0, k) for k in ks.ravel()]
+    assert all(type(theta) is complex for theta in scalar)
+    assert np.array_equal(thetas.ravel(), scalar)
+    assert gb.effective_reflection(dec, 0, ks[:0]).shape == (0, 7)
+
+
 def test_interior_resonance_raises():
     # equilateral triangle standing waves decouple from the entry vertex
     for k in (2 * np.pi / 3, 4 * np.pi / 3, 2 * np.pi):
         with pytest.raises(gb.InteriorResonanceError):
             gb.effective_reflection(TRIANGLE, 0, k)
+    # an array call names the first resonant momentum
+    with pytest.raises(gb.InteriorResonanceError, match="k=4.18879"):
+        gb.effective_reflection(TRIANGLE, 0, [1.0, 4 * np.pi / 3, 2 * np.pi])
     # arbitrarily close to resonance the reflection is still unimodular
     theta = gb.effective_reflection(TRIANGLE, 0, 2 * np.pi / 3 + 1e-5)
     assert abs(abs(theta) - 1.0) <= 1e-10
 
 
+def test_multiple_resonance_refused_only_at_it():
+    # two self-loops behind a pendant: the interior determinant A
+    # vanishes like k^2 at k = 0, yet Theta keeps full precision up to
+    # there; reference values from an interior-block SVD/solve solver
+    two_loops = gb.MagneticGraph(
+        vertices=(0, 1),
+        edges=(gb.Edge(1, 0, 1, 1.0), gb.Edge(2, 1, 1, 0.7),
+               gb.Edge(3, 1, 1, 1.3)),
+        generators=0)
+    theta = gb.effective_reflection(two_loops, 0, [1e-6, 1e-3])
+    assert np.abs(theta - [0.9999999999820001 + 5.999999999959091e-06j,
+                           0.9999820000834603 + 0.005999959090164355j]
+                  ).max() <= 1e-12
+    with pytest.raises(gb.InteriorResonanceError, match="k=0.0"):
+        gb.effective_reflection(two_loops, 0, 0.0)
+
+
 def test_reflection_input_validation():
     with pytest.raises(gb.GraphError):
         gb.effective_reflection(TRIANGLE, 9, 1.0)
-    fluxed = gb.MagneticGraph(vertices=(0, 1),
-                              edges=(gb.Edge(1, 0, 1, 1.0, (1,)),),
+    # a cycle with net flux: not a decoration
+    fluxed = gb.MagneticGraph(vertices=(0,),
+                              edges=(gb.Edge(1, 0, 0, 1.0, (1,)),),
                               generators=1)
-    with pytest.raises(gb.GraphError):
+    with pytest.raises(gb.GraphError, match="flux-free"):
         gb.effective_reflection(fluxed, 0, 1.0)
     unbound = gb.MagneticGraph(vertices=(0, 1),
                                edges=(gb.Edge(1, 0, 1, None),), generators=0)
     with pytest.raises(gb.GraphError):
         gb.effective_reflection(unbound, 0, 1.0)
+
+
+def test_gauge_flux_decoration_reflects_as_flux_free():
+    # flux on a tree edge, or around a cycle of net flux 0, is a gauge:
+    # the rule is the cycle flux of core_shape, not the raw edge flux
+    length = 0.8
+    pendant = gb.MagneticGraph(vertices=(0, 1),
+                               edges=(gb.Edge(1, 0, 1, length, (1,)),),
+                               generators=1)
+    ks = np.linspace(0.0, 50.0, 101)
+    assert np.abs(gb.effective_reflection(pendant, 0, ks)
+                  - np.exp(2j * ks * length)).max() <= 1e-10
+    gauged = gb.MagneticGraph(
+        vertices=TRIANGLE.vertices,
+        edges=tuple(replace(e, flux=(f,))
+                    for e, f in zip(TRIANGLE.edges, (1, -1, 0))),
+        generators=1)
+    assert np.abs(gb.effective_reflection(gauged, 0, ks[1:])
+                  - gb.effective_reflection(TRIANGLE, 0, ks[1:])).max() \
+        <= 1e-12
 
 
 def test_empty_decoration_reflects_fully():

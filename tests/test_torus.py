@@ -163,6 +163,34 @@ def test_core_shape_keeps_the_torus_volume():
             (seed, a.value, b.value)
 
 
+def test_bridge_move_maps_torus_rows_exactly():
+    """The bridge move row by row.  At a torus row kappa the cut side
+    and its bridge reflect with exp(2i kappa_c) Theta(kappa_dec), Theta
+    the reflection coefficient of the cut side with lengths kappa_dec at
+    k = 1; the pendant of the core reflects with exp(2i kappa_c').  So
+    kappa is in the band set of the graph exactly when the core row with
+    kappa_c' = kappa_c + arg Theta / 2 is in that of the core: fig1d (a
+    triangle behind the connector) and a self-loop behind a bridge."""
+    rng = np.random.default_rng(31)
+    for g in (gb.with_random_lengths(gb.build_example("fig1d"), 5),
+              loop_with([(0, 1, 0), (1, 1, 0)])):
+        core = gb.core_shape(g)
+        assert [e.id for e in core.edges] == [e.id for e in g.edges[:2]]
+        bridge, cut = core.edges[1], g.edges[2:]
+        ends = {v for e in cut for v in (e.tail, e.head)}
+        entry, = {bridge.tail, bridge.head} & ends
+        side = gb.MagneticGraph(tuple(sorted(ends)), cut, g.generators)
+        kappas = rng.uniform(0, 2 * np.pi, (2000, g.edge_count))
+        shift = np.array([np.angle(gb.effective_reflection(
+            gb.bind_lengths(side, row[2:]), entry, 1.0)) / 2
+            for row in kappas])
+        rows = kappas[:, :2] + np.column_stack([np.zeros(len(shift)), shift])
+        member = gb.membership_from_phases(gb.bond_matrices(g), kappas)
+        assert 0 < member.sum() < len(member)
+        assert np.array_equal(
+            member, gb.membership_from_phases(gb.bond_matrices(core), rows))
+
+
 def test_bridge_move_needs_a_bridge_and_a_flux_free_side():
     # the two shapes core_shape must keep, against the lasso they would
     # become if cut: a fluxed triangle behind a bridge, and a flux-free
