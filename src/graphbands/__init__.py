@@ -14,7 +14,7 @@ from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
                           bloch_reduce, build_example, core_shape,
                           from_payload, load_graph, merge_series, save_graph,
                           to_payload, validate_cell, with_random_lengths)
-from .bond_system import BondSystem, bond_matrices, vertex_scattering
+from .bond_system import BondSystem, bond_matrices
 from .secular import secular_values
 from .spectrum import (BandList, DensitySeries, band_intervals, density,
                        in_spectrum, measure_below, membership_from_phases,
@@ -39,6 +39,5 @@ __all__ = [
     "lasso_membership", "lasso_reference_density", "load_graph",
     "mc_volume", "measure_below", "merge_series", "membership_from_phases",
     "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
-    "secular_values", "to_payload", "validate_cell", "vertex_scattering",
-    "with_random_lengths",
+    "secular_values", "to_payload", "validate_cell", "with_random_lengths",
 ]

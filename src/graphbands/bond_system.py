@@ -1,11 +1,18 @@
 """Directed-bond scattering description of a magnetic graph.
 
-Every edge is doubled into a forward and a reverse bond.  Standard
-(Kirchhoff) vertex matching makes a wave arriving at a vertex of degree d
-back-scatter with amplitude -1 + 2/d and scatter into every other
-outgoing bond with amplitude 2/d.  The resulting bond scattering matrix
-is real orthogonal and, together with the bond lengths and fluxes, fully
-determines the graph spectrum.
+Every edge is doubled into a forward and a reverse bond: bond b < E runs
+along edge b, bond b + E is its reversal, and rev(b) = (b + E) mod 2E.
+Standard (Kirchhoff) vertex matching makes a wave arriving at a vertex
+of degree d scatter into every outgoing bond with amplitude 2/d, and
+back into its own reversal with 2/d - 1 (Kottos and Smilansky, Ann.
+Phys. 274, 1999).  With into[b] and out[b] the vertices where bond b
+arrives and leaves, and d[b] the number of bonds arriving at into[b]
+(a self-loop's two bonds both count), that is
+
+    S[b', b] = 2/d[b] [out[b'] = into[b]] - [b' = rev(b)].
+
+S is real orthogonal and, together with the bond lengths and fluxes,
+fully determines the graph spectrum.
 """
 
 from __future__ import annotations
@@ -18,19 +25,6 @@ import numpy as np
 from .graph_model import GraphError, MagneticGraph
 
 ORTHOGONALITY_TOL = 1e-12
-
-
-def vertex_scattering(degree: int) -> tuple[float, float]:
-    """Back-scattering and transmission amplitudes at a degree-d vertex.
-
-    Returns ``(-1 + 2/d, 2/d)``.  A pendant vertex (d = 1) reflects with
-    amplitude +1; large degrees approach total reflection with amplitude
-    -1.
-    """
-    if not isinstance(degree, (int, np.integer)) or degree < 1:
-        raise ValueError("vertex degree must be a positive integer, got %r"
-                         % (degree,))
-    return -1.0 + 2.0 / degree, 2.0 / degree
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,6 @@ class BondSystem:
     scattering: np.ndarray
     bond_lengths: np.ndarray
     bond_flux: np.ndarray
-    edge_ids: tuple[int, ...]
     generators: int
     parity: int
 
@@ -94,30 +87,23 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
     Self-loops are supported: a loop contributes two bonds at its vertex
     and counts twice toward the degree, and its two bonds back-scatter
     into each other's reversals like any other pair.  Raises
-    :class:`GraphError` on unbound length slots.
+    :class:`GraphError` on a graph with no edges and on unbound length
+    slots.
     """
-    lengths = g.lengths
     E = g.edge_count
+    if E == 0:
+        raise GraphError("graph has no edges")
+    lengths = g.lengths
     n = 2 * E
 
-    tails = np.empty(n, dtype=object)
-    heads = np.empty(n, dtype=object)
-    for i, e in enumerate(g.edges):
-        tails[i], heads[i] = e.tail, e.head
-        tails[i + E], heads[i + E] = e.head, e.tail
-
-    S = np.zeros((n, n))
-    for v in g.vertices:
-        incoming = [b for b in range(n) if heads[b] == v]
-        outgoing = [b for b in range(n) if tails[b] == v]
-        d = len(incoming)
-        if d == 0:
-            continue
-        back, fwd = vertex_scattering(d)
-        for b in incoming:
-            rev = (b + E) % n
-            for bp in outgoing:
-                S[bp, b] = back if bp == rev else fwd
+    tail = np.array([e.tail for e in g.edges])
+    head = np.array([e.head for e in g.edges])
+    into = np.concatenate([head, tail])
+    out = np.concatenate([tail, head])
+    d = (into[:, None] == into).sum(axis=0)
+    S = np.where(out[:, None] == into, 2.0 / d, 0.0)
+    b = np.arange(n)
+    S[(b + E) % n, b] -= 1.0
 
     # orthogonality is built into the construction; treat failure as a bug
     defect = np.abs(S.T @ S - np.eye(n)).max()
@@ -133,7 +119,6 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
         scattering=S,
         bond_lengths=np.concatenate([lengths, lengths]),
         bond_flux=np.vstack([flux, -flux]),
-        edge_ids=tuple(e.id for e in g.edges),
         generators=g.generators,
         parity=parity,
     )

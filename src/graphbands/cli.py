@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 invalid input or computation failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -87,7 +88,10 @@ def _add_common(p, seed_help="seed for random draws"):
                    help="write CSV here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: building it costs
+    about thirty times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="graphbands",
         description="Band structure and band density of periodic metric graphs.")

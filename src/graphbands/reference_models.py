@@ -235,6 +235,9 @@ def effective_reflection(decoration: MagneticGraph, entry_vertex, k):
     _RESONANCE_TOL |A| (within about 1e-10 of the unit triangle's
     resonances) or ||Theta| - 1| > UNITARITY_TOL.
     """
+    ks = np.asarray(k, dtype=float)
+    if not np.isfinite(ks).all():
+        raise ValueError("k must be finite")
     if entry_vertex not in decoration.vertices:
         raise GraphError("entry vertex %r not in decoration" % (entry_vertex,))
     if any(map(any, _cycle_flux(decoration.vertices, decoration.edges,
@@ -246,7 +249,6 @@ def effective_reflection(decoration: MagneticGraph, entry_vertex, k):
     bs = bond_matrices(replace(decoration,
                                vertices=decoration.vertices + (lead.tail,),
                                edges=decoration.edges + (lead,)))
-    ks = np.asarray(k, dtype=float)
     lead_bonds = [bs.n_edges - 1, bs.n_bonds - 1]     # the last edge's
     rows = np.repeat(ks.reshape(-1, 1) * bs.bond_lengths, 3, axis=0)
     for j, p in enumerate((0.0, np.pi / 2, np.pi / 4)):

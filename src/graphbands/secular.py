@@ -21,8 +21,6 @@ is a batch of one row.  G and its compiled form live in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .bond_system import BondSystem
@@ -56,9 +54,8 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
     alphas : (NA, J) array, optional
         Quasi-momentum rows; flux phases are added internally.  Defaults
         to the single row alpha = 0.
-    threads : int, optional
-        Evaluate chunks on a thread pool.  numpy releases the GIL inside
-        the determinant batches, so this scales for large point sets.
+    threads : ignored
+        Has no effect: rows are evaluated chunk by chunk, in order.
 
     Returns
     -------
@@ -79,19 +76,10 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
     n = bond_phases.shape[0]
     per_point = alpha_phases.shape[0] * bs.n_bonds ** 2
     chunk = max(1, _CHUNK_BUDGET // max(per_point, 1))
-    blocks = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
 
     out = np.empty((n, alpha_phases.shape[0]), dtype=complex)
-    if threads and threads > 1 and len(blocks) > 1:
-        def work(span):
-            i, j = span
-            out[i:j] = _secular_block(bs.scattering, bond_phases[i:j],
-                                      alpha_phases)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks))
-    else:
-        for i, j in blocks:
-            out[i:j] = _secular_block(bs.scattering, bond_phases[i:j],
-                                      alpha_phases)
+    for i in range(0, n, chunk):
+        out[i:i + chunk] = _secular_block(bs.scattering,
+                                          bond_phases[i:i + chunk],
+                                          alpha_phases)
     return out
-

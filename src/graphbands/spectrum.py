@@ -462,14 +462,13 @@ def band_intervals(bs: BondSystem, k_max: float,
     smooth edge takes about 6.  A ``bisect_tol`` below two float spacings
     at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
     """
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
+    for name, value in (("k_max", k_max), ("grid_step", grid_step),
+                        ("bisect_tol", bisect_tol)):
+        if value is not None and not 0 < value < np.inf:    # NaN fails too
+            raise ValueError("%s must be positive and finite, got %r"
+                             % (name, value))
     step = grid_step if grid_step is not None else np.pi / (8.0 * bs.total_length)
-    if step <= 0:
-        raise ValueError("grid_step must be positive")
     tol = bisect_tol if bisect_tol is not None else 1e-10 * max(1.0, k_max)
-    if tol <= 0:
-        raise ValueError("bisect_tol must be positive")
     tol = max(tol, 2.0 * np.spacing(float(k_max)))  # else it never ends
 
     n = int(np.ceil(k_max / step))

@@ -21,8 +21,7 @@ PUBLIC = frozenset((
     "lasso_membership", "lasso_reference_density", "load_graph",
     "mc_volume", "measure_below", "merge_series", "membership_from_phases",
     "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
-    "secular_values", "to_payload", "validate_cell", "vertex_scattering",
-    "with_random_lengths",
+    "secular_values", "to_payload", "validate_cell", "with_random_lengths",
 ))
 
 

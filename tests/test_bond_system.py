@@ -16,23 +16,6 @@ def lasso_system(l1=1.3, l2=0.9):
     return gb.bond_matrices(gb.bind_lengths(gb.build_example("lasso"), [l1, l2]))
 
 
-def test_vertex_scattering_values():
-    assert gb.vertex_scattering(1) == (1.0, 2.0)
-    assert gb.vertex_scattering(2) == (0.0, 1.0)
-    back, fwd = gb.vertex_scattering(3)
-    assert back == pytest.approx(-1 / 3, abs=1e-15)
-    assert fwd == pytest.approx(2 / 3, abs=1e-15)
-
-
-def test_vertex_scattering_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        gb.vertex_scattering(0)
-    with pytest.raises(ValueError):
-        gb.vertex_scattering(2.5)
-    with pytest.raises(ValueError):
-        gb.vertex_scattering(-1)
-
-
 def test_lasso_matrix_fixture():
     bs = lasso_system()
     assert np.abs(bs.scattering - LASSO_S).max() <= 1e-15
@@ -51,6 +34,7 @@ def test_single_edge_full_reflection():
 def test_random_corpus_invariants():
     n = 2 * 5
     perm = np.concatenate([np.arange(5, 10), np.arange(0, 5)])
+    seen = set()
     for seed in range(40):
         g = random_magnetic_graph(seed)
         bs = gb.bond_matrices(g)
@@ -68,16 +52,31 @@ def test_random_corpus_invariants():
         for b in range(n):
             col = np.nonzero(S[:, b])[0]
             d = deg[heads[b]]
+            seen.add(d)
             # back coefficient -1 + 2/d vanishes exactly at degree 2
             assert len(col) == (1 if d == 2 else d)
             for bp in col:
                 assert tails[bp] == heads[b]
+            # exact Kirchhoff values: 2/d into each outgoing bond, less 1
+            # back into the bond's own reversal
+            for bp in range(n):
+                into = 2 / d if tails[bp] == heads[b] else 0.0
+                assert S[bp, b] == into - (bp == (b + 5) % n)
         # bond data symmetry
         assert np.array_equal(bs.bond_lengths[:5], bs.bond_lengths[5:])
         assert np.array_equal(bs.bond_flux[:5], -bs.bond_flux[5:])
         # determinant is +-1, and parity is its sign
         assert bs.parity in (-1, 1)
         assert abs(np.linalg.det(S) - bs.parity) <= 1e-8
+    # the exact values are checked at pendant, pass-through and branch
+    # vertices alike
+    assert {1, 2, 3} <= seen
+
+
+def test_edgeless_graph_is_refused():
+    g = gb.MagneticGraph(vertices=(0,), edges=(), generators=0)
+    with pytest.raises(gb.GraphError, match="graph has no edges"):
+        gb.bond_matrices(g)
 
 
 def test_self_loop_degree_and_scattering():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -98,6 +99,33 @@ def test_usage_errors_exit_2(lasso_file):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+
+def test_edgeless_graph_is_refused(tmp_path, capsys):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"generators": 0, "vertices": [0], "edges": []}))
+    for command, *options in (["scattering"], ["bands", "--kmax", "5"],
+                              ["density", "--kmax", "5"],
+                              ["torus", "--samples", "10"]):
+        assert run([command, str(path)] + options) == 1, command
+        assert capsys.readouterr().err == "error: graph has no edges\n"
+
+
+def test_parser_is_built_once(lasso_file, monkeypatch, capsys):
+    assert run(["validate", lasso_file]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["validate", lasso_file]) == 0
+    assert run(["torus", lasso_file, "--samples", "10"]) == 0
+    with pytest.raises(SystemExit):
+        run(["bands", lasso_file])                  # missing --kmax
+    assert built == []
 
 
 def test_scattering_dump(lasso_file, capsys):

@@ -338,6 +338,9 @@ def test_reflection_input_validation():
                                edges=(gb.Edge(1, 0, 1, None),), generators=0)
     with pytest.raises(gb.GraphError):
         gb.effective_reflection(unbound, 0, 1.0)
+    for k in (np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="k must be finite"):
+            gb.effective_reflection(TRIANGLE, 0, k)
 
 
 def test_gauge_flux_decoration_reflects_as_flux_free():

@@ -115,6 +115,7 @@ def test_batched_values_threaded_identical():
     phases = rng.uniform(0, 2 * np.pi, (2000, 4))
     a = np.array([[0.4]])
     serial = gb.secular_values(bs, phases, a)
+    # threads is still accepted, and has no effect
     threaded = gb.secular_values(bs, phases, a, threads=4)
     assert np.array_equal(serial, threaded)
 

@@ -197,10 +197,11 @@ def test_two_generator_flower_closed_form():
     # kappa_p at one vertex.  The vertex Dirichlet-to-Neumann sum puts the
     # point in the spectrum iff -tan kappa_p lies in the sum over loops of
     # [min, max] of (2 tan(kappa_j / 2), -2 cot(kappa_j / 2)).
-    bs = gb.bond_matrices(gb.bloch_reduce(FLOWER_CELL))
+    g = gb.bloch_reduce(FLOWER_CELL)
+    bs = gb.bond_matrices(g)
     assert bs.generators == 2
     # reduced edges: loop 1, loop 2, pendant
-    assert bs.edge_ids == (1, 2, 3)
+    assert [e.id for e in g.edges] == [1, 2, 3]
     # a loop's phase is the sum of two draws: the torus points of the
     # five-column draw, when each loop was cut into two halves
     draws = np.random.default_rng(1).uniform(0, 2 * np.pi, (4000, 5))
@@ -879,6 +880,17 @@ def test_band_validation():
             band_list(lo, hi)
     with pytest.raises(ValueError):
         gb.band_intervals(UNIT_LASSO, -1.0)
+
+
+@pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
+                         ids=["band_intervals", "density"])
+@pytest.mark.parametrize("name", ["k_max", "grid_step", "bisect_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_scan_arguments_positive_and_finite(route, name, value):
+    # unchecked, an infinite grid step makes one grid cell and so one
+    # band [0, k_max]; the other NaN and inf cases fail in int()
+    with pytest.raises(ValueError, match=name + " must be positive and finite"):
+        route(UNIT_LASSO, **{"k_max": 10.0, name: value})
 
 
 # ------------------------------------------------------------ density
