@@ -43,7 +43,8 @@ def _positive_float(text):
     except ValueError:
         raise argparse.ArgumentTypeError("%r is not a number" % text)
     if not np.isfinite(v) or v <= 0:
-        raise argparse.ArgumentTypeError("value must be positive, got %r" % text)
+        raise argparse.ArgumentTypeError("value must be positive and finite, "
+                                         "got %r" % text)
     return v
 
 
@@ -184,13 +185,17 @@ def _cmd_validate(args) -> int:
             for line in exc.violations:
                 print("violation: %s" % line, file=sys.stderr)
             return FAILURE_EXIT
-        print("OK: cell with %d vertices, %d edges, %d generators; "
-              "reduces to %d edges"
-              % (len(obj.vertices), len(obj.edges), obj.generators,
-                 reduced.edge_count))
-        return 0
-    print("OK: magnetic graph with %d vertices, %d edges, %d generators"
-          % (len(obj.vertices), obj.edge_count, obj.generators))
+        report = ("OK: cell with %d vertices, %d edges, %d generators; "
+                  "reduces to %d edges"
+                  % (len(obj.vertices), len(obj.edges), obj.generators,
+                     reduced.edge_count))
+    else:
+        report = ("OK: magnetic graph with %d vertices, %d edges, "
+                  "%d generators" % (len(obj.vertices), obj.edge_count,
+                                     obj.generators))
+    if not obj.edges:           # refused by bond_matrices, so by every command
+        raise GraphError("graph has no edges")
+    print(report)
     return 0
 
 

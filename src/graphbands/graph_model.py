@@ -421,6 +421,15 @@ def core_shape(g: MagneticGraph) -> MagneticGraph:
 # built-in examples
 # ---------------------------------------------------------------------------
 
+# cell examples: name -> (alias, vertex count, (tail, head) of edges 1, 2,
+# ...); the backbone edge 1 runs from vertex 0 to its translate, vertex 1
+_EXAMPLE_CELLS = {
+    "loop_pendant": ("fig1b", 3, ((0, 1), (2, 0))),
+    "loop_path2": ("fig1c", 4, ((0, 1), (2, 0), (3, 2))),
+    "loop_triangle": ("fig1d", 5, ((0, 1), (2, 0), (2, 3), (3, 4), (4, 2))),
+}
+
+
 def build_example(name: str) -> MagneticGraph:
     """Construct a named example graph with unbound length slots.
 
@@ -450,44 +459,17 @@ def build_example(name: str) -> MagneticGraph:
             generators=1,
             name="lasso",
         )
-    if key in ("loop_pendant", "fig1b"):
-        cell = FundamentalCell(
-            vertices=(0, 1, 2),
-            edges=(Edge(1, 0, 1),
-                   Edge(2, 2, 0)),
-            identifications=(Identification(1, plus=1, minus=0),),
-            generators=1,
-            name="loop_pendant",
-        )
-        return bloch_reduce(cell)
-    if key in ("loop_path2", "fig1c"):
-        cell = FundamentalCell(
-            vertices=(0, 1, 2, 3),
-            edges=(Edge(1, 0, 1),
-                   Edge(2, 2, 0),
-                   Edge(3, 3, 2)),
-            identifications=(Identification(1, plus=1, minus=0),),
-            generators=1,
-            name="loop_path2",
-        )
-        return bloch_reduce(cell)
-    if key in ("loop_triangle", "fig1d"):
-        cell = FundamentalCell(
-            vertices=(0, 1, 2, 3, 4),
-            edges=(Edge(1, 0, 1),
-                   Edge(2, 2, 0),
-                   Edge(3, 2, 3),
-                   Edge(4, 3, 4),
-                   Edge(5, 4, 2)),
-            identifications=(Identification(1, plus=1, minus=0),),
-            generators=1,
-            name="loop_triangle",
-        )
-        return bloch_reduce(cell)
+    for cell_name, (alias, vertices, ends) in _EXAMPLE_CELLS.items():
+        if key in (cell_name, alias):
+            return bloch_reduce(FundamentalCell(
+                vertices=tuple(range(vertices)),
+                edges=tuple(Edge(i, *pair) for i, pair in enumerate(ends, 1)),
+                identifications=(Identification(1, plus=1, minus=0),),
+                generators=1, name=cell_name))
     raise GraphError("unknown example %r" % (name,))
 
 
-EXAMPLE_NAMES = ("lasso", "loop_pendant", "loop_path2", "loop_triangle")
+EXAMPLE_NAMES = ("lasso", *_EXAMPLE_CELLS)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ grid of 2 m_j + 1 points per generator, ((3^E + 1) / 2) ((prod(2 m_j +
 and its FFT gives the coefficients exactly.  The nonzero ones give the
 exact degree d_j <= m_j.  The symmetries make every coefficient real
 (det S = +1) or purely imaginary (det S = -1), so G is a sum of cos (or
-sin) of kappa . n times real trigonometric polynomials in alpha.  Along
+sin) of kappa . n times real trigonometric polynomials in alpha.  det S
+is (-1)^(beta - 1), beta = E - V + 1 the cycle rank (:mod:`.bond_system`),
+so the rows take cos on odd cycle rank and sin on even.  Along
 the generator of highest degree m it is c_0 + 2 Re sum_j c_j exp(i j
 alpha), and the compile stores (:class:`SecularPolynomial`) the matrix
 that takes a row's cos (or sin) of kappa . n, for the kept n, to

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import random_magnetic_graph
+from conftest import flower_graph, loop_with, random_magnetic_graph
 
 # the loop-with-pendant scattering matrix, entered by hand
 LASSO_S = np.array([
@@ -29,6 +29,7 @@ def test_single_edge_full_reflection():
                          generators=0)
     bs = gb.bond_matrices(g)
     assert np.array_equal(bs.scattering, [[0.0, 1.0], [1.0, 0.0]])
+    assert bs.parity == -1                      # a tree: E - V = -1
 
 
 def test_random_corpus_invariants():
@@ -71,6 +72,22 @@ def test_random_corpus_invariants():
     # the exact values are checked at pendant, pass-through and branch
     # vertices alike
     assert {1, 2, 3} <= seen
+
+
+def test_parity_is_cycle_rank_sign():
+    # det S = (-1)^(E - V), on multi-edges, self-loops and J = 2 that the
+    # corpus above does not reach
+    graphs = [random_magnetic_graph(seed, n_edges=E, generators=J)
+              for E in (2, 3, 5, 8) for J in (1, 2) for seed in range(200)]
+    graphs += [flower_graph(n) for n in range(1, 6)]
+    graphs += [loop_with([(0, 1, 0), (1, 1, 0)]), loop_with([(0, 0, 0)])]
+    graphs += [gb.with_random_lengths(gb.build_example(name), 1)
+               for name in gb.EXAMPLE_NAMES]
+    assert len(graphs) == 1611
+    for g in graphs:
+        bs = gb.bond_matrices(g)
+        assert bs.parity == (-1) ** (g.edge_count - len(g.vertices))
+        assert np.sign(np.linalg.det(bs.scattering)) == bs.parity
 
 
 def test_edgeless_graph_is_refused():

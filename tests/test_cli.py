@@ -82,9 +82,12 @@ def test_non_utf8_file_fails(tmp_path, capsys):
         assert err.startswith("error: malformed graph file"), err
 
 
-def test_usage_errors_exit_2(lasso_file):
+def test_usage_errors_exit_2(lasso_file, capsys):
     for argv in (["bands", lasso_file],                        # missing --kmax
                  ["bands", lasso_file, "--kmax", "-3"],
+                 ["density", lasso_file, "--kmax", "inf"],
+                 ["density", lasso_file, "--kmax", "nan"],
+                 ["bands", lasso_file, "--kmax", "5", "--grid-step", "inf"],
                  ["density", lasso_file, "--kmax", "5", "--checkpoints", "0"],
                  ["torus", lasso_file, "--samples", "zero"],
                  ["scattering", lasso_file, "--threads", "2"],
@@ -99,16 +102,27 @@ def test_usage_errors_exit_2(lasso_file):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run(["density", lasso_file, "--kmax", "inf"])
+    assert ("argument --kmax: value must be positive and finite, got 'inf'"
+            in capsys.readouterr().err)
 
 
 def test_edgeless_graph_is_refused(tmp_path, capsys):
-    path = tmp_path / "edgeless.json"
-    path.write_text(json.dumps({"generators": 0, "vertices": [0], "edges": []}))
-    for command, *options in (["scattering"], ["bands", "--kmax", "5"],
-                              ["density", "--kmax", "5"],
-                              ["torus", "--samples", "10"]):
-        assert run([command, str(path)] + options) == 1, command
-        assert capsys.readouterr().err == "error: graph has no edges\n"
+    graph = tmp_path / "edgeless.json"
+    graph.write_text(json.dumps({"generators": 0, "vertices": [0], "edges": []}))
+    cell = tmp_path / "edgeless_cell.json"
+    cell.write_text(json.dumps({
+        "generators": 1, "vertices": [0, 1], "edges": [],
+        "identifications": [{"generator": 1, "plus": 1, "minus": 0}]}))
+    for path in (graph, cell):
+        for command, *options in (["validate"], ["scattering"],
+                                  ["bands", "--kmax", "5"],
+                                  ["density", "--kmax", "5"],
+                                  ["torus", "--samples", "10"]):
+            assert run([command, str(path)] + options) == 1, (path, command)
+            assert capsys.readouterr() == ("", "error: graph has no edges\n")
 
 
 def test_parser_is_built_once(lasso_file, monkeypatch, capsys):
