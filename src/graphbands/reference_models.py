@@ -18,7 +18,10 @@ The reflection coefficient is -B/A of the secular determinant A + B
 exp(2ip) of the decoration closed by a lead of phase p.  The dihedral
 density samples no indicator: along k1 its band set is a union of arcs
 of exact length, and that length is averaged over randomly shifted
-grids on (k2, k3).
+grids on (k2, k3).  On a grid the length is a function of one rank-5
+matrix product (the squared amplitude R^2 of the left side, a sum of
+five products of a function of k2 and a function of k3) and one arccos
+per point.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ from .torus import TWO_PI, sample_count
 UNITARITY_TOL = 1e-10
 _RESONANCE_TOL = 1e-6   # roundoff of F, relative to |A|, of a resonance
 _SHIFTS = 16             # randomly shifted grids of the dihedral density
-# points per block of grid rows: float64 temporaries of 64 KiB; blocks of
-# 16,384 points made a 2M-point dihedral density run 2x slower
-_BLOCK_ENTRIES = 8192
+# points per block of grid rows: the kernel's two float64 buffers take 512
+# KiB.  On a 2-core Xeon (2 MiB L2 per core) 2M- and 10M-point dihedral
+# densities ran 10-20% slower with 16,384 (more blocks, each with a fixed
+# cost), as fast with 49,152, and 1.7-1.9x slower with 65,536 or whole
+# grids (1 MiB of buffers and more)
+_BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -154,34 +160,59 @@ def dihedral_membership(kappa1, kappa2, kappa3):
 
 
 def _k1_measure(s2, c2, s3, c3):
-    """Share of k1 in [0, 2 pi) inside the dihedral band set, from the
-    sines and cosines of k2 and k3 (any broadcastable shapes).
+    """pi times the share of k1 in [0, 2 pi) inside the dihedral band set,
+    on the grid of k2 rows and k3 columns given by the 1-d sines and
+    cosines ``s2, c2`` of the rows and ``s3, c3`` of the columns: a (rows
+    x columns) array.  The division by pi is left to the caller, once per
+    grid mean.
 
-    With sigma = k2 + k3 and g = 1 + (1/2) s2 s3, the left side of
-    :func:`dihedral_membership` is (cos sigma - g) sin k1 + sin sigma
-    cos k1 = R sin(k1 + phi) with R^2 = 1 + g (g - 2 cos sigma).  So the
-    share is (2/pi) arcsin(min(1, |s2 + s3| / R)), which is one arccos,
-    arccos(max(-1, 1 - 2x)) / pi with x = (s2 + s3)^2 / R^2.  It is 1 at
-    R = 0, where the left side vanishes for every k1.
+    With sigma = k2 + k3 and g = 1 + P/2, P = s2 s3, the left side of
+    :func:`dihedral_membership` is (cos sigma - g) sin k1 + sin sigma cos
+    k1 = R sin(k1 + phi) with R^2 = 1 + g (g - 2 cos sigma).  So the share
+    is (2/pi) arcsin(min(1, |s2 + s3| / R)), which is one arccos,
+    arccos(max(-1, 1 - x)) / pi with x = (s2 + s3)^2 / (R^2 / 2).  It is 1
+    at R = 0, where the left side vanishes for every k1.
+
+    With Q = c2 c3, cos sigma = Q - P, and expanding g gives
+
+        R^2 / 2 = 1 + 1.5 P + 0.625 P^2 - Q - 0.5 P Q,
+
+    a sum of five products of a function of k2 and a function of k3: the
+    matrix product of the (rows x 5) factor [1, 1.5 s2, 0.625 s2^2, -c2,
+    -0.5 s2 c2] and the (5 x columns) factor [1, s3, s3^2, c3, s3 c3].
+    The outer sum s2 + s3 is the product of [s2, 1] and [1, s3]: products
+    by 1 are exact, so each entry is s2 + s3 rounded once, as the sum
+    itself (the expanded s2^2 + 2P + s3^2 would lose digits where s2 =
+    -s3).  The rest is done in place.  Near R = 0 (k2 = k3 in {0, pi}) the
+    roundoff of R^2 / 2 is about 1e-16 and can make it negative; it is
+    clamped at 0, which gives the share 1 there, as at R = 0.  Near R = 0
+    the share carries an error of about 1e-14 / R^2, as in any form that
+    builds R^2 from terms of order 1.
     """
-    h = 0.5 * (s2 * s3)
-    g = 1.0 + h
-    r2 = 1.0 + g * (g - 2.0 * (c2 * c3 - 2.0 * h))
-    rhs = s2 + s3
+    one2, one3 = np.ones_like(s2), np.ones_like(s3)
+    half_r2 = (np.array([one2, 1.5 * s2, 0.625 * s2 * s2, -c2,
+                         -0.5 * s2 * c2]).T
+               @ np.array([one3, s3, s3 * s3, c3, s3 * c3]))
+    np.fmax(half_r2, 0.0, out=half_r2)
+    x = np.array([s2, one2]).T @ np.array([one3, s3])
+    np.multiply(x, x, out=x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos2t = 1.0 - 2.0 * (rhs * rhs) / r2
+        np.divide(x, half_r2, out=x)
+    np.subtract(1.0, x, out=x)
     # fmax sends the -inf and NaN of R = 0 to -1 as well
-    return np.arccos(np.fmax(cos2t, -1.0)) / np.pi
+    np.fmax(x, -1.0, out=x)
+    return np.arccos(x, out=x)
 
 
 def dihedral_density(samples: int, seed: int) -> ReferenceValue:
-    """Band density of the dihedral graph: :func:`_k1_measure` averaged
-    over ``_SHIFTS`` grids of n x n points on (k2, k3), n = isqrt(samples
-    // shifts), so at most ``samples`` points are evaluated.  Each grid
-    is moved by a uniform shift from a Philox stream (Cranley-Patterson
-    rotation; Sloan-Joe, 1994), so its mean is unbiased; ``value`` is
-    the mean of the grid means and ``error_bound`` their standard error
-    (inf for one grid).  The result depends only on (samples, seed).
+    """Band density of the dihedral graph: the share of :func:`_k1_measure`
+    averaged over ``_SHIFTS`` grids of n x n points on (k2, k3), n =
+    isqrt(samples // shifts), so at most ``samples`` points are evaluated.
+    Each grid is moved by a uniform shift from a Philox stream
+    (Cranley-Patterson rotation; Sloan-Joe, 1994), so its mean is
+    unbiased; ``value`` is the mean of the grid means and ``error_bound``
+    their standard error (inf for one grid).  The result depends only on
+    (samples, seed).
     """
     samples = sample_count(samples)
     shifts = min(_SHIFTS, samples)
@@ -192,11 +223,11 @@ def dihedral_density(samples: int, seed: int) -> ReferenceValue:
     for j, (u2, u3) in enumerate(offsets):
         k2 = (np.arange(n) + u2) * (TWO_PI / n)
         k3 = (np.arange(n) + u3) * (TWO_PI / n)
-        s2, c2 = np.sin(k2)[:, None], np.cos(k2)[:, None]
+        s2, c2 = np.sin(k2), np.cos(k2)
         s3, c3 = np.sin(k3), np.cos(k3)
         means[j] = sum(float(_k1_measure(s2[i:i + rows], c2[i:i + rows],
                                          s3, c3).sum())
-                       for i in range(0, n, rows)) / (n * n)
+                       for i in range(0, n, rows)) / (n * n * np.pi)
     se = means.std(ddof=1) / math.sqrt(shifts) if shifts > 1 else np.inf
     return ReferenceValue(value=float(means.mean()), method="shifted_grid",
                           error_bound=float(se))

@@ -99,20 +99,65 @@ def dense_k1_share(k2, k3, n=200_000):
     return np.count_nonzero(gb.dihedral_membership(k1, k2, k3)) / n
 
 
+def k1_grid(k2, k3):
+    # shares on the grid of k2 rows and k3 columns
+    k2, k3 = np.atleast_1d(k2), np.atleast_1d(k3)
+    return rm._k1_measure(np.sin(k2), np.cos(k2),
+                          np.sin(k3), np.cos(k3)) / np.pi
+
+
 def k1_measure(k2, k3):
-    return rm._k1_measure(np.sin(k2), np.cos(k2), np.sin(k3), np.cos(k3))
+    return float(k1_grid(k2, k3)[0, 0])
 
 
 def test_k1_measure_matches_dense_membership_count():
     rng = np.random.default_rng(12)
     k23 = rng.uniform(0, 2 * np.pi, (30, 2))
-    for k2, k3 in k23:
-        assert abs(k1_measure(k2, k3) - dense_k1_share(k2, k3)) <= 2e-5
-    # vectorised calls broadcast and give the same shares
-    shares = k1_measure(k23[:, :1], k23[:, 1])
+    points = [k1_measure(k2, k3) for k2, k3 in k23]
+    for (k2, k3), share in zip(k23, points):
+        assert abs(share - dense_k1_share(k2, k3)) <= 2e-5
+    # the grid of the same 30 pairs holds them on its diagonal
+    shares = k1_grid(k23[:, 0], k23[:, 1])
     assert shares.shape == (30, 30)
-    assert np.allclose(np.diag(shares), k1_measure(k23[:, 0], k23[:, 1]),
-                       rtol=0, atol=1e-15)
+    assert np.allclose(np.diag(shares), points, rtol=0, atol=1e-15)
+
+
+def nested_k1_share(s2, c2, s3, c3):
+    # the share as a nested elementwise formula in g and cos(k2 + k3)
+    h = 0.5 * (s2 * s3)
+    g = 1.0 + h
+    r2 = 1.0 + g * (g - 2.0 * (c2 * c3 - 2.0 * h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos2t = 1.0 - 2.0 * (s2 + s3) ** 2 / r2
+    return np.arccos(np.fmax(cos2t, -1.0)) / np.pi, r2 / 2
+
+
+def test_k1_measure_matches_nested_formula_on_shifted_grids():
+    n = 353                                 # the grids of a 2M-point run
+    for u2, u3 in np.random.Generator(np.random.Philox(20)).random((5, 2)):
+        k2 = (np.arange(n) + u2) * (2 * np.pi / n)
+        k3 = (np.arange(n) + u3) * (2 * np.pi / n)
+        got = k1_grid(k2, k3)
+        want, half_r2 = nested_k1_share(np.sin(k2)[:, None],
+                                        np.cos(k2)[:, None],
+                                        np.sin(k3), np.cos(k3))
+        # both forms carry a roundoff of about 1e-16 in R^2 / 2, which the
+        # share amplifies as 1 / R^2 near R = 0 (k2 = k3 in {0, pi}): on
+        # 60 such grids |got - want| * R^2 / 2 stayed below 5e-14, and the
+        # bound is 1e-8 wherever R^2 / 2 >= 1e-5
+        assert np.all(np.abs(got - want) <= 1e-13 / half_r2)
+        far = half_r2 >= 1e-5
+        assert abs(got[far].mean() - want[far].mean()) <= 1e-13
+        assert abs(got.mean() - want.mean()) <= 1e-8
+    # the rank-5 product is 2 (R^2 / 2) = 1 + g (g - 2 cos(k2 + k3))
+    k2, k3 = np.random.default_rng(20).uniform(-10, 10, (2, 1000))
+    s2, c2, s3, c3 = np.sin(k2), np.cos(k2), np.sin(k3), np.cos(k3)
+    a = np.column_stack([np.ones_like(s2), 1.5 * s2, 0.625 * s2 ** 2, -c2,
+                         -0.5 * s2 * c2])
+    b = np.array([np.ones_like(s3), s3, s3 ** 2, c3, s3 * c3])
+    g = 1.0 + 0.5 * s2 * s3
+    r2 = 1.0 + g * (g - 2.0 * np.cos(k2 + k3))
+    assert np.allclose(2.0 * np.diag(a @ b), r2, rtol=0, atol=1e-14)
 
 
 def test_k1_measure_on_the_opposite_line_and_at_r_zero():
@@ -121,6 +166,12 @@ def test_k1_measure_on_the_opposite_line_and_at_r_zero():
     for k2 in np.random.default_rng(13).uniform(0.1, 3.0, 10):
         assert k1_measure(k2, -k2) == 0.0 == dense_k1_share(k2, -k2)
     assert k1_measure(0.0, 0.0) == 1.0 == dense_k1_share(0.0, 0.0)
+    # near R = 0, at k2 = k3 in {0, pi}, roundoff can leave the product
+    # R^2 / 2 negative; every share still lies in [0, 1]
+    near = np.random.default_rng(14).normal(0.0, 1e-7, 200)
+    for center in (0.0, np.pi):
+        shares = k1_grid(center + near, center + near[::-1])
+        assert np.all((shares >= 0.0) & (shares <= 1.0))
 
 
 def test_dihedral_density_agrees_with_membership_monte_carlo():
