@@ -2,13 +2,13 @@
 A second universal constant
 ===========================
 
-Three loops joined at a single vertex give a genuinely different
-periodic graph, and a different band density.  The value is a torus
-volume: for fixed phases of two loops, the phases of the third loop
-where the secular equation has a real quasi-momentum form arcs of
-closed-form length, and that length is averaged over randomly shifted
-grids of the other two phases.  The error column is the standard error
-of the 16 grid means.
+The theta graph, two vertices joined by three parallel edges with
+fluxes (0, 1, 1), gives a genuinely different periodic graph, and a
+different band density.  The value is a torus volume: for fixed phases
+of two edges, the phases of the third edge where the secular equation
+has a real quasi-momentum form arcs of closed-form length, and that
+length is averaged over randomly shifted grids of the other two phases.
+The error column is the standard error of the 16 grid means.
 """
 
 import graphbands as gb

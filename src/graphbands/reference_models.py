@@ -3,7 +3,8 @@
 Two small graphs admit pencil-and-paper band sets on the torus and serve
 as ground truth for the numerical pipeline: the loop-with-pendant graph
 (band density about 0.64, in closed form through Legendre's chi
-function) and a dihedral-symmetric three-edge graph whose band density
+function) and the dihedral-symmetric theta graph (two vertices joined
+by three parallel edges with fluxes (0, 1, 1)), whose band density
 (about 0.43) shows the universal constant is shape-dependent, not
 literally universal.  The reflection coefficient of a pendant
 decoration explains why whole families of graphs share one band

@@ -36,16 +36,19 @@ the generator of highest degree m it is c_0 + 2 Re sum_j c_j exp(i j
 alpha), and the compile stores (:class:`SecularPolynomial`) the matrix
 that takes a row's cos (or sin) of kappa . n, for the kept n, to
 c_0..c_m at every point of a grid of GRID_FALLBACK_POINTS points per
-further generator.  A membership row costs one cosine (or sine) per kept
-n and one small matrix product instead of 2m + 1 determinants.  This is
-the one source of G for membership; a graph whose compile grid, or
-whose alpha-series, exceeds COMPILE_BUDGET is refused with a GraphError.
+further generator of nonzero degree (a generator G does not depend on
+takes no grid axis).  A membership row costs one cosine (or sine) per
+kept n and one small matrix product instead of 2m + 1 determinants.
+This is the one source of G for membership; a graph whose compile grid,
+or whose alpha-series, exceeds COMPILE_BUDGET is refused with a
+GraphError.
 
 For m = 1 G is c_0 + 2|c_1| cos(alpha + phase), so a row is a member
-iff |c_0| <= 2|c_1| (+ ZERO_TOL).  With one generator G is even in
-alpha, so for m = 2 it is a quadratic in cos(alpha) with closed-form
-extremes on [-1, 1].  For m >= 3, and along the main generator when J
->= 2, where a slice of G is not even, G is evaluated at 2m + 1
+iff |c_0| <= 2|c_1| (+ ZERO_TOL).  With one generator of nonzero degree
+(a one-slice series) G is even in alpha, so for m = 2 it is a quadratic
+in cos(alpha) with closed-form extremes on [-1, 1].  For m >= 3, and
+along the main generator when further generators have nonzero degree,
+where a slice of G is not even, G is evaluated at 2m + 1
 equispaced points and at its critical points, roots of a companion
 eigenproblem, which make the minimum and maximum along that axis exact.
 The extremes are taken over the whole grid of further generators.
@@ -62,12 +65,27 @@ min(ZERO_TOL - min G, max G + ZERO_TOL), and a row is a member iff mu
 every bracket at once by bracketed ITP steps on mu, a regula-falsi
 point kept within a shrinking ball about the midpoint, so no edge takes
 more rounds than bisection plus one.
+
+Torus membership (:func:`membership_from_phases`) screens its rows in
+float32 first.  With numpy 2.4 on an AVX-512 x86-64 core a float64
+cosine took about 25 ns and a float32 one about 1 ns, and the cosines
+were most of the kernel.  The screen computes the coefficients c from
+float32 phases, trig and product, and decides every row whose margin
+clears a bound B by its sign.  B is derived once per compiled polynomial
+from the float32 error of the phase sum, of the trig and of the product
+(:attr:`SecularPolynomial.screen_bound`), so the float64 margin has the
+same sign on those rows.  The rest, rows within B of an edge (under 0.1%
+on the lasso, a few percent at most on random graphs) or with a phase
+outside [-2 pi, 2 pi], take the float64 margin.  Decisions are those of
+the float64 kernel, row for row.  The band scan reads margin values, not
+only signs, and stays float64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,13 +94,18 @@ from .graph_model import GraphError
 from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
-GRID_FALLBACK_POINTS = 64    # quasi-momentum grid per extra generator, J >= 2
+GRID_FALLBACK_POINTS = 64    # grid per further generator of nonzero degree
 COMPILE_BUDGET = 2_000_000   # most compile grid points, and series entries
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
 # on every graph tried the nonzero ones were >= 0.005 and the FFT noise
 # of the zero ones <= 5e-16, so the cut sits far from both.
 _DROP_TOL = 1e-9
 _BLOCK_VALUES = 1 << 18      # values per block of membership rows; bounds memory
+# float32 screen of torus membership: the error of float32 cos and sin
+# that its bound B assumes, in units of 2^-23 (a tier-1 test measures
+# it), and the safety factor of B
+_TRIG_ULP = 2.0
+_SCREEN_SLACK = 16.0
 # ITP constants of the band-edge refinement: truncation _ITP_K1 / w0 (w0
 # the initial bracket) times the squared bracket width, and _ITP_N0 rounds
 # of slack over bisection
@@ -137,8 +160,9 @@ def real_secular_values(bs: BondSystem, kappas, alphas) -> np.ndarray:
 class SecularPolynomial:
     """The real secular function G as its coefficients along the
     generator of highest degree m, the main one.  At point b of the grid
-    of GRID_FALLBACK_POINTS points per other generator (the first
-    slowest) G = c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha_main), with
+    of GRID_FALLBACK_POINTS points per other generator of nonzero degree,
+    J' - 1 of them (the first slowest), G = c_0 + 2 Re sum_{j=1..m} c_j
+    exp(i j alpha_main), with
 
         c_j = sum_r series[r, b, j] t(kappa_freq[r] . kappa),
 
@@ -149,22 +173,62 @@ class SecularPolynomial:
     nonzero coefficient (entries in {-1, 0, 1}, first nonzero entry 1),
     and ``series`` sums twice their real part, or minus twice their
     imaginary part, plus the n = 0 row once, which only det S = +1 has.
-    It is real when J <= 1, where the grid is one point.  ``degree`` is
+    It is real when J' <= 1, where the grid is one point.  ``degree`` is
     the exact degree of G in each quasi-momentum, at most its flux weight.
+    ``screen_bound`` is the bound B of the float32 membership screen.
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
-    series: np.ndarray           # (Rk, 64^(J-1), m + 1) float (J <= 1) or complex
+    series: np.ndarray           # (Rk, 64^(J'-1), m + 1), complex if J' >= 2
     parity: int                  # det S, +1 or -1
     degree: tuple[int, ...]
+
+    @cached_property
+    def screen_bound(self) -> float:
+        """B of the float32 membership screen, derived on first use:
+        _SCREEN_SLACK times a bound on |mu32 - mu| over rows with every
+        |kappa_e| <= 2 pi, mu32 the margin from float32 coefficients and
+        mu the float64 one.
+
+        With u = 2^-24 the float32 unit roundoff, a kept row n_r with w_r
+        nonzero entries (each +-1) and |kappa_e| <= 2 pi:
+
+        - argument: casting the phases to float32 moves n_r . kappa by at
+          most u sum |kappa_e| <= 2 pi u w_r, and summing the w_r terms in
+          float32 by at most (w_r - 1) u 2 pi w_r, so da_r <= 2 pi u w_r^2;
+        - trig: cos and sin are 1-Lipschitz, and float32 ``np.cos`` and
+          ``np.sin`` are within tau = _TRIG_ULP 2^-23 of the float64 ones
+          on |a| <= 2 pi E (a tier-1 test measures this), so the value t_r
+          is off by at most da_r + tau;
+        - product: c_j = sum_r t_r S_rj over Rk terms, with S cast to
+          float32 and |t_r| <= 1, adds (Rk + 1) u sum_r |S_rj|; a complex
+          S is summed as separate real and imaginary columns, so each S_rj
+          counts as |Re S_rj| + |Im S_rj|.
+
+        So |dc_j| <= sum_r e_r |S_rj| with e_r = da_r + tau + (Rk + 1) u.
+        G = c_0 + 2 Re sum_j c_j exp(i j alpha) moves by at most |dc_0| +
+        2 sum_j |dc_j| at every alpha, and so do its exact extremes and mu,
+        which is 1-Lipschitz in each; the worst slice of the further
+        generators' grid counts.  The slack covers what this leaves out:
+        the terms of order u^2, the float64 roundoff of both margins, and
+        the critical points of m >= 3 found in float64 from either set of
+        coefficients.
+        """
+        u = 2.0 ** -24
+        w = np.abs(self.kappa_freq).sum(axis=1)
+        e = 2.0 * np.pi * u * w * w + _TRIG_ULP * 2.0 ** -23 + (len(w) + 1) * u
+        size = np.abs(self.series.real) + np.abs(self.series.imag)
+        weight = np.where(np.arange(self.series.shape[-1]) > 0, 2.0, 1.0)
+        return _SCREEN_SLACK * float(np.max(
+            np.einsum("r,rbj,j->b", e, size, weight), initial=0.0))
 
 
 def compile_secular(bs: BondSystem) -> SecularPolynomial:
     """Compile G of ``bs``; a :class:`GraphError` naming the count when
     the sampling grid has more than COMPILE_BUDGET points or the
-    ``series`` more than COMPILE_BUDGET entries.  J >= 5 generators are
-    refused before any determinant: the grid of the other generators
-    alone has more points than that.
+    ``series`` more than COMPILE_BUDGET entries.  Five or more generators
+    of nonzero flux weight are refused before any determinant: the grid
+    of the other generators alone would have more points than that.
 
     G is sampled on 3 points per edge phase and 2 m_j + 1 per generator,
     which holds every frequency it has exactly once, so the FFT of the
@@ -175,8 +239,9 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     -alpha) = G(kappa, alpha) and G(-kappa, alpha) = det S G(kappa,
     alpha).  Coefficients at or below _DROP_TOL are exact zeros lost in
     roundoff and are dropped; the rest give the exact degrees.  The main
-    generator keeps frequencies 0..m, and each other one is summed at
-    its grid points beta, sum_s c_s exp(i s beta).  Use
+    generator keeps frequencies 0..m, a generator of degree 0 its one
+    frequency 0 and no grid axis, and each other one is summed at its
+    grid points beta, sum_s c_s exp(i s beta).  Use
     ``bs.secular_polynomial``, which compiles once and keeps it.
     """
     E, J = bs.n_edges, bs.generators
@@ -187,7 +252,8 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
                          "%d points, above COMPILE_BUDGET = %d"
                          % (count, COMPILE_BUDGET))
     n = GRID_FALLBACK_POINTS
-    points = n ** max(J - 1, 0)               # entries of one row of degree 0
+    live = sum(m > 0 for m in bs.flux_weight)
+    points = n ** max(live - 1, 0)            # entries of one row of degree 0
     if points > COMPILE_BUDGET:
         raise GraphError("the alpha-series of the secular function has at "
                          "least %d entries, above COMPILE_BUDGET = %d"
@@ -209,18 +275,29 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
                    for f, i in zip(freqs, np.nonzero(c)[1:]))
     m = max(degree, default=0)
     main = degree.index(m) if J else 0
+    others = [j for j in range(J) if j != main and degree[j]]
+    points = n ** len(others)
     count = len(c) * points * (m + 1)
     if count > COMPILE_BUDGET:
         raise GraphError("the alpha-series of the secular function has %d "
                          "entries, above COMPILE_BUDGET = %d"
                          % (count, COMPILE_BUDGET))
-    series = np.moveaxis(c, main + 1, -1)[..., :m + 1] if J else c[..., None]
+    if J:
+        # frequencies 0..m of the main generator last; a generator of
+        # degree 0 keeps its one frequency, 0
+        keep = tuple(slice(None) if degree[j] else 0
+                     for j in range(J) if j != main)
+        series = np.moveaxis(c, main + 1, -1)[(slice(None),) + keep
+                                              + (slice(m + 1),)]
+    else:
+        series = c[..., None]
     beta = 2.0 * np.pi * np.arange(n) / n
-    for axis, f in enumerate(freqs[:main] + freqs[main + 1:], start=1):
-        series = np.moveaxis(np.tensordot(np.exp(1j * np.outer(beta, f)),
-                                          series, axes=(1, axis)), 0, axis)
-    return SecularPolynomial(freq[rows], np.ascontiguousarray(
-        series.reshape(len(c), points, m + 1)), bs.parity, degree)
+    for axis, j in enumerate(others, start=1):
+        wave = np.exp(1j * np.outer(beta, freqs[j]))
+        series = np.moveaxis(np.tensordot(wave, series, axes=(1, axis)),
+                             0, axis)
+    series = np.ascontiguousarray(series.reshape(len(c), points, m + 1))
+    return SecularPolynomial(freq[rows], series, bs.parity, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +364,51 @@ def _extremes(c: np.ndarray, m: int,
     return np.fmin.reduce(vals, axis=1), np.fmax.reduce(vals, axis=1)
 
 
-def _margin(bs: BondSystem, kappas: np.ndarray) -> np.ndarray:
+def _margin(bs: BondSystem, kappas: np.ndarray,
+            precision=np.float64) -> np.ndarray:
     """Membership margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL) of
     each row of edge phases (n, E); a row is a member iff mu >= 0, and NaN
     (a failed sample) is not.  mu is continuous in the row, so along
     kappa = k l the band edges are its roots.  See
-    :func:`membership_from_phases` for the extremes."""
+    :func:`membership_from_phases` for the extremes.
+
+    With ``precision`` float32 a block of rows whose phases all lie in
+    [-2 pi, 2 pi] takes its coefficients c from float32 phases, trig and
+    product, upcast to float64 for the extremes.  The result is then only
+    a screen: a row whose screened margin is within the polynomial's
+    ``screen_bound`` of 0, or not finite, takes the float64 margin, so
+    the sign of every returned margin is that of the float64 one.  Any
+    other block is float64 throughout."""
     poly = bs.secular_polynomial
     m = poly.series.shape[-1] - 1
     # a complex series as interleaved real and imaginary parts, so that
     # c is one real product, read back as complex
     series = poly.series.reshape(len(poly.series), -1).view(float)
+    freq = poly.kappa_freq.T
+    screen = precision == np.float32
+    if screen:
+        series32, freq32 = series.astype(np.float32), freq.astype(np.float32)
     trig = np.cos if poly.parity == 1 else np.sin
+    even = poly.series.shape[1] == 1
     block = max(1, _BLOCK_VALUES // max(series.shape[1], len(series)))
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
         rows = kappas[i:i + block]
-        c = (trig(rows @ poly.kappa_freq.T) @ series).view(poly.series.dtype)
-        lo, hi = _extremes(c.reshape(-1, m + 1), m, even=bs.generators == 1)
+        # the bound holds for |kappa_e| <= 2 pi; a NaN fails this too
+        low = screen and rows.max() <= 2 * np.pi and rows.min() >= -2 * np.pi
+        if low:
+            c = trig(rows.astype(np.float32) @ freq32) @ series32
+            c = c.astype(float)
+        else:
+            c = trig(rows @ freq) @ series
+        c = c.view(poly.series.dtype).reshape(-1, m + 1)
+        lo, hi = _extremes(c, m, even)
+        mu = margin[i:i + block]
         np.minimum(ZERO_TOL - lo.reshape(len(rows), -1).min(axis=1),
-                   hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL,
-                   out=margin[i:i + block])
+                   hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL, out=mu)
+        if low:
+            redo = ~(np.abs(mu) > poly.screen_bound)          # NaN too
+            mu[redo] = _margin(bs, rows[redo])
     return margin
 
 
@@ -318,23 +419,33 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
     sampling.  A row is a member iff the real secular function G changes
     sign or touches zero over the quasi-momenta: min G <= ZERO_TOL and
     max G >= -ZERO_TOL along the generator of highest degree m, for every
-    point of the GRID_FALLBACK_POINTS grid over the other generators
-    together.  The extremes along that generator come from the
-    coefficients c_0..c_m of G along it, one matrix product with the
+    point of the GRID_FALLBACK_POINTS grid over the other generators of
+    nonzero degree together.  The extremes along that generator come from
+    the coefficients c_0..c_m of G along it, one matrix product with the
     compiled ``series``: in closed form when m <= 1 (|c0| <= 2|c1| +
-    ZERO_TOL) and when m = 2 on a one-generator graph, where G is even
-    in alpha, and from the values at 2m + 1 equispaced and at the
-    critical points otherwise.  ZERO_TOL is absolute; it lets
-    the noise of touching zeros (band edges, flat bands) count as zero.
+    ZERO_TOL) and when m = 2 with one generator of nonzero degree (a
+    one-slice series), where G is even in alpha, and from the values at
+    2m + 1 equispaced and at the critical points otherwise.  ZERO_TOL is
+    absolute; it lets the noise of touching zeros (band edges, flat
+    bands) count as zero.
     The test is the sign of the margin min(ZERO_TOL - min G, max G +
     ZERO_TOL): in IEEE arithmetic a - b >= 0 holds exactly when a >= b,
     so it decides as the two comparisons do.
 
+    Rows are screened in float32 (see :func:`_margin`): a row whose
+    float32 margin is farther than the polynomial's bound B from 0 is
+    decided by its sign, and the rest, with any block of rows holding a
+    phase outside [-2 pi, 2 pi] or a NaN, take the float64 margin.  B
+    bounds the float32 error of the margin with a slack of
+    _SCREEN_SLACK (:attr:`SecularPolynomial.screen_bound`), so the result
+    is the sign of the float64 margin on every row.
+
     G and its exact degrees come from the compiled polynomial
     ``bs.secular_polynomial``, which raises :class:`GraphError` for a
-    graph above COMPILE_BUDGET (always from J = 5 generators on).
+    graph above COMPILE_BUDGET (always from 5 generators of nonzero
+    flux weight on).
     """
-    return _margin(bs, _edge_phases(bs, kappas)) >= 0
+    return _margin(bs, _edge_phases(bs, kappas), np.float32) >= 0
 
 
 def _momentum_margin(bs: BondSystem, ks) -> np.ndarray:

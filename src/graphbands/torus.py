@@ -22,7 +22,10 @@ from .bond_system import BondSystem
 from .spectrum import membership_from_phases
 
 TWO_PI = 2.0 * np.pi
-_MC_CHUNK = 65536
+# rows per membership call; at 16,384 lasso rows the phases and the
+# float32 temporaries of the kernel stay in a 2 MiB L2 cache, and 60,000
+# rows took 4.0 ms against 5.8 ms at 65,536 rows per call
+_MC_CHUNK = 16384
 
 
 @dataclass(frozen=True)

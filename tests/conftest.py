@@ -45,6 +45,16 @@ def flower_graph(loops):
         generators=loops)
 
 
+def theta_graph():
+    """Two vertices joined by three parallel edges with fluxes (0, 1, 1),
+    lengths 1.1, 1.3, 1.7: the graph of the dihedral reference; det S =
+    -1, so G is a sum of sines of the edge phases."""
+    return MagneticGraph((0, 1), tuple(
+        Edge(i, 0, 1, length, (flux,))
+        for i, (length, flux) in enumerate(((1.1, 0), (1.3, 1), (1.7, 1)), 1)),
+        generators=1)
+
+
 def loop_with(decoration, loop_flux=1):
     """A loop of flux ``loop_flux`` at vertex 0 plus ``decoration``, a list
     of (tail, head, flux) edges; lengths 1.1, 1.2, ... in edge order."""

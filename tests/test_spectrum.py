@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import flower_graph, marker_fig1d, random_magnetic_graph
+from conftest import (flower_graph, marker_fig1d, random_magnetic_graph,
+                      theta_graph)
 from graphbands import GraphError, spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
@@ -231,26 +232,32 @@ def lu_real_secular(bs, kappas, alphas):
 
 def series_alphas(bs, alpha_main):
     """Quasi-momentum rows at every point of the GRID_FALLBACK_POINTS grid
-    over the generators other than the one of highest exact degree (the
-    first of them slowest) and, fastest, at each of ``alpha_main`` along
-    that one; shape (64^(J - 1) len(alpha_main), J)."""
+    over the generators of nonzero degree other than the one of highest
+    exact degree (the first of them slowest) and, fastest, at each of
+    ``alpha_main`` along that one; a generator of degree 0 sits at 0.
+    Shape (64^(J' - 1) len(alpha_main), J), J' the generators of nonzero
+    degree (at least 1)."""
     degree = bs.secular_polynomial.degree
     J = len(degree)
     if J == 0:
         return np.zeros((len(alpha_main), 0))
     n = spectrum.GRID_FALLBACK_POINTS
-    axes = [2 * np.pi * np.arange(n) / n] * (J - 1) + [alpha_main]
-    alphas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     main = int(np.argmax(degree))
-    order = [j for j in range(J) if j != main] + [main]
+    others = [j for j in range(J) if j != main and degree[j]]
+    dead = [j for j in range(J) if j != main and not degree[j]]
+    axes = ([2 * np.pi * np.arange(n) / n] * len(others) + [alpha_main]
+            + [[0.0]] * len(dead))
+    alphas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    order = others + [main] + dead
     return alphas.reshape(-1, J)[:, np.argsort(order)]
 
 
 def lu_series(bs, kappas):
     """Reference coefficients c_0..c_m of G along the generator of highest
     exact degree m, at every point of the GRID_FALLBACK_POINTS grid over
-    the other generators (the first of them slowest): the FFT of LU
-    samples at 2m + 1 equispaced points; shape (n, 64^(J - 1), m + 1)."""
+    the other generators of nonzero degree (the first of them slowest):
+    the FFT of LU samples at 2m + 1 equispaced points; shape (n,
+    64^(J' - 1), m + 1)."""
     m = max(bs.secular_polynomial.degree, default=0)
     alphas = series_alphas(bs, 2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1))
     G = lu_real_secular(bs, kappas, alphas).reshape(len(kappas), -1, 2 * m + 1)
@@ -260,8 +267,8 @@ def lu_series(bs, kappas):
 def series_values(bs, kappas, alpha_main):
     """G from the compiled series, c_0 + 2 Re sum_j c_j exp(i j alpha), at
     rows of edge phases (n, E), at every point of the grid over the other
-    generators and at each of ``alpha_main``; shape (n, 64^(J - 1),
-    len(alpha_main))."""
+    generators of nonzero degree and at each of ``alpha_main``; shape (n,
+    64^(J' - 1), len(alpha_main))."""
     poly = bs.secular_polynomial
     trig = np.cos if poly.parity == 1 else np.sin
     c = np.einsum("nr,rbj->nbj", trig(kappas @ poly.kappa_freq.T), poly.series)
@@ -278,7 +285,7 @@ def lu_membership(bs, kappas):
     c = lu_series(bs, kappas)
     m = c.shape[-1] - 1
     lo, hi = spectrum._extremes(c.reshape(-1, m + 1), m,
-                                even=bs.generators == 1)
+                                even=c.shape[1] == 1)
     return ((lo.reshape(len(kappas), -1).min(axis=1) <= ZERO_TOL)
             & (hi.reshape(len(kappas), -1).max(axis=1) >= -ZERO_TOL))
 
@@ -343,7 +350,8 @@ def test_alpha_series_matches_lu_fft():
     # the stored series, contracted with the cos (sin) of the edge phase
     # frequencies, gives the coefficients of G along the main generator at
     # every grid point of the others; the reference is the FFT of LU
-    # samples on the 2m + 1 x 64^(J - 1) grid.  Covers J = 0, 1 and 2.
+    # samples on the 2m + 1 x 64^(J' - 1) grid, J' the generators of
+    # nonzero degree.  Covers J = 0, 1 and 2.
     rng = np.random.default_rng(21)
     graphs = dict(compiled_graphs(),
                   J0=random_magnetic_graph(5, generators=0),
@@ -354,7 +362,8 @@ def test_alpha_series_matches_lu_fft():
         kappas = rng.uniform(0, 2 * np.pi, (50, bs.n_edges))
         ref = lu_series(bs, kappas)
         assert poly.series.shape[1:] == ref.shape[1:], name
-        assert np.isrealobj(poly.series) == (bs.generators <= 1), name
+        live = sum(d > 0 for d in poly.degree)
+        assert np.isrealobj(poly.series) == (live <= 1), name
         trig = np.cos if poly.parity == 1 else np.sin
         got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
                         poly.series)
@@ -382,7 +391,8 @@ def test_compile_takes_one_determinant_per_symmetry_orbit(monkeypatch):
         dets.clear()
         poly = spectrum.compile_secular(bs)
         assert sum(dets) == expected, name
-        assert np.isrealobj(poly.series) == (bs.generators <= 1), name
+        live = sum(d > 0 for d in poly.degree)
+        assert np.isrealobj(poly.series) == (live <= 1), name
         assert poly.parity == bs.parity, name
 
 
@@ -456,13 +466,58 @@ def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
         tracemalloc.stop()
     assert peak < 100e6
     assert dets == []
-    # three generators stay accepted and match the LU reference
-    bs = gb.bond_matrices(random_magnetic_graph(4, generators=3))
-    assert bs.secular_polynomial.series.shape[1] == 64 ** 2
-    kappas = np.random.default_rng(22).uniform(0, 2 * np.pi, (8, bs.n_edges))
+    # three generators stay accepted and match the LU reference: degrees
+    # (1, 1, 1) on a 64^2 grid, and (0, 1, 1), whose generator of degree 0
+    # takes no grid axis
+    for seed, points in ((2, 64 ** 2), (4, 64)):
+        bs = gb.bond_matrices(random_magnetic_graph(seed, generators=3))
+        assert bs.secular_polynomial.series.shape[1] == points
+        kappas = np.random.default_rng(22).uniform(0, 2 * np.pi,
+                                                   (8, bs.n_edges))
+        member = gb.membership_from_phases(bs, kappas)
+        assert 0 < member.sum() < len(member)
+        assert np.array_equal(member, lu_membership(bs, kappas))
+
+
+def test_degree_zero_generator_takes_no_grid_axis():
+    # random_magnetic_graph(5, generators=2): G has degree 0 in the first
+    # generator and 4 in the second, so the series has one slice and is
+    # real, where 64 identical slices were solved before.  Membership
+    # against a dense alpha reference along the second generator, with
+    # the first at two values.
+    bs = gb.bond_matrices(random_magnetic_graph(5, generators=2))
+    poly = bs.secular_polynomial
+    assert poly.degree == (0, 4)
+    assert poly.series.shape[1] == 1 and np.isrealobj(poly.series)
+    kappas = np.random.default_rng(24).uniform(0, 2 * np.pi, (300, bs.n_edges))
     member = gb.membership_from_phases(bs, kappas)
     assert 0 < member.sum() < len(member)
-    assert np.array_equal(member, lu_membership(bs, kappas))
+    for first in (0.0, 2.1):
+        G = dense_alpha_values(
+            lambda bs, k, a: gb.real_secular_values(
+                bs, k, np.column_stack([np.full(len(a), first), a])),
+            bs, kappas, 1024)
+        dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
+        assert np.array_equal(member, dense), first
+
+
+def test_flux_free_generators_do_not_count_towards_refusal():
+    # the flower cell with three flux-free generators added, J = 5: it
+    # compiles to the series of the J = 2 flower, and membership agrees
+    # row for row
+    g2 = gb.bloch_reduce(FLOWER_CELL)
+    g5 = gb.MagneticGraph(g2.vertices, tuple(
+        gb.Edge(e.id, e.tail, e.head, e.length, e.flux + (0, 0, 0))
+        for e in g2.edges), generators=5)
+    bs2, bs5 = gb.bond_matrices(g2), gb.bond_matrices(g5)
+    assert bs5.flux_weight == bs2.flux_weight + (0, 0, 0)
+    p2, p5 = bs2.secular_polynomial, bs5.secular_polynomial
+    assert p5.degree == p2.degree + (0, 0, 0) == (1, 1, 0, 0, 0)
+    assert p5.series.shape == p2.series.shape == (8, 64, 2)
+    kappas = np.random.default_rng(25).uniform(0, 2 * np.pi, (4000, 3))
+    member = gb.membership_from_phases(bs5, kappas)
+    assert 0 < member.sum() < len(member)
+    assert np.array_equal(member, gb.membership_from_phases(bs2, kappas))
 
 
 def test_m1_closed_form_matches_dense_alpha_reference():
@@ -685,6 +740,22 @@ def test_margin_sign_matches_two_comparisons(monkeypatch):
         assert 0 < old.sum() < len(old), name
 
 
+def fixed_extremes(monkeypatch, bs, kappas, lo, hi):
+    """Patch spectrum._extremes to return lo[i], hi[i] (each of shape (n,
+    slices)) for row i of ``kappas``, on whichever of the rows it is
+    called and at either precision of the coefficients: row i is the one
+    whose float64 coefficients on the first slice are nearest."""
+    poly = bs.secular_polynomial
+    trig = np.cos if poly.parity == 1 else np.sin
+    ref = trig(kappas @ poly.kappa_freq.T) @ poly.series[:, 0]
+
+    def extremes(c, m, even):
+        first = c.reshape(-1, lo.shape[1], m + 1)[:, 0]
+        i = np.argmin(np.abs(first[:, None] - ref[None]).sum(axis=2), axis=1)
+        return lo[i].ravel(), hi[i].ravel()
+    monkeypatch.setattr(spectrum, "_extremes", extremes)
+
+
 def test_margin_sign_at_exact_extremes(monkeypatch):
     # extremes exactly at +-ZERO_TOL, one float spacing either side, signed
     # zeros, subnormals, NaN and +-inf, every pair of them as (min, max)
@@ -693,25 +764,24 @@ def test_margin_sign_at_exact_extremes(monkeypatch):
     values += [np.nextafter(v, t) for v in (ZERO_TOL, -ZERO_TOL)
                for t in (-np.inf, np.inf)]
     lo, hi = (a.ravel() for a in np.meshgrid(values, values))
-    monkeypatch.setattr(spectrum, "_extremes", lambda c, m, even: (lo, hi))
+    rng = np.random.default_rng(20)
     bs = gb.bond_matrices(margin_graphs()["lasso"])
-    kappas = np.zeros((len(lo), 2))
+    kappas = rng.uniform(0, 2 * np.pi, (len(lo), 2))
+    fixed_extremes(monkeypatch, bs, kappas, lo[:, None], hi[:, None])
     old = (lo <= ZERO_TOL) & (hi >= -ZERO_TOL)
     assert 0 < old.sum() < len(old)
     assert np.array_equal(spectrum._margin(bs, kappas) >= 0, old)
     assert np.array_equal(gb.membership_from_phases(bs, kappas), old)
     # J = 2: 64 slices per row, the same values at a few random slices
-    rng = np.random.default_rng(20)
     n = 400
     lo = rng.normal(0.0, 2 * ZERO_TOL, (n, 64)) + 3 * ZERO_TOL
     hi = lo + rng.exponential(2 * ZERO_TOL, (n, 64)) - 6 * ZERO_TOL
     for a in (lo, hi):
         a[rng.integers(0, n, 300), rng.integers(0, 64, 300)] = \
             rng.choice(values, 300)
-    monkeypatch.setattr(spectrum, "_extremes",
-                        lambda c, m, even: (lo.ravel(), hi.ravel()))
     bs = gb.bond_matrices(margin_graphs()["flower"])
-    kappas = np.zeros((n, 3))
+    kappas = rng.uniform(0, 2 * np.pi, (n, 3))
+    fixed_extremes(monkeypatch, bs, kappas, lo, hi)
     old = (lo.min(axis=1) <= ZERO_TOL) & (hi.max(axis=1) >= -ZERO_TOL)
     assert 0 < old.sum() < len(old)
     assert np.array_equal(spectrum._margin(bs, kappas) >= 0, old)
@@ -730,6 +800,115 @@ def test_margin_of_non_finite_phases(monkeypatch):
         old = assert_margin_sign_is_old_rule(bs, kappas, seen)
         assert not old.any(), name
         assert np.isnan(spectrum._margin(bs, kappas)).all(), name
+
+
+# ------------------------------------------------------------ float32 screen
+
+def screen_graphs():
+    """The lasso, the core of fig1d (a lasso), the ladder (m = 2 even),
+    the flower cell (J = 2, complex series), the theta graph (sin rows)
+    and corpus graphs of degree 3, 3 and 4 (critical points from the
+    companion matrix)."""
+    graphs = dict(margin_graphs(), theta=theta_graph())
+    graphs["fig1d"] = gb.core_shape(graphs["fig1d"])
+    for seed in (53, 9, 52):
+        graphs["J1-%d" % seed] = random_magnetic_graph(seed)
+    return graphs
+
+
+def float64_rows(monkeypatch):
+    """Wrap spectrum._margin; the returned list collects the row count of
+    each float64 call."""
+    rows = []
+    margin = spectrum._margin
+
+    def counted(bs, kappas, precision=np.float64):
+        if precision == np.float64:
+            rows.append(len(kappas))
+        return margin(bs, kappas, precision)
+    monkeypatch.setattr(spectrum, "_margin", counted)
+    return rows
+
+
+def test_screen_matches_float64_margin(monkeypatch):
+    # Philox torus rows: membership is the sign of the float64 margin row
+    # for row, and the screen sends some rows, but at most 2%, to float64
+    rows = float64_rows(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(21))
+    for name, g in screen_graphs().items():
+        bs = gb.bond_matrices(g)
+        n = 5000 if max(bs.secular_polynomial.degree) >= 3 else 50_000
+        kappas = rng.uniform(0, 2 * np.pi, (n, bs.n_edges))
+        rows.clear()
+        member = gb.membership_from_phases(bs, kappas)
+        assert 0 < sum(rows) <= 0.02 * n, (name, sum(rows))
+        assert 0 < member.sum() < n, name
+        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
+
+
+def rows_at_margin(bs, target, rng, pairs=1000):
+    """Rows of edge phases whose float64 margin is ``target`` to within
+    1e-3 |target|: points on segments between random rows on either side
+    of it, bisected on the margin."""
+    a, b = rng.uniform(0, 2 * np.pi, (2, pairs, bs.n_edges))
+    fa = spectrum._margin(bs, a) - target
+    cross = fa * (spectrum._margin(bs, b) - target) < 0
+    a, b, fa = a[cross], b[cross], fa[cross]
+    lo, hi = np.zeros(len(a)), np.ones(len(a))
+    for _ in range(60):
+        t = 0.5 * (lo + hi)
+        mid = spectrum._margin(bs, a + t[:, None] * (b - a))
+        same = (mid - target) * fa > 0
+        lo, hi = np.where(same, t, lo), np.where(same, hi, t)
+    rows = a + hi[:, None] * (b - a)
+    mu = spectrum._margin(bs, rows)
+    return rows[np.abs(mu - target) <= 1e-3 * abs(target)]
+
+
+def test_screen_near_band_edges():
+    # rows at float64 margins +-1e-9 and +-1e-6, far inside the float32
+    # error: the float64 sign decides each of them
+    rng = np.random.default_rng(26)
+    for name in ("lasso", "flower", "theta"):
+        bs = gb.bond_matrices(screen_graphs()[name])
+        for target in (1e-9, -1e-9, 1e-6, -1e-6):
+            rows = rows_at_margin(bs, target, rng)
+            assert len(rows) >= 200, (name, target)
+            member = gb.membership_from_phases(bs, rows)
+            assert np.all(member == (target > 0)), (name, target)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_screen_of_large_and_non_finite_phases():
+    # rows shifted by +-2 pi 10^6, where float32 phases keep no digit of
+    # the angle, and rows holding inf or NaN: their blocks take the
+    # float64 margin, row for row
+    rng = np.random.default_rng(27)
+    for name in ("lasso", "ladder", "flower", "theta"):
+        bs = gb.bond_matrices(screen_graphs()[name])
+        kappas = rng.uniform(0, 2 * np.pi, (3000, bs.n_edges))
+        kappas[::3] += rng.choice([-2e6 * np.pi, 2e6 * np.pi], (1000, 1))
+        member = gb.membership_from_phases(bs, kappas)
+        assert 0 < member.sum() < len(member), name
+        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
+        kappas[1::3, 0] = rng.choice([np.nan, np.inf, -np.inf], 1000)
+        member = gb.membership_from_phases(bs, kappas)
+        assert not member[1::3].any(), name
+        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
+
+
+def test_float32_trig_within_screen_budget():
+    # the float32 trig error that the screen bound assumes, measured: on 2^21
+    # float32 arguments over [-2 pi E, 2 pi E], E = 13 the most edges
+    # COMPILE_BUDGET admits, float32 np.cos and np.sin are within
+    # _TRIG_ULP 2^-23 of float64 on the same arguments
+    E = 13
+    assert 3 ** E <= spectrum.COMPILE_BUDGET < 3 ** (E + 1)
+    a = np.random.default_rng(28).uniform(-2 * np.pi * E, 2 * np.pi * E,
+                                          1 << 21).astype(np.float32)
+    for trig in (np.cos, np.sin):
+        err = np.abs(trig(a).astype(float) - trig(a.astype(float)))
+        assert err.max() <= spectrum._TRIG_ULP * 2.0 ** -23, trig
 
 
 # ------------------------------------------------------------ bands

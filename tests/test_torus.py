@@ -6,7 +6,7 @@ import pytest
 
 import graphbands as gb
 import graphbands.torus as torus_mod
-from conftest import loop_with, random_magnetic_graph
+from conftest import loop_with, random_magnetic_graph, theta_graph
 
 LASSO = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 42))
 
@@ -115,6 +115,21 @@ def test_mc_volume_matches_quadrature_reference():
     ref = gb.lasso_reference_density().value
     est = gb.mc_volume(LASSO, 150_000, seed=3)
     assert abs(est.value - ref) <= 3 * est.std_error
+
+
+def test_theta_graph_volume_matches_dihedral_reference():
+    # the dihedral reference describes the theta graph: two vertices, three
+    # parallel edges, fluxes (0, 1, 1).  Through the generic pipeline its
+    # torus volume agrees with dihedral_density within 3 combined SE
+    # (seeds fixed before the first run).
+    core = gb.core_shape(theta_graph())
+    assert core.edge_count == 3
+    bs = gb.bond_matrices(core)
+    assert bs.parity == -1
+    est = gb.mc_volume(bs, 400_000, seed=17)
+    ref = gb.dihedral_density(2_000_000, seed=0)
+    assert abs(est.value - ref.value) <= 3 * math.hypot(est.std_error,
+                                                        ref.error_bound)
 
 
 def test_cross_route_agreement():
