@@ -26,7 +26,8 @@ from .graph_model import (FundamentalCell, GraphError, bind_lengths,
                           with_random_lengths)
 # not called here (bloch_reduce validates); bench/tracer.py wraps the name
 from .graph_model import validate_cell  # noqa: F401
-from .reference_models import dihedral_density, lasso_reference_density
+from .reference_models import (DIHEDRAL_GRIDS, dihedral_density,
+                               lasso_reference_density)
 from .spectrum import band_intervals, density
 from .torus import mc_volume
 
@@ -139,14 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed_help="seed for sampling (and random lengths if asked)")
 
     about = ("reference band densities: lasso in closed form, "
-             "dihedral on randomly shifted grids")
+             "dihedral by tanh-sinh quadrature")
     p = sub.add_parser("reference", help=about, description=about)
     ref = p.add_subparsers(dest="model", required=True)
     q = ref.add_parser("lasso", help="loop-with-pendant density in closed form")
     q.add_argument("-o", "--output", default=None)
-    q = ref.add_parser("dihedral", help="dihedral density on shifted grids")
-    q.add_argument("--samples", type=_positive_int, default=10_000_000)
-    q.add_argument("--seed", type=_seed, default=0)
+    q = ref.add_parser("dihedral", help="theta graph density by quadrature")
+    q.add_argument("--samples", type=_int_at_least(DIHEDRAL_GRIDS[0] ** 2),
+                   default=10_000_000, help="cap on integrand evaluations")
+    q.add_argument("--seed", type=_seed, default=0,
+                   help="ignored: the quadrature is deterministic")
     q.add_argument("-o", "--output", default=None)
 
     return parser
@@ -242,7 +245,7 @@ def _cmd_reference(args) -> int:
     if args.model == "lasso":
         ref = lasso_reference_density()
     else:
-        ref = dihedral_density(args.samples, args.seed)
+        ref = dihedral_density(args.samples)
     _emit(args, ["%s,%s" % (_fmt(ref.value), _fmt(ref.error_bound))])
     return 0
 

@@ -7,6 +7,11 @@ from graphbands import Edge, MagneticGraph
 
 _CRITERION_LINES = []
 
+# the dihedral (theta graph) band density: mpmath 1.3 at 25 digits, mp.quad
+# of (8/pi^3) arctan(4 sin a cos b / (3 sin^2 a + sin^2 b)) over [0, pi/2]^2
+# split at pi/4 in each axis, gives 0.42993954922940989957
+DIHEDRAL_RHO = 0.42993954922940990
+
 
 def random_magnetic_graph(seed, n_edges=5, generators=1, loops=True):
     """Random connected bound magnetic graph: spanning tree plus extra

@@ -14,7 +14,7 @@ import pytest
 
 import graphbands as gb
 from graphbands.secular import secular_values
-from conftest import random_magnetic_graph
+from conftest import DIHEDRAL_RHO, random_magnetic_graph
 
 QUAD_REF = 0.6368335201743935   # frozen from lasso_reference_density()
 
@@ -113,11 +113,12 @@ def test_criterion_05_length_universality(record_criterion):
 
 def test_criterion_06_dihedral_value(record_criterion):
     t0 = time.perf_counter()
-    ref = gb.dihedral_density(10_000_000, seed=3)
+    ref = gb.dihedral_density(10_000_000)
     elapsed = time.perf_counter() - t0
-    ok = round(ref.value, 2) == 0.43 and elapsed < 60.0
+    ok = (round(ref.value, 2) == 0.43 and elapsed < 60.0
+          and abs(ref.value - DIHEDRAL_RHO) <= 1e-12)
     _record(record_criterion, 6, ok,
-            "dihedral grid %.6f +- %.6f rounds to %.2f" %
+            "dihedral quadrature %.6f +- %.1e rounds to %.2f" %
             (ref.value, ref.error_bound, round(ref.value, 2)), t0)
 
 

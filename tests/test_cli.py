@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import flower_graph, marker_fig1d, random_magnetic_graph
+from conftest import (DIHEDRAL_RHO, flower_graph, marker_fig1d,
+                      random_magnetic_graph)
 from graphbands.cli import run
 
 
@@ -96,6 +97,7 @@ def test_usage_errors_exit_2(lasso_file, capsys):
                  ["torus", lasso_file, "--samples", "10", "--threads", "2"],
                  ["torus", lasso_file, "--samples", "10", "--seed", "-1"],
                  ["reference", "dihedral", "--seed", "-1"],
+                 ["reference", "dihedral", "--samples", "168"],
                  ["scattering", lasso_file, "--random-lengths",
                   "--seed", "-2"],
                  ["nonsense"]):
@@ -303,6 +305,22 @@ def test_reference_commands(capsys):
     assert float(bound) <= 1e-14
     assert run(["reference", "dihedral", "--samples", "100000",
                 "--seed", "0"]) == 0
-    value, se = capsys.readouterr().out.strip().split(",")
-    assert float(value) == pytest.approx(0.4299377818658925, abs=1e-12)
-    assert float(se) > 0
+    value, bound = capsys.readouterr().out.strip().split(",")
+    assert float(value) == pytest.approx(DIHEDRAL_RHO, abs=1e-14)
+    assert 0 < float(bound) <= 1e-12
+
+
+def test_reference_dihedral_ignores_the_seed(tmp_path, capsys):
+    # the benchmark's argv: the quadrature draws nothing, so every seed
+    # writes the same bytes
+    outputs = []
+    for seed in ("0", "7"):
+        out = tmp_path / ("dihedral_%s.csv" % seed)
+        assert run(["reference", "dihedral", "--samples", "2000000",
+                    "--seed", seed, "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    value, bound = outputs[0].decode().strip().split(",")
+    assert float(value) == pytest.approx(DIHEDRAL_RHO, abs=1e-14)
+    assert float(bound) <= 1e-12
+    capsys.readouterr()

@@ -1,10 +1,13 @@
+import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import graphbands as gb
 import graphbands.reference_models as rm
+from conftest import DIHEDRAL_RHO
 
 TRIANGLE = gb.MagneticGraph(
     vertices=(0, 1, 2),
@@ -82,15 +85,16 @@ def test_dihedral_secular_consistency():
 
 
 def test_dihedral_density_frozen_regression():
-    ref = gb.dihedral_density(100_000, seed=0)
-    assert ref.method == "shifted_grid"
-    assert ref.value == pytest.approx(0.4299377818658925, abs=1e-12)
-    assert gb.dihedral_density(100_000, seed=0) == ref
-    with pytest.raises(ValueError):
-        gb.dihedral_density(0, seed=0)
+    ref = gb.dihedral_density(100_000)
+    assert ref.method == "quadrature"
+    assert ref.value == pytest.approx(DIHEDRAL_RHO, abs=1e-14)
+    assert gb.dihedral_density(100_000) == ref
+    for samples in (0, 168):            # below the 13 x 13 grid of h = 1/2
+        with pytest.raises(ValueError):
+            gb.dihedral_density(samples)
 
 
-# ------------------------------------- exact k1-measure on shifted grids
+# ----------------------------------------------- exact k1-share, in (a, b)
 
 def dense_k1_share(k2, k3, n=200_000):
     # midpoint count of dihedral_membership along k1; each of the at most
@@ -99,15 +103,15 @@ def dense_k1_share(k2, k3, n=200_000):
     return np.count_nonzero(gb.dihedral_membership(k1, k2, k3)) / n
 
 
-def k1_grid(k2, k3):
-    # shares on the grid of k2 rows and k3 columns
-    k2, k3 = np.atleast_1d(k2), np.atleast_1d(k3)
-    return rm._k1_measure(np.sin(k2), np.cos(k2),
-                          np.sin(k3), np.cos(k3)) / np.pi
+def k1_share(k2, k3):
+    # the share at the points (k2, k3), elementwise, through a = (k2 + k3)/2
+    # and b = (k3 - k2)/2
+    k2, k3 = np.broadcast_arrays(np.atleast_1d(k2), np.atleast_1d(k3))
+    return rm._k1_angle((k2 + k3) / 2, (k3 - k2) / 2) / (np.pi / 2)
 
 
 def k1_measure(k2, k3):
-    return float(k1_grid(k2, k3)[0, 0])
+    return float(k1_share(k2, k3)[0])
 
 
 def test_k1_measure_matches_dense_membership_count():
@@ -116,10 +120,12 @@ def test_k1_measure_matches_dense_membership_count():
     points = [k1_measure(k2, k3) for k2, k3 in k23]
     for (k2, k3), share in zip(k23, points):
         assert abs(share - dense_k1_share(k2, k3)) <= 2e-5
-    # the grid of the same 30 pairs holds them on its diagonal
-    shares = k1_grid(k23[:, 0], k23[:, 1])
-    assert shares.shape == (30, 30)
-    assert np.allclose(np.diag(shares), points, rtol=0, atol=1e-15)
+    # the grid of the 30 a rows and 30 b columns holds them on its diagonal
+    a, b = (k23[:, 0] + k23[:, 1]) / 2, (k23[:, 1] - k23[:, 0]) / 2
+    grid = rm._k1_angle(a[:, None], b) / (np.pi / 2)
+    assert grid.shape == (30, 30)
+    assert np.allclose(np.diag(grid), points, rtol=0, atol=1e-15)
+    assert abs(grid[3, 7] - k1_measure(a[3] - b[7], a[3] + b[7])) <= 1e-15
 
 
 def nested_k1_share(s2, c2, s3, c3):
@@ -132,32 +138,69 @@ def nested_k1_share(s2, c2, s3, c3):
     return np.arccos(np.fmax(cos2t, -1.0)) / np.pi, r2 / 2
 
 
+def sin_cos_80(x):
+    # sin and cos of the Decimal x to 80 digits, by their Taylor series
+    sin = cos = Decimal(0)
+    term, n = Decimal(1), 0
+    while n < 4 or abs(term) > Decimal(10) ** -85:
+        if n % 2:
+            sin += term if n % 4 == 1 else -term
+        else:
+            cos += term if n % 4 == 0 else -term
+        n += 1
+        term = term * x / n
+    return sin, cos
+
+
+def share_80(a, b):
+    # the share (2/pi) arcsin(|s2 + s3| / R) of the nested formula at
+    # (k2, k3) = (a - b, a + b) for floats a, b, with R^2 = 1 + g (g - 2
+    # cos(k2 + k3)) evaluated at 80 digits and written as 1 - (4/pi)
+    # arcsin(y), y = sqrt((1 - |s2 + s3| / R) / 2), so that the float64
+    # arcsin at the end adds only its own rounding
+    with localcontext() as ctx:
+        ctx.prec = 80
+        k2, k3 = Decimal(a) - Decimal(b), Decimal(a) + Decimal(b)
+        (s2, c2), (s3, c3) = sin_cos_80(k2), sin_cos_80(k3)
+        g = 1 + s2 * s3 / 2
+        r2 = 1 + g * (g - 2 * (c2 * c3 - s2 * s3))
+        y = ((1 - abs(s2 + s3) / r2.sqrt()) / 2).sqrt()
+    return 1.0 - 4.0 / math.pi * math.asin(float(y))
+
+
 def test_k1_measure_matches_nested_formula_on_shifted_grids():
-    n = 353                                 # the grids of a 2M-point run
+    n = 353                     # the grids of the earlier 2M-point estimate
     for u2, u3 in np.random.Generator(np.random.Philox(20)).random((5, 2)):
         k2 = (np.arange(n) + u2) * (2 * np.pi / n)
         k3 = (np.arange(n) + u3) * (2 * np.pi / n)
-        got = k1_grid(k2, k3)
+        a, b = (k2[:, None] + k3) / 2, (k3 - k2[:, None]) / 2
+        got = rm._k1_angle(a, b) / (np.pi / 2)
         want, half_r2 = nested_k1_share(np.sin(k2)[:, None],
                                         np.cos(k2)[:, None],
                                         np.sin(k3), np.cos(k3))
-        # both forms carry a roundoff of about 1e-16 in R^2 / 2, which the
-        # share amplifies as 1 / R^2 near R = 0 (k2 = k3 in {0, pi}): on
-        # 60 such grids |got - want| * R^2 / 2 stayed below 5e-14, and the
-        # bound is 1e-8 wherever R^2 / 2 >= 1e-5
-        assert np.all(np.abs(got - want) <= 1e-13 / half_r2)
+        # the nested form builds R^2 / 2 from terms of order 1 with a
+        # roundoff of about 1e-16, which its share amplifies as 1 / R^2
+        # near R = 0 (k2 = k3 in {0, pi}), and its arccos further where
+        # the share is near 0 or 1.  Where it misses by more than 1e-13 /
+        # (R^2 / 2) (1 of the 623,045 points: share 2e-6 beside the line
+        # s2 + s3 = 0, off by 1.8e-12), the new share is checked at 80
+        # digits at its own (a - b, a + b) instead.
+        off = np.argwhere(np.abs(got - want) > 1e-13 / half_r2)
+        assert len(off) <= 3
+        for i, j in off:
+            assert abs(got[i, j] - share_80(a[i, j], b[i, j])) <= 1e-15
         far = half_r2 >= 1e-5
         assert abs(got[far].mean() - want[far].mean()) <= 1e-13
         assert abs(got.mean() - want.mean()) <= 1e-8
-    # the rank-5 product is 2 (R^2 / 2) = 1 + g (g - 2 cos(k2 + k3))
+    # the identity behind the new form: R^2 - (s2 + s3)^2 = (3 sin^2 a +
+    # sin^2 b)^2 / 4, checked where neither side is small
     k2, k3 = np.random.default_rng(20).uniform(-10, 10, (2, 1000))
-    s2, c2, s3, c3 = np.sin(k2), np.cos(k2), np.sin(k3), np.cos(k3)
-    a = np.column_stack([np.ones_like(s2), 1.5 * s2, 0.625 * s2 ** 2, -c2,
-                         -0.5 * s2 * c2])
-    b = np.array([np.ones_like(s3), s3, s3 ** 2, c3, s3 * c3])
-    g = 1.0 + 0.5 * s2 * s3
+    a, b = (k2 + k3) / 2, (k3 - k2) / 2
+    g = 1.0 + 0.5 * np.sin(k2) * np.sin(k3)
     r2 = 1.0 + g * (g - 2.0 * np.cos(k2 + k3))
-    assert np.allclose(2.0 * np.diag(a @ b), r2, rtol=0, atol=1e-14)
+    rest = (3 * np.sin(a) ** 2 + np.sin(b) ** 2) ** 2 / 4
+    assert np.allclose(r2 - (np.sin(k2) + np.sin(k3)) ** 2, rest,
+                       rtol=0, atol=1e-14)
 
 
 def test_k1_measure_on_the_opposite_line_and_at_r_zero():
@@ -166,48 +209,122 @@ def test_k1_measure_on_the_opposite_line_and_at_r_zero():
     for k2 in np.random.default_rng(13).uniform(0.1, 3.0, 10):
         assert k1_measure(k2, -k2) == 0.0 == dense_k1_share(k2, -k2)
     assert k1_measure(0.0, 0.0) == 1.0 == dense_k1_share(0.0, 0.0)
-    # near R = 0, at k2 = k3 in {0, pi}, roundoff can leave the product
-    # R^2 / 2 negative; every share still lies in [0, 1]
     near = np.random.default_rng(14).normal(0.0, 1e-7, 200)
     for center in (0.0, np.pi):
-        shares = k1_grid(center + near, center + near[::-1])
+        shares = k1_share(center + near, center + near[::-1])
         assert np.all((shares >= 0.0) & (shares <= 1.0))
+
+
+def rank5_k1_share(k2, k3):
+    """The share on the grid of k2 rows and k3 columns in the form of the
+    earlier kernel: R^2 / 2 = 1 + 1.5 P + 0.625 P^2 - Q - 0.5 P Q (P = s2
+    s3, Q = c2 c3) as one rank-5 matrix product, clamped at 0, and the
+    share arccos(max(-1, 1 - (s2 + s3)^2 / (R^2 / 2))) / pi."""
+    s2, c2, s3, c3 = np.sin(k2), np.cos(k2), np.sin(k3), np.cos(k3)
+    one2, one3 = np.ones_like(s2), np.ones_like(s3)
+    half_r2 = (np.array([one2, 1.5 * s2, 0.625 * s2 * s2, -c2,
+                         -0.5 * s2 * c2]).T
+               @ np.array([one3, s3, s3 * s3, c3, s3 * c3]))
+    np.fmax(half_r2, 0.0, out=half_r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 1.0 - np.add.outer(s2, s3) ** 2 / half_r2
+    return np.arccos(np.fmax(x, -1.0)) / np.pi
+
+
+def test_k1_share_near_r_zero_matches_an_80_digit_evaluation():
+    # 200 points 1e-9 to 1e-5 away from k2 = k3 in {0, pi}, on multiples
+    # of 2^-50 so that k2, k3 and a = (k2 + k3)/2, b = (k3 - k2)/2 are all
+    # exact floats.  There R^2 - (s2 + s3)^2 is of order d^4: the nested
+    # formula needs about 50 digits (np.longdouble misses by up to 0.7),
+    # and the rank-5 form of the earlier kernel misses by far more than
+    # 1e-15, while the new form has no cancellation.
+    rng = np.random.default_rng(15)
+    quantum = 2.0 ** -50
+    new, old = [], []
+    for center in (0.0, math.pi):
+        for _ in range(100):
+            d, angle = 10 ** rng.uniform(-9, -5), rng.uniform(0, 2 * np.pi)
+            u = round(d * math.cos(angle) / quantum) * quantum
+            v = round(d * math.sin(angle) / quantum) * quantum
+            k2, k3 = center + u, center + v
+            a, b = center + (u + v) / 2, (v - u) / 2
+            assert 2 * Decimal(a) == Decimal(k2) + Decimal(k3)
+            assert 2 * Decimal(b) == Decimal(k3) - Decimal(k2)
+            want = share_80(a, b)
+            new.append(abs(rm._k1_angle(np.array([a]), b)[0] / (np.pi / 2)
+                           - want))
+            old.append(abs(rank5_k1_share(np.array([k2]), np.array([k3]))
+                           [0, 0] - want))
+    assert max(new) <= 1e-15
+    assert max(old) > 1e-6
+
+
+def shifted_grid_density(samples, seed, shifts=16):
+    """The earlier estimate of the dihedral density: the rank-5 share
+    averaged over ``shifts`` n x n grids on (k2, k3), each moved by a
+    uniform shift from a Philox stream (Cranley-Patterson rotation), n =
+    isqrt(samples // shifts).  Returns the mean of the grid means and
+    their standard error."""
+    n = math.isqrt(samples // shifts)
+    means = [rank5_k1_share((np.arange(n) + u2) * (2 * np.pi / n),
+                            (np.arange(n) + u3) * (2 * np.pi / n)).mean()
+             for u2, u3 in np.random.Generator(np.random.Philox(seed))
+             .random((shifts, 2))]
+    return np.mean(means), np.std(means, ddof=1) / math.sqrt(shifts)
+
+
+def test_dihedral_density_agrees_with_shifted_grids():
+    value, se = shifted_grid_density(2_000_000, seed=0)
+    assert 0 < se <= 5e-5
+    assert abs(gb.dihedral_density(2_000_000).value - value) <= 3 * se
 
 
 def test_dihedral_density_agrees_with_membership_monte_carlo():
     samples = 1_000_000
-    ref = gb.dihedral_density(samples, seed=21)
+    ref = gb.dihedral_density(samples)
     k = np.random.Generator(np.random.Philox(21)).uniform(
         0.0, 2 * np.pi, (samples, 3))
     p = np.count_nonzero(gb.dihedral_membership(*k.T)) / samples
     mc_se = np.sqrt(p * (1.0 - p) / samples)
     assert abs(ref.value - p) <= 3 * np.hypot(ref.error_bound, mc_se)
-    assert 0 < ref.error_bound <= 1e-4
+    assert 0 < ref.error_bound <= 1e-12
 
 
 def test_dihedral_density_deterministic_and_error_bound():
-    a = gb.dihedral_density(200_000, seed=3)
-    assert a == gb.dihedral_density(200_000, seed=3)
-    assert a.value != gb.dihedral_density(200_000, seed=4).value
-    assert gb.dihedral_density(2_000_000, seed=0).error_bound <= 5e-5
-    assert gb.dihedral_density(1, seed=0).error_bound == np.inf
+    a = gb.dihedral_density(200_000)
+    assert a == gb.dihedral_density(200_000)
+    # the benchmark's count and the CLI default
+    for samples in (2_000_000, 10_000_000):
+        assert 0 < gb.dihedral_density(samples).error_bound <= 1e-12
+    # on every level h = 1/2 ... 1/32 the step-halving difference covers
+    # the error, it shrinks from level to level, and its I_2h is the value
+    # of the level before
+    levels = [gb.dihedral_density(n * n) for n in rm.DIHEDRAL_GRIDS]
+    for ref in levels:
+        assert abs(ref.value - DIHEDRAL_RHO) <= ref.error_bound
+    for coarse, fine in zip(levels, levels[1:]):
+        assert abs(fine.error_bound - abs(fine.value - coarse.value)) <= 1e-15
+    bounds = [ref.error_bound for ref in levels]
+    assert bounds == sorted(bounds, reverse=True)
 
 
 def test_dihedral_density_evaluates_at_most_samples_points(monkeypatch):
-    measure = rm._k1_measure
+    angle = rm._k1_angle
     points = []
 
-    def counted(*args):
-        out = measure(*args)
+    def counted(a, b):
+        out = angle(a, b)
         points.append(out.size)
         return out
 
-    monkeypatch.setattr(rm, "_k1_measure", counted)
-    for samples in (1, 15, 16, 17, 63, 64, 1000, 100_003, 1_000_000):
+    monkeypatch.setattr(rm, "_k1_angle", counted)
+    for samples in (169, 170, 624, 625, 2601, 41_208, 41_209, 100_003,
+                    2_000_000):
         points.clear()
-        gb.dihedral_density(samples, seed=0)
-        assert 0 < sum(points) <= samples
-    assert sum(points) == 1_000_000                 # 16 grids of 250 x 250
+        gb.dihedral_density(samples)
+        fits = max(n * n for n in rm.DIHEDRAL_GRIDS if n * n <= samples)
+        assert points == [fits]
+    assert points == [203 ** 2]
 
 
 # ------------------------------------------ float64 inequality of the indicator

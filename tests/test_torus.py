@@ -96,14 +96,14 @@ def test_mc_sample_counts_must_be_integers():
     # a float count, even a whole one, is refused by name, not deep in numpy
     for samples in (1e5, 1000.5, "1000"):
         with pytest.raises(TypeError, match="samples"):
-            gb.dihedral_density(samples, seed=0)
+            gb.dihedral_density(samples)
         with pytest.raises(TypeError, match="samples"):
             gb.mc_volume(LASSO, samples, seed=0)
 
 
 def test_mc_numpy_sample_counts_give_python_numbers():
-    ref = gb.dihedral_density(np.int64(20_000), seed=4)
-    assert ref == gb.dihedral_density(20_000, seed=4)
+    ref = gb.dihedral_density(np.int64(20_000))
+    assert ref == gb.dihedral_density(20_000)
     assert type(ref.value) is float and type(ref.error_bound) is float
     est = gb.mc_volume(LASSO, np.int64(20_000), seed=np.int64(4))
     assert est == gb.mc_volume(LASSO, 20_000, seed=4)
@@ -127,7 +127,7 @@ def test_theta_graph_volume_matches_dihedral_reference():
     bs = gb.bond_matrices(core)
     assert bs.parity == -1
     est = gb.mc_volume(bs, 400_000, seed=17)
-    ref = gb.dihedral_density(2_000_000, seed=0)
+    ref = gb.dihedral_density(2_000_000)
     assert abs(est.value - ref.value) <= 3 * math.hypot(est.std_error,
                                                         ref.error_bound)
 
