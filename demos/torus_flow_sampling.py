@@ -16,12 +16,14 @@ import graphbands as gb
 g = gb.with_random_lengths(gb.build_example("lasso"), seed=2)
 bs = gb.bond_matrices(g)
 
-# follow the flow for a handful of momenta: the two answers agree
+# follow the flow for a handful of momenta: membership at the phases k * l
+# (direct) and at their image on the torus (lifted) agree
 print("%8s  %22s  %8s  %8s" % ("k", "torus point", "direct", "lifted"))
 rng = np.random.default_rng(0)
 for k in np.sort(rng.uniform(0.0, 40.0, 10)):
-    kappa = np.mod(k * g.lengths, 2 * np.pi)
-    direct = gb.in_spectrum(bs, k)
+    phases = k * g.lengths
+    kappa = np.mod(phases, 2 * np.pi)
+    direct = gb.membership_from_phases(bs, phases[None, :])[0]
     lifted = gb.membership_from_phases(bs, kappa[None, :])[0]
     print("%8.4f  (%8.4f, %8.4f)  %8s  %8s"
           % (k, kappa[0], kappa[1], direct, lifted))

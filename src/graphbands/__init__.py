@@ -13,18 +13,15 @@ from .graph_model import (Edge, EXAMPLE_NAMES, FundamentalCell, GraphError,
                           Identification, MagneticGraph, bind_lengths,
                           bloch_reduce, build_example, core_shape,
                           from_payload, load_graph, merge_series, save_graph,
-                          to_payload, validate_cell, with_random_lengths)
+                          validate_cell, with_random_lengths)
 from .bond_system import BondSystem, bond_matrices
 from .secular import secular_values
 from .spectrum import (BandList, DensitySeries, band_intervals, density,
-                       in_spectrum, measure_below, membership_from_phases,
-                       momentum_membership, real_secular_values)
+                       membership_from_phases)
 from .torus import VolumeEstimate, mc_volume
 from .reference_models import (InteriorResonanceError, ReferenceValue,
-                               dihedral_density, dihedral_membership,
-                               dihedral_secular, effective_reflection,
-                               lasso_membership, lasso_reference_density,
-                               phi_lasso)
+                               dihedral_density, effective_reflection,
+                               lasso_reference_density)
 
 __version__ = "0.1.0"
 
@@ -34,10 +31,8 @@ __all__ = [
     "InteriorResonanceError", "MagneticGraph", "ReferenceValue",
     "VolumeEstimate", "band_intervals", "bind_lengths", "bloch_reduce",
     "bond_matrices", "build_example", "core_shape", "density",
-    "dihedral_density", "dihedral_membership", "dihedral_secular",
-    "effective_reflection", "from_payload", "in_spectrum",
-    "lasso_membership", "lasso_reference_density", "load_graph",
-    "mc_volume", "measure_below", "merge_series", "membership_from_phases",
-    "momentum_membership", "phi_lasso", "real_secular_values", "save_graph",
-    "secular_values", "to_payload", "validate_cell", "with_random_lengths",
+    "dihedral_density", "effective_reflection", "from_payload",
+    "lasso_reference_density", "load_graph", "mc_volume", "merge_series",
+    "membership_from_phases", "save_graph", "secular_values",
+    "validate_cell", "with_random_lengths",
 ]

@@ -6,14 +6,18 @@ as ground truth for the numerical pipeline: the loop-with-pendant graph
 function) and the dihedral-symmetric theta graph (two vertices joined
 by three parallel edges with fluxes (0, 1, 1)), whose band density
 (about 0.43) shows the universal constant is shape-dependent, not
-literally universal.  The reflection coefficient of a pendant
-decoration explains why whole families of graphs share one band
-density: a flux-free decoration behind a bridge enters the secular
-equation only through a unimodular phase exp(2i kappa_c) Theta, which
-the shift of the bridge phase kappa_c absorbs on the torus.  That is
-the mechanism :func:`graphbands.graph_model.core_shape` applies: it
-cuts every such decoration back to a pendant edge, and the torus route
-runs on the result.
+literally universal.  This module gives their densities; the hand
+formulas of their secular functions and band sets, independent oracles
+for the pipeline, live beside the tests in ``tests/conftest.py``.
+
+The reflection coefficient of a pendant decoration explains why whole
+families of graphs share one band density: a flux-free decoration
+behind a bridge enters the secular equation only through a unimodular
+phase exp(2i kappa_c) Theta, which the shift of the bridge phase
+kappa_c absorbs on the torus.  That is the mechanism
+:func:`graphbands.graph_model.core_shape` applies: it cuts every such
+decoration back to a pendant edge, and the torus route runs on the
+result.
 
 The reflection coefficient is -B/A of the secular determinant A + B
 exp(2ip) of the decoration closed by a lead of phase p.  The dihedral
@@ -61,42 +65,6 @@ class ReferenceValue:
 # loop with pendant
 # ---------------------------------------------------------------------------
 
-def phi_lasso(kappa1, kappa2, alpha):
-    """Secular function of the loop-with-pendant graph on the torus,
-
-        2 cos(kappa2) (cos(kappa1) - cos(alpha)) - sin(kappa1) sin(kappa2)
-
-    with kappa1 the loop phase, kappa2 the pendant phase and alpha the
-    quasi-momentum.  Zeros in alpha give the dispersion relation.
-    """
-    kappa1, kappa2, alpha = np.broadcast_arrays(
-        np.asarray(kappa1, float), np.asarray(kappa2, float),
-        np.asarray(alpha, float))
-    out = (2.0 * np.cos(kappa2) * (np.cos(kappa1) - np.cos(alpha))
-           - np.sin(kappa1) * np.sin(kappa2))
-    return out if out.ndim else float(out)
-
-
-def lasso_membership(kappa1, kappa2):
-    """Band-set indicator of the loop-with-pendant graph on the torus.
-
-    Solving phi = 0 for cos(alpha) gives a real quasi-momentum exactly
-    when
-
-        |2 cos(kappa2) cos(kappa1) - sin(kappa1) sin(kappa2)|
-            <= |2 cos(kappa2)|.
-
-    The inequality remains correct in the limit cos(kappa2) = 0, where
-    membership degenerates to sin(kappa1) = 0.
-    """
-    kappa1 = np.asarray(kappa1, dtype=float)
-    kappa2 = np.asarray(kappa2, dtype=float)
-    lhs = np.abs(2.0 * np.cos(kappa2) * np.cos(kappa1)
-                 - np.sin(kappa1) * np.sin(kappa2))
-    inside = lhs <= np.abs(2.0 * np.cos(kappa2))
-    return inside if inside.ndim else bool(inside)
-
-
 def lasso_reference_density() -> ReferenceValue:
     """Band density of the loop-with-pendant graph in closed form.
 
@@ -126,35 +94,6 @@ def lasso_reference_density() -> ReferenceValue:
 # dihedral three-edge graph
 # ---------------------------------------------------------------------------
 
-def dihedral_secular(kappa1, kappa2, kappa3, alpha):
-    """Secular function of the dihedral three-edge periodic graph,
-
-        sin(k1 + k2 + k3) - (1/2) sin(k1) sin(k2) sin(k3)
-            - sin(k1) - cos(alpha) (sin(k2) + sin(k3)).
-    """
-    kappa1, kappa2, kappa3, alpha = np.broadcast_arrays(
-        np.asarray(kappa1, float), np.asarray(kappa2, float),
-        np.asarray(kappa3, float), np.asarray(alpha, float))
-    s1, s2, s3 = np.sin(kappa1), np.sin(kappa2), np.sin(kappa3)
-    out = (np.sin(kappa1 + kappa2 + kappa3) - 0.5 * s1 * s2 * s3
-           - s1 - np.cos(alpha) * (s2 + s3))
-    return out if out.ndim else float(out)
-
-
-def dihedral_membership(kappa1, kappa2, kappa3):
-    """Band-set indicator of the dihedral graph: a real quasi-momentum
-    solves the secular equation iff (in float64; NaN phases are outside)
-
-        |sin(k1+k2+k3) - (1/2) sin k1 sin k2 sin k3 - sin k1|
-            <= |sin k2 + sin k3|.
-    """
-    k1, k2, k3 = (np.asarray(k, dtype=float) for k in (kappa1, kappa2, kappa3))
-    s1, s2, s3 = np.sin(k1), np.sin(k2), np.sin(k3)
-    lhs = np.abs(np.sin(k1 + k2 + k3) - 0.5 * s1 * s2 * s3 - s1)
-    inside = lhs <= np.abs(s2 + s3)
-    return inside if inside.ndim else bool(inside)
-
-
 def _k1_angle(a, b):
     """(pi/2) times the share of k1 in [0, 2 pi) inside the dihedral band
     set at (k2, k3) = (a - b, a + b), for arrays ``a`` and ``b`` that
@@ -162,10 +101,15 @@ def _k1_angle(a, b):
 
         arctan(4 |sin a cos b| / (3 sin^2 a + sin^2 b)).
 
-    With sigma = k2 + k3 and g = 1 + s2 s3 / 2, the left side of
-    :func:`dihedral_membership` is (cos sigma - g) sin k1 + sin sigma cos
-    k1 = R sin(k1 + phi), R^2 = 1 + g (g - 2 cos sigma), and the right side
-    is |S|, S = s2 + s3, so the share is (2/pi) arcsin(min(1, |S| / R)).
+    The secular function sin(k1 + k2 + k3) - s1 s2 s3 / 2 - s1 - cos(alpha)
+    (s2 + s3), s_i = sin k_i, has a real root alpha iff
+
+        |sin(k1 + k2 + k3) - s1 s2 s3 / 2 - s1| <= |s2 + s3|.
+
+    With sigma = k2 + k3 and g = 1 + s2 s3 / 2, its left side is (cos
+    sigma - g) sin k1 + sin sigma cos k1 = R sin(k1 + phi), R^2 = 1 + g (g
+    - 2 cos sigma), and the right side is |S|, S = s2 + s3, so the share is
+    (2/pi) arcsin(min(1, |S| / R)).
     In p = sin^2 a, q = sin^2 b: S = 2 sin a cos b, s2 s3 = p - q and cos
     sigma = 1 - 2p, so R^2 = (g - 1)^2 + 4 g p and
 

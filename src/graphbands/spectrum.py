@@ -11,10 +11,11 @@ phase enters p on both bonds, so det(-U) = det S exp(2i sum(kappa)) and
 
 is real when det S = +1 and purely imaginary when det S = -1, at every
 torus point and every quasi-momentum (Kottos-Smilansky, Ann. Phys. 274,
-1999); :func:`real_secular_values` returns it as a real array.  A point
-belongs to the spectrum iff G vanishes for some quasi-momentum, and
-since G is continuous on the connected torus of quasi-momenta that
-holds iff min G <= 0 <= max G.
+1999); the LU reference :func:`real_secular_values`, which the package
+does not export, returns it as a real array.  A point belongs to the
+spectrum iff G vanishes for some quasi-momentum, and since G is
+continuous on the connected torus of quasi-momenta that holds iff
+min G <= 0 <= max G.
 
 G is a real trigonometric polynomial: each edge phase kappa_e enters
 with frequency -1, 0 or 1, and generator j with |frequency| at most its
@@ -460,11 +461,6 @@ def momentum_membership(bs: BondSystem, ks) -> np.ndarray:
     return _momentum_margin(bs, ks) >= 0
 
 
-def in_spectrum(bs: BondSystem, k: float) -> bool:
-    """True iff momentum k lies in the spectrum of the periodic graph."""
-    return bool(momentum_membership(bs, np.array([k]))[0])
-
-
 # ---------------------------------------------------------------------------
 # bands
 # ---------------------------------------------------------------------------
@@ -622,7 +618,7 @@ class DensitySeries:
         return float(self.values[-1])
 
 
-def measure_below(bands: BandList, cutoffs) -> np.ndarray:
+def _measure_below(bands: BandList, cutoffs) -> np.ndarray:
     """Lebesgue measure of the band union intersected with [0, K] for
     each cutoff K."""
     cutoffs = np.asarray(cutoffs, dtype=float)
@@ -657,5 +653,5 @@ def density(bs: BondSystem, k_max: float, checkpoints: int = 16,
     else:
         cutoffs = np.geomspace(k_max / 100.0, k_max, checkpoints)
         cutoffs[-1] = k_max
-    values = measure_below(bands, cutoffs) / cutoffs
+    values = _measure_below(bands, cutoffs) / cutoffs
     return DensitySeries(cutoffs=cutoffs, values=values, bands=bands)

@@ -1,4 +1,6 @@
-"""Shared test helpers: a random graph corpus and acceptance reporting."""
+"""Shared test helpers: a random graph corpus, hand-built graphs, the
+closed-form secular functions and band sets of the lasso and dihedral
+graphs (oracles independent of the package), and acceptance reporting."""
 
 import numpy as np
 import pytest
@@ -80,6 +82,71 @@ def marker_fig1d(lengths):
         edges=tuple(Edge(i, t, h, float(l), (int(i == 1),))
                     for i, ((t, h), l) in enumerate(zip(ends, lengths), 1)),
         generators=1, name="fig1d")
+
+
+def phi_lasso(kappa1, kappa2, alpha):
+    """Secular function of the loop-with-pendant graph on the torus,
+
+        2 cos(kappa2) (cos(kappa1) - cos(alpha)) - sin(kappa1) sin(kappa2)
+
+    with kappa1 the loop phase, kappa2 the pendant phase and alpha the
+    quasi-momentum.  Zeros in alpha give the dispersion relation.
+    """
+    kappa1, kappa2, alpha = np.broadcast_arrays(
+        np.asarray(kappa1, float), np.asarray(kappa2, float),
+        np.asarray(alpha, float))
+    out = (2.0 * np.cos(kappa2) * (np.cos(kappa1) - np.cos(alpha))
+           - np.sin(kappa1) * np.sin(kappa2))
+    return out if out.ndim else float(out)
+
+
+def lasso_membership(kappa1, kappa2):
+    """Band-set indicator of the loop-with-pendant graph on the torus.
+
+    Solving phi = 0 for cos(alpha) gives a real quasi-momentum exactly
+    when
+
+        |2 cos(kappa2) cos(kappa1) - sin(kappa1) sin(kappa2)|
+            <= |2 cos(kappa2)|.
+
+    The inequality remains correct in the limit cos(kappa2) = 0, where
+    membership degenerates to sin(kappa1) = 0.
+    """
+    kappa1 = np.asarray(kappa1, dtype=float)
+    kappa2 = np.asarray(kappa2, dtype=float)
+    lhs = np.abs(2.0 * np.cos(kappa2) * np.cos(kappa1)
+                 - np.sin(kappa1) * np.sin(kappa2))
+    inside = lhs <= np.abs(2.0 * np.cos(kappa2))
+    return inside if inside.ndim else bool(inside)
+
+
+def dihedral_secular(kappa1, kappa2, kappa3, alpha):
+    """Secular function of the dihedral three-edge periodic graph,
+
+        sin(k1 + k2 + k3) - (1/2) sin(k1) sin(k2) sin(k3)
+            - sin(k1) - cos(alpha) (sin(k2) + sin(k3)).
+    """
+    kappa1, kappa2, kappa3, alpha = np.broadcast_arrays(
+        np.asarray(kappa1, float), np.asarray(kappa2, float),
+        np.asarray(kappa3, float), np.asarray(alpha, float))
+    s1, s2, s3 = np.sin(kappa1), np.sin(kappa2), np.sin(kappa3)
+    out = (np.sin(kappa1 + kappa2 + kappa3) - 0.5 * s1 * s2 * s3
+           - s1 - np.cos(alpha) * (s2 + s3))
+    return out if out.ndim else float(out)
+
+
+def dihedral_membership(kappa1, kappa2, kappa3):
+    """Band-set indicator of the dihedral graph: a real quasi-momentum
+    solves the secular equation iff (in float64; NaN phases are outside)
+
+        |sin(k1+k2+k3) - (1/2) sin k1 sin k2 sin k3 - sin k1|
+            <= |sin k2 + sin k3|.
+    """
+    k1, k2, k3 = (np.asarray(k, dtype=float) for k in (kappa1, kappa2, kappa3))
+    s1, s2, s3 = np.sin(k1), np.sin(k2), np.sin(k3)
+    lhs = np.abs(np.sin(k1 + k2 + k3) - 0.5 * s1 * s2 * s3 - s1)
+    inside = lhs <= np.abs(s2 + s3)
+    return inside if inside.ndim else bool(inside)
 
 
 @pytest.fixture

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import graphbands as gb
+from graphbands import spectrum
 from graphbands.secular import secular_values
-from conftest import DIHEDRAL_RHO, random_magnetic_graph
+from conftest import DIHEDRAL_RHO, phi_lasso, random_magnetic_graph
 
 QUAD_REF = 0.6368335201743935   # frozen from lasso_reference_density()
 
@@ -146,7 +147,7 @@ def test_criterion_07_determinant_vs_analytic_roots(record_criterion):
     flat = kappas.reshape(-1, 2)
     alpha_rows = np.repeat(alphas, n_grid)
     f_det = _realified_lines(bs, flat, alpha_rows).reshape(n_lines, n_grid)
-    f_ana = gb.phi_lasso(kappas[..., 0], kappas[..., 1], alphas[:, None])
+    f_ana = phi_lasso(kappas[..., 0], kappas[..., 1], alphas[:, None])
 
     sgn_det = np.signbit(f_det)
     sgn_ana = np.signbit(f_ana)
@@ -174,7 +175,7 @@ def test_criterion_07_determinant_vs_analytic_roots(record_criterion):
 
     def ana_at(ts):
         kap = origins[line_idx] + ts[:, None] * dirs[line_idx]
-        return gb.phi_lasso(kap[:, 0], kap[:, 1], alphas[line_idx])
+        return phi_lasso(kap[:, 0], kap[:, 1], alphas[line_idx])
 
     roots_det = bisect(det_at)
     roots_ana = bisect(ana_at)
@@ -197,7 +198,7 @@ def test_criterion_08_flow_torus_consistency(record_criterion):
     near_edge = np.min(np.abs(ks[:, None] - edges[None, :]), axis=1) <= 1e-6
     ks = ks[~near_edge]
 
-    direct = gb.momentum_membership(bs, ks)
+    direct = spectrum.momentum_membership(bs, ks)
     lifted = np.mod(ks[:, None] * g.lengths[None, :], 2 * np.pi)
     via_torus = gb.membership_from_phases(bs, lifted)
     agree = np.mean(direct == via_torus)
@@ -244,8 +245,8 @@ def test_criterion_09_decoration_reduction(record_criterion):
     edge_lengths = full.bond_lengths[:full.n_edges]
 
     def full_real(ks, alpha):
-        return gb.real_secular_values(full, ks[:, None] * edge_lengths[None, :],
-                                      [[alpha]])[:, 0]
+        return spectrum.real_secular_values(
+            full, ks[:, None] * edge_lengths[None, :], [[alpha]])[:, 0]
 
     worst_root = 0.0
     n_roots = 0

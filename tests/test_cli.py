@@ -11,6 +11,7 @@ import pytest
 import graphbands as gb
 from conftest import (DIHEDRAL_RHO, flower_graph, marker_fig1d,
                       random_magnetic_graph)
+from graphbands import graph_model
 from graphbands.cli import run
 
 
@@ -59,8 +60,8 @@ def test_validate_reports_violations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "violation" in err and "nonpositive length" in err
     # a fractional flux is an error, not flux 0
-    path.write_text(json.dumps(gb.to_payload(gb.build_example("lasso")))
-                    .replace('"flux": [1]', '"flux": [0.5]'))
+    text = json.dumps(graph_model.to_payload(gb.build_example("lasso")))
+    path.write_text(text.replace('"flux": [1]', '"flux": [0.5]'))
     assert run(["validate", str(path)]) == 1
     assert "flux: 0.5 is not an integer" in capsys.readouterr().err
 

@@ -7,6 +7,7 @@ import pytest
 import graphbands as gb
 from conftest import (flower_graph, loop_with, marker_fig1d,
                       random_magnetic_graph)
+from graphbands import graph_model, spectrum
 
 FLOWER_CELL = gb.FundamentalCell(
     vertices=(0, 1, 2, 3),
@@ -136,7 +137,7 @@ def test_split_loop_matches_analytic_circle():
     assert g.edges == (gb.Edge(1, 0, 0, 1.0, (1,)),)
     bs = gb.bond_matrices(g)
     ks = np.random.default_rng(0).uniform(0.0, 40.0, 50)
-    assert gb.momentum_membership(bs, ks).all()
+    assert spectrum.momentum_membership(bs, ks).all()
     bands = gb.band_intervals(bs, 25.0)
     assert len(bands.lo) == 1
     assert bands.total_measure == pytest.approx(25.0, abs=1e-9)
@@ -187,8 +188,8 @@ def test_reduce_keeps_cell_edges_one_to_one(cell):
     assert split.edge_count == 5
     ks = np.random.default_rng(6).uniform(0.0, 40.0, 10_000)
     assert np.array_equal(
-        gb.momentum_membership(gb.bond_matrices(g), ks),
-        gb.momentum_membership(gb.bond_matrices(split), ks))
+        spectrum.momentum_membership(gb.bond_matrices(g), ks),
+        spectrum.momentum_membership(gb.bond_matrices(split), ks))
 
 
 def test_flux_sign_orientation_convention():
@@ -455,6 +456,7 @@ def test_unbound_lengths_survive_json(tmp_path):
 
 
 def test_payload_name_kept():
-    payload = json.loads(json.dumps(gb.to_payload(gb.build_example("lasso"))))
+    payload = json.loads(json.dumps(
+        graph_model.to_payload(gb.build_example("lasso"))))
     assert payload["name"] == "lasso"
     assert gb.from_payload(payload).name == "lasso"

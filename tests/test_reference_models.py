@@ -7,7 +7,8 @@ import pytest
 
 import graphbands as gb
 import graphbands.reference_models as rm
-from conftest import DIHEDRAL_RHO
+from conftest import (DIHEDRAL_RHO, dihedral_membership, dihedral_secular,
+                      lasso_membership, phi_lasso)
 
 TRIANGLE = gb.MagneticGraph(
     vertices=(0, 1, 2),
@@ -33,7 +34,7 @@ def test_closed_form_reference_value():
 
 
 def test_phi_lasso_values():
-    assert gb.phi_lasso(0.0, 0.0, 0.0) == 0.0
+    assert phi_lasso(0.0, 0.0, 0.0) == 0.0
     # solving phi = 0 for alpha and substituting back gives zero
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -43,18 +44,18 @@ def test_phi_lasso_values():
         c = np.cos(k1) - np.sin(k1) * np.sin(k2) / (2 * np.cos(k2))
         if abs(c) <= 1:
             alpha = np.arccos(c)
-            assert abs(gb.phi_lasso(k1, k2, alpha)) <= 1e-12
+            assert abs(phi_lasso(k1, k2, alpha)) <= 1e-12
 
 
 def test_lasso_membership_matches_alpha_solvability():
     rng = np.random.default_rng(1)
     k1 = rng.uniform(0, 2 * np.pi, 3000)
     k2 = rng.uniform(0, 2 * np.pi, 3000)
-    member = gb.lasso_membership(k1, k2)
+    member = lasso_membership(k1, k2)
     # phi is a degree-1 trig polynomial in alpha, so 4 samples determine
     # it exactly; solvability = a root of the matching quadratic on |z|=1
     alphas = np.linspace(0, 2 * np.pi, 4, endpoint=False)
-    phi = gb.phi_lasso(k1[:, None], k2[:, None], alphas[None, :])
+    phi = phi_lasso(k1[:, None], k2[:, None], alphas[None, :])
     c = np.fft.fft(phi, axis=1) / 4
     dist = np.empty(len(k1))
     for i in range(len(k1)):
@@ -68,18 +69,18 @@ def test_lasso_membership_matches_alpha_solvability():
 def test_lasso_membership_tan_singular_line():
     # cos(kappa2) = 0: member exactly when sin(kappa1) = 0.  kappa1 = 0
     # is exact in floating point (sin(pi) is not, so only 0 is usable).
-    assert gb.lasso_membership(0.0, np.pi / 2)
-    assert gb.lasso_membership(0.0, 3 * np.pi / 2)
-    assert not gb.lasso_membership(1.0, np.pi / 2)
+    assert lasso_membership(0.0, np.pi / 2)
+    assert lasso_membership(0.0, 3 * np.pi / 2)
+    assert not lasso_membership(1.0, np.pi / 2)
 
 
 def test_dihedral_secular_consistency():
     rng = np.random.default_rng(2)
     k = rng.uniform(0, 2 * np.pi, (200, 3))
-    member = gb.dihedral_membership(k[:, 0], k[:, 1], k[:, 2])
+    member = dihedral_membership(k[:, 0], k[:, 1], k[:, 2])
     alphas = np.linspace(0, 2 * np.pi, 4001)
-    vals = np.abs(gb.dihedral_secular(k[:, 0, None], k[:, 1, None],
-                                      k[:, 2, None], alphas[None, :]))
+    vals = np.abs(dihedral_secular(k[:, 0, None], k[:, 1, None],
+                                   k[:, 2, None], alphas[None, :]))
     brute = vals.min(axis=1) <= 2e-3
     assert np.mean(member == brute) >= 0.995
 
@@ -100,7 +101,7 @@ def dense_k1_share(k2, k3, n=200_000):
     # midpoint count of dihedral_membership along k1; each of the at most
     # four arc ends costs at most 1/n
     k1 = (np.arange(n) + 0.5) * (2 * np.pi / n)
-    return np.count_nonzero(gb.dihedral_membership(k1, k2, k3)) / n
+    return np.count_nonzero(dihedral_membership(k1, k2, k3)) / n
 
 
 def k1_share(k2, k3):
@@ -284,7 +285,7 @@ def test_dihedral_density_agrees_with_membership_monte_carlo():
     ref = gb.dihedral_density(samples)
     k = np.random.Generator(np.random.Philox(21)).uniform(
         0.0, 2 * np.pi, (samples, 3))
-    p = np.count_nonzero(gb.dihedral_membership(*k.T)) / samples
+    p = np.count_nonzero(dihedral_membership(*k.T)) / samples
     mc_se = np.sqrt(p * (1.0 - p) / samples)
     assert abs(ref.value - p) <= 3 * np.hypot(ref.error_bound, mc_se)
     assert 0 < ref.error_bound <= 1e-12
@@ -344,7 +345,7 @@ def float64_margin(k1, k2, k3):
 
 
 def assert_float64_exact(k):
-    got = gb.dihedral_membership(k[:, 0], k[:, 1], k[:, 2])
+    got = dihedral_membership(k[:, 0], k[:, 1], k[:, 2])
     want = float64_indicator(k[:, 0], k[:, 1], k[:, 2])
     assert got.dtype == bool and got.shape == want.shape
     assert np.count_nonzero(got != want) == 0
@@ -384,7 +385,7 @@ def test_screened_membership_exact_at_the_band_edge():
              enumerate((1e-9, -1e-9, 1e-6, -1e-6))]
     for k in rows:
         assert_float64_exact(k)
-    assert gb.dihedral_membership(0.0, 0.0, 0.0) is True
+    assert dihedral_membership(0.0, 0.0, 0.0) is True
 
 
 def test_screened_membership_exact_off_the_unit_cell():
@@ -399,18 +400,18 @@ def test_screened_membership_exact_off_the_unit_cell():
     odd = np.array(np.meshgrid(bad, bad, bad)).reshape(3, -1).T
     with np.errstate(invalid="ignore"):
         assert_float64_exact(odd)
-        assert not np.any(gb.dihedral_membership(*odd[:-1].T))
+        assert not np.any(dihedral_membership(*odd[:-1].T))
 
 
 def test_screened_membership_shapes():
-    assert type(gb.dihedral_membership(0.3, 1.0, 2.0)) is bool
-    assert type(gb.dihedral_membership(np.float64(0.3), 1, 2.0)) is bool
+    assert type(dihedral_membership(0.3, 1.0, 2.0)) is bool
+    assert type(dihedral_membership(np.float64(0.3), 1, 2.0)) is bool
     for k in ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (0.1, 0.2, -0.2)):
-        assert gb.dihedral_membership(*k) == bool(float64_indicator(*k))
+        assert dihedral_membership(*k) == bool(float64_indicator(*k))
     rng = np.random.default_rng(8)
     k1 = rng.uniform(0, 2 * np.pi, (30, 1))
     k2 = rng.uniform(0, 2 * np.pi, 40)
-    got = gb.dihedral_membership(k1, k2, 1.5)
+    got = dihedral_membership(k1, k2, 1.5)
     assert got.shape == (30, 40)
     assert np.array_equal(got, float64_indicator(k1, k2, 1.5))
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import random_magnetic_graph
+from conftest import phi_lasso, random_magnetic_graph
+from graphbands import spectrum
 
 UNIT_LASSO = gb.bind_lengths(gb.build_example("lasso"), [1.0, 1.0])
 
@@ -128,8 +129,8 @@ def test_realified_is_real_section_of_phi():
     rng = np.random.default_rng(10)
     kappas = rng.uniform(0, 2 * np.pi, (40, 2))
     a = 0.7
-    r = gb.real_secular_values(bs, kappas, [[a]])[:, 0]
-    closed = gb.phi_lasso(kappas[:, 0], kappas[:, 1], a)
+    r = spectrum.real_secular_values(bs, kappas, [[a]])[:, 0]
+    closed = phi_lasso(kappas[:, 0], kappas[:, 1], a)
     assert np.abs(r - 4.0 / 3.0 * closed).max() <= 1e-12 * 10
 
 
@@ -141,7 +142,7 @@ def test_realified_has_full_magnitude():
         bs = gb.bond_matrices(g)
         kappas = rng.uniform(0, 2 * np.pi, (10, 5))
         a = rng.uniform(0, np.pi)
-        r = gb.real_secular_values(bs, kappas, [[a]])[:, 0]
+        r = spectrum.real_secular_values(bs, kappas, [[a]])[:, 0]
         phases = kappas[:, bs.edge_of_bond]
         full = np.abs(gb.secular_values(bs, phases, np.array([[a]]))[:, 0])
         assert np.abs(np.abs(r) - full).max() <= 1e-10 * (1 + full.max())
