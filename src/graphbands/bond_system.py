@@ -49,14 +49,18 @@ class BondSystem:
     direction, bond b + E is its reversal.  ``scattering`` is the real
     orthogonal 2E x 2E bond scattering matrix; ``bond_lengths`` and
     ``bond_flux`` repeat the edge data on both bond copies, with flux
-    negated on reversals.  ``parity`` is det S = (-1)^(E - V), +1 or -1.
+    negated on reversals, one column per generator.  ``parity`` is det S
+    = (-1)^(E - V), +1 or -1.
     """
 
     scattering: np.ndarray
     bond_lengths: np.ndarray
     bond_flux: np.ndarray
-    generators: int
     parity: int
+
+    @property
+    def generators(self) -> int:
+        return self.bond_flux.shape[1]
 
     @property
     def n_bonds(self) -> int:
@@ -125,7 +129,6 @@ def bond_matrices(g: MagneticGraph) -> BondSystem:
         scattering=S,
         bond_lengths=np.concatenate([lengths, lengths]),
         bond_flux=np.vstack([flux, -flux]),
-        generators=g.generators,
         parity=-1 if (E - len(g.vertices)) % 2 else 1,
     )
 

@@ -53,7 +53,8 @@ def secular_values(bs: BondSystem, bond_phases, alphas=None,
         on both bonds, ``kappa[:, bs.edge_of_bond]``, for torus points).
     alphas : (NA, J) array, optional
         Quasi-momentum rows; flux phases are added internally.  Defaults
-        to the single row alpha = 0.
+        to the single row alpha = 0.  A 1-d array is a column of NA
+        values when J = 1 and one row otherwise.
     threads : ignored
         Has no effect: rows are evaluated chunk by chunk, in order.
 

@@ -17,69 +17,25 @@ spectrum iff G vanishes for some quasi-momentum, and since G is
 continuous on the connected torus of quasi-momenta that holds iff
 min G <= 0 <= max G.
 
-G is a real trigonometric polynomial: each edge phase kappa_e enters
-with frequency -1, 0 or 1, and generator j with |frequency| at most its
-flux weight m_j (Barra-Gaspard, J. Stat. Phys. 101, 2000).  It has two
-exact symmetries.  S is symmetric under bond reversal, so G is even in
-alpha, G(kappa, -alpha) = G(kappa, alpha); S is real, so F(-kappa; -alpha)
-is conj F(kappa; alpha), which with the first gives G(-kappa, alpha) =
-det S G(kappa, alpha).  G is compiled once per bond system: determinants
-at one point of each +-pair of the grid of 3 points per edge and of the
-grid of 2 m_j + 1 points per generator, ((3^E + 1) / 2) ((prod(2 m_j +
-1) + 1) / 2) of them, fill the whole grid through the two symmetries,
-and its FFT gives the coefficients exactly.  The nonzero ones give the
-exact degree d_j <= m_j.  The symmetries make every coefficient real
-(det S = +1) or purely imaginary (det S = -1), so G is a sum of cos (or
-sin) of kappa . n times real trigonometric polynomials in alpha.  det S
-is (-1)^(beta - 1), beta = E - V + 1 the cycle rank (:mod:`.bond_system`),
-so the rows take cos on odd cycle rank and sin on even.  Along
-the generator of highest degree m it is c_0 + 2 Re sum_j c_j exp(i j
-alpha), and the compile stores (:class:`SecularPolynomial`) the matrix
-that takes a row's cos (or sin) of kappa . n, for the kept n, to
-c_0..c_m at every point of a grid of GRID_FALLBACK_POINTS points per
-further generator of nonzero degree (a generator G does not depend on
-takes no grid axis).  A membership row costs one cosine (or sine) per
-kept n and one small matrix product instead of 2m + 1 determinants.
-This is the one source of G for membership; a graph whose compile grid,
-or whose alpha-series, exceeds COMPILE_BUDGET is refused with a
-GraphError.
+The module, in the order of its code:
 
-For m = 1 G is c_0 + 2|c_1| cos(alpha + phase), so a row is a member
-iff |c_0| <= 2|c_1| (+ ZERO_TOL).  With one generator of nonzero degree
-(a one-slice series) G is even in alpha, so for m = 2 it is a quadratic
-in cos(alpha) with closed-form extremes on [-1, 1].  For m >= 3, and
-along the main generator when further generators have nonzero degree,
-where a slice of G is not even, G is evaluated at 2m + 1
-equispaced points and at its critical points, roots of a companion
-eigenproblem, which make the minimum and maximum along that axis exact.
-The extremes are taken over the whole grid of further generators.
-Extra evaluation points never create a false member.
+- :func:`compile_secular` compiles G once per bond system into a
+  :class:`SecularPolynomial`, the coefficients of G along one
+  generator; ``bs.secular_polynomial`` keeps it.  It is the one source
+  of G for membership.
+- :func:`_extremes` takes the exact minimum and maximum of G along that
+  generator from a row's coefficients.
+- :func:`_margin` turns them into one continuous number per row, the
+  margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL), with a member iff
+  mu >= 0; :func:`membership_from_phases` is its sign on torus rows,
+  screened in float32.
+- :func:`band_intervals` brackets the roots of mu along kappa = k l and
+  refines them (:func:`_refine_edges`); :func:`density` reports the
+  measure of the bands below a series of cutoffs.
 
 The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
 edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
 identically in alpha, evaluate to noise of either sign.
-
-The kernel returns one continuous number per row, the margin mu =
-min(ZERO_TOL - min G, max G + ZERO_TOL), and a row is a member iff mu
->= 0.  Along kappa = k l the band edges are the roots of mu:
-:func:`band_intervals` brackets them on a grid of momenta and refines
-every bracket at once by bracketed ITP steps on mu, a regula-falsi
-point kept within a shrinking ball about the midpoint, so no edge takes
-more rounds than bisection plus one.
-
-Torus membership (:func:`membership_from_phases`) screens its rows in
-float32 first.  With numpy 2.4 on an AVX-512 x86-64 core a float64
-cosine took about 25 ns and a float32 one about 1 ns, and the cosines
-were most of the kernel.  The screen computes the coefficients c from
-float32 phases, trig and product, and decides every row whose margin
-clears a bound B by its sign.  B is derived once per compiled polynomial
-from the float32 error of the phase sum, of the trig and of the product
-(:attr:`SecularPolynomial.screen_bound`), so the float64 margin has the
-same sign on those rows.  The rest, rows within B of an edge (under 0.1%
-on the lasso, a few percent at most on random graphs) or with a phase
-outside [-2 pi, 2 pi], take the float64 margin.  Decisions are those of
-the float64 kernel, row for row.  The band scan reads margin values, not
-only signs, and stays float64.
 """
 
 from __future__ import annotations
@@ -160,28 +116,24 @@ def real_secular_values(bs: BondSystem, kappas, alphas) -> np.ndarray:
 @dataclass(frozen=True)
 class SecularPolynomial:
     """The real secular function G as its coefficients along the
-    generator of highest degree m, the main one.  At point b of the grid
-    of GRID_FALLBACK_POINTS points per other generator of nonzero degree,
-    J' - 1 of them (the first slowest), G = c_0 + 2 Re sum_{j=1..m} c_j
-    exp(i j alpha_main), with
+    generator of highest degree m, the main one (:func:`compile_secular`).
+    At point b of the grid of GRID_FALLBACK_POINTS points per other
+    generator of nonzero degree, J' - 1 of them (the first slowest), G =
+    c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha_main), with
 
         c_j = sum_r series[r, b, j] t(kappa_freq[r] . kappa),
 
-    t = cos when ``parity`` (det S) is +1 and t = sin when it is -1.
-    The Fourier coefficients of G at edge phase frequencies n and -n are
-    equal and real when det S = +1, opposite and purely imaginary when
-    det S = -1.  ``kappa_freq`` holds one n of each pair with a
-    nonzero coefficient (entries in {-1, 0, 1}, first nonzero entry 1),
-    and ``series`` sums twice their real part, or minus twice their
-    imaginary part, plus the n = 0 row once, which only det S = +1 has.
-    It is real when J' <= 1, where the grid is one point.  ``degree`` is
-    the exact degree of G in each quasi-momentum, at most its flux weight.
-    ``screen_bound`` is the bound B of the float32 membership screen.
+    t = cos when det S (``BondSystem.parity``) is +1 and t = sin when it
+    is -1.  ``kappa_freq`` holds one edge phase frequency n of each
+    +-pair with a nonzero coefficient (entries in {-1, 0, 1}, first
+    nonzero entry 1).  ``series`` is real exactly when it has one slice
+    (J' <= 1), and complex otherwise.  ``degree`` is the exact degree of
+    G in each quasi-momentum, at most its flux weight.  ``screen_bound``
+    is the bound B of the float32 membership screen (:func:`_margin`).
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
     series: np.ndarray           # (Rk, 64^(J'-1), m + 1), complex if J' >= 2
-    parity: int                  # det S, +1 or -1
     degree: tuple[int, ...]
 
     @cached_property
@@ -229,36 +181,52 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     the sampling grid has more than COMPILE_BUDGET points or the
     ``series`` more than COMPILE_BUDGET entries.  Five or more generators
     of nonzero flux weight are refused before any determinant: the grid
-    of the other generators alone would have more points than that.
+    of the other generators alone would have more points than that.  Use
+    ``bs.secular_polynomial``, which compiles once and keeps it.
+
+    G is a real trigonometric polynomial: each edge phase kappa_e enters
+    with frequency -1, 0 or 1, and generator j with |frequency| at most
+    its flux weight m_j (Barra-Gaspard, J. Stat. Phys. 101, 2000).  It
+    has two exact symmetries.  S is symmetric under bond reversal, so G
+    is even in alpha, G(kappa, -alpha) = G(kappa, alpha); S is real, so
+    F(-kappa; -alpha) is conj F(kappa; alpha), which with the first gives
+    G(-kappa, alpha) = det S G(kappa, alpha).
 
     G is sampled on 3 points per edge phase and 2 m_j + 1 per generator,
     which holds every frequency it has exactly once, so the FFT of the
     samples is its coefficient array with no aliasing.  Only one point
     of each +-pair of the edge phase grid and one of each of the
-    quasi-momentum grid take a determinant, ((3^E + 1) / 2) ((prod(2 m_j
-    + 1) + 1) / 2) in all; the rest of the grid follows from G(kappa,
-    -alpha) = G(kappa, alpha) and G(-kappa, alpha) = det S G(kappa,
-    alpha).  Coefficients at or below _DROP_TOL are exact zeros lost in
-    roundoff and are dropped; the rest give the exact degrees.  The main
-    generator keeps frequencies 0..m, a generator of degree 0 its one
-    frequency 0 and no grid axis, and each other one is summed at its
-    grid points beta, sum_s c_s exp(i s beta).  Use
-    ``bs.secular_polynomial``, which compiles once and keeps it.
+    quasi-momentum grid (:func:`_half_grid`) take a determinant,
+    ((3^E + 1) / 2) ((prod(2 m_j + 1) + 1) / 2) in all; the two
+    symmetries fill the rest.  They also make the coefficients at edge
+    phase frequencies n and -n equal and real when det S = +1, opposite
+    and purely imaginary when det S = -1.  So the same mask, applied to
+    the frequency grid, keeps one n of each pair, and its row is twice
+    the real part, or minus twice the imaginary part, of the pair's
+    coefficient; the row n = 0, which only det S = +1 has, is taken once.
+    Coefficients at or below _DROP_TOL are exact zeros lost in roundoff
+    and are dropped; the rest give the exact degrees d_j <= m_j.  The
+    main generator keeps frequencies 0..m, a generator of degree 0 its
+    one frequency 0 and no grid axis, and each other one is summed at its
+    grid points beta, sum_s c_s exp(i s beta), which makes the series
+    complex.  A membership row then costs one cosine (or sine) per kept n
+    and one small matrix product instead of 2m + 1 determinants.
     """
+    def refuse_above_budget(count, what):
+        if count > COMPILE_BUDGET:
+            raise GraphError(what % count + ", above COMPILE_BUDGET = %d"
+                             % COMPILE_BUDGET)
+
     E, J = bs.n_edges, bs.generators
     sizes = [3] * E + [2 * m + 1 for m in bs.flux_weight]
-    count = math.prod(sizes)                  # exact; 3**E overflows int64
-    if count > COMPILE_BUDGET:
-        raise GraphError("the grid the secular function is compiled on has "
-                         "%d points, above COMPILE_BUDGET = %d"
-                         % (count, COMPILE_BUDGET))
+    refuse_above_budget(math.prod(sizes),     # exact; 3**E overflows int64
+                        "the grid the secular function is compiled on has "
+                        "%d points")
     n = GRID_FALLBACK_POINTS
     live = sum(m > 0 for m in bs.flux_weight)
-    points = n ** max(live - 1, 0)            # entries of one row of degree 0
-    if points > COMPILE_BUDGET:
-        raise GraphError("the alpha-series of the secular function has at "
-                         "least %d entries, above COMPILE_BUDGET = %d"
-                         % (points, COMPILE_BUDGET))
+    refuse_above_budget(n ** max(live - 1, 0),    # entries of one row
+                        "the alpha-series of the secular function has at "
+                        "least %d entries")
     kappas, k_row, k_own = _half_grid(sizes[:E])
     alphas, a_row, _ = _half_grid(sizes[E:])
     G = real_secular_values(bs, kappas, alphas)[np.ix_(k_row, a_row)]
@@ -267,9 +235,8 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     c[np.abs(c) <= _DROP_TOL] = 0.0
     c = (c.real if bs.parity == 1 else -c.imag).reshape(len(G), -1)
     freq = ((_grid_index(sizes[:E]) + 1) % 3 - 1).astype(float)  # 0, 1, -1
-    lead = freq[np.arange(len(freq)), np.argmax(freq != 0, axis=1)]
-    rows = (lead >= 0) & c.any(axis=1)        # n = 0, or first nonzero n_e = 1
-    c[lead > 0] *= 2.0                        # the pair n, -n
+    rows = k_own & c.any(axis=1)              # one n of each pair, if nonzero
+    c[k_own & freq.any(axis=1)] *= 2.0        # the pair n, -n
     c = c[rows].reshape(-1, *sizes[E:])
     freqs = [np.fft.fftfreq(size, 1.0 / size) for size in sizes[E:]]
     degree = tuple(int(np.abs(f[i]).max(initial=0))
@@ -278,11 +245,9 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     main = degree.index(m) if J else 0
     others = [j for j in range(J) if j != main and degree[j]]
     points = n ** len(others)
-    count = len(c) * points * (m + 1)
-    if count > COMPILE_BUDGET:
-        raise GraphError("the alpha-series of the secular function has %d "
-                         "entries, above COMPILE_BUDGET = %d"
-                         % (count, COMPILE_BUDGET))
+    refuse_above_budget(len(c) * points * (m + 1),
+                        "the alpha-series of the secular function has %d "
+                        "entries")
     if J:
         # frequencies 0..m of the main generator last; a generator of
         # degree 0 keeps its one frequency, 0
@@ -298,23 +263,24 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
         series = np.moveaxis(np.tensordot(wave, series, axes=(1, axis)),
                              0, axis)
     series = np.ascontiguousarray(series.reshape(len(c), points, m + 1))
-    return SecularPolynomial(freq[rows], series, bs.parity, degree)
+    return SecularPolynomial(freq[rows], series, degree)
 
 
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
 
-def _critical_values(c: np.ndarray, m: int) -> np.ndarray:
+def _critical_values(c: np.ndarray) -> np.ndarray:
     """Values of the real trigonometric polynomials c_0 + 2 Re sum_{j=1..m}
-    c_j exp(i j alpha) of degree m >= 2 (rows of c) at the 2m + 1
-    equispaced points and at the arguments of the 2m roots of sum_j j c_j
-    z^(j+m), c_{-j} = conj(c_j), their critical points when on the unit
-    circle.  A row whose top nonzero c_j has j = d < m is first
+    c_j exp(i j alpha) of degree m = c.shape[1] - 1 >= 2 (rows of c) at
+    the 2m + 1 equispaced points and at the arguments of the 2m roots of
+    sum_j j c_j z^(j+m), c_{-j} = conj(c_j), their critical points when on
+    the unit circle.  A row whose top nonzero c_j has j = d < m is first
     multiplied by z^(m - d), so that its 2d roots come with 2(m - d) at
     z = 0, which are NaN on the circle.  Non-finite entries past the
     first 2m + 1 mark those and failed roots; the equispaced points keep
     a row with G = 0 exact."""
+    m = c.shape[1] - 1
     j = np.arange(1, m + 1)
     P = np.zeros((len(c), 2 * m + 1), dtype=complex)
     P[:, m + 1:] = j * c[:, 1:]
@@ -338,30 +304,39 @@ def _critical_values(c: np.ndarray, m: int) -> np.ndarray:
                                      for k in range(1, m + 1))
 
 
-def _extremes(c: np.ndarray, m: int,
-              even: bool) -> tuple[np.ndarray, np.ndarray]:
+def _extremes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimum and maximum over alpha of the real trigonometric
-    polynomials c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha) of degree m
-    (rows of c, shape (n, m + 1)).  Degree 0 is c0 and degree 1 is c0 +
-    2|c1| cos(alpha + phase), in closed form.  An ``even`` row of degree
-    2 has real c and is c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha), the
-    quadratic P(x) = c0 - 2 c2 + 2 c1 x + 4 c2 x^2 in x = cos(alpha),
-    whose extremes over [-1, 1] are P(+-1) and, when |c1| < 4|c2|, the
-    vertex value c0 - 2 c2 - c1^2 / (4 c2).  Other rows take the values
-    at the equispaced and the critical points (:func:`_critical_values`),
-    skipping failed roots; a NaN row stays NaN."""
+    polynomials c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha) (rows of c,
+    shape (n, m + 1)).  The branch is read from c alone: the degree m is
+    c.shape[1] - 1, and a real c has even rows.
+
+    - m = 0 is c_0 and m = 1 is c_0 + 2|c_1| cos(alpha + phase), in
+      closed form, so at m = 1 a row touches zero iff |c_0| <= 2|c_1|.
+    - A real row of degree 2 is c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha),
+      the quadratic P(x) = c0 - 2 c2 + 2 c1 x + 4 c2 x^2 in x =
+      cos(alpha), whose extremes over [-1, 1] are P(+-1) and, when |c1| <
+      4|c2|, the vertex value c0 - 2 c2 - c1^2 / (4 c2).  The compile
+      stores a real series exactly when it has one slice, where G is even
+      in alpha (:func:`compile_secular`).
+    - Other rows take the values at the 2m + 1 equispaced and at the
+      critical points (:func:`_critical_values`), skipping failed roots;
+      a NaN row stays NaN.  A complex row that happens to be even takes
+      this path too, which is exact as well.
+
+    Extra evaluation points never create a false member."""
+    m = c.shape[1] - 1
     if m <= 1:
         mid, half = c[:, 0].real, 2.0 * np.abs(c[:, 1:]).sum(axis=1)
         return mid - half, mid + half
-    if m == 2 and even:
-        c0, c1, c2 = c.real.T
+    if m == 2 and np.isrealobj(c):
+        c0, c1, c2 = c.T
         minus, plus = c0 + 2.0 * (c2 - c1), c0 + 2.0 * (c2 + c1)  # P(-+1)
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = np.where(np.abs(c1) < 4.0 * np.abs(c2),
                               c0 - 2.0 * c2 - c1 * c1 / (4.0 * c2), np.nan)
         return (np.fmin(np.minimum(minus, plus), vertex),
                 np.fmax(np.maximum(minus, plus), vertex))
-    vals = _critical_values(c, m)
+    vals = _critical_values(c)
     return np.fmin.reduce(vals, axis=1), np.fmax.reduce(vals, axis=1)
 
 
@@ -370,18 +345,25 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     """Membership margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL) of
     each row of edge phases (n, E); a row is a member iff mu >= 0, and NaN
     (a failed sample) is not.  mu is continuous in the row, so along
-    kappa = k l the band edges are its roots.  See
-    :func:`membership_from_phases` for the extremes.
+    kappa = k l the band edges are its roots.  The extremes of G along the
+    main generator come from its coefficients c_0..c_m, one matrix
+    product with the compiled ``series`` (:func:`_extremes`), and are
+    taken over every slice, the grid of the other generators.
 
-    With ``precision`` float32 a block of rows whose phases all lie in
-    [-2 pi, 2 pi] takes its coefficients c from float32 phases, trig and
-    product, upcast to float64 for the extremes.  The result is then only
-    a screen: a row whose screened margin is within the polynomial's
-    ``screen_bound`` of 0, or not finite, takes the float64 margin, so
-    the sign of every returned margin is that of the float64 one.  Any
-    other block is float64 throughout."""
+    With ``precision`` float32 the margin is a screen.  With numpy 2.4 on
+    an AVX-512 x86-64 core a float64 cosine took about 25 ns and a
+    float32 one about 1 ns, and the cosines were most of the kernel.  A
+    block of rows whose phases all lie in [-2 pi, 2 pi] takes its
+    coefficients c from float32 phases, trig and product, upcast to
+    float64 for the extremes.  A row whose screened margin is within the
+    polynomial's ``screen_bound`` B of 0, or not finite, takes the
+    float64 margin (under 0.1% of the rows on the lasso, a few percent at
+    most on random graphs).  B bounds the float32 error of the margin
+    (:attr:`SecularPolynomial.screen_bound`), so the sign of every
+    returned margin is that of the float64 one.  Any other block is
+    float64 throughout.  The band scan reads margin values, not only
+    signs, and so stays float64."""
     poly = bs.secular_polynomial
-    m = poly.series.shape[-1] - 1
     # a complex series as interleaved real and imaginary parts, so that
     # c is one real product, read back as complex
     series = poly.series.reshape(len(poly.series), -1).view(float)
@@ -389,8 +371,7 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     screen = precision == np.float32
     if screen:
         series32, freq32 = series.astype(np.float32), freq.astype(np.float32)
-    trig = np.cos if poly.parity == 1 else np.sin
-    even = poly.series.shape[1] == 1
+    trig = np.cos if bs.parity == 1 else np.sin
     block = max(1, _BLOCK_VALUES // max(series.shape[1], len(series)))
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
@@ -402,8 +383,8 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
             c = c.astype(float)
         else:
             c = trig(rows @ freq) @ series
-        c = c.view(poly.series.dtype).reshape(-1, m + 1)
-        lo, hi = _extremes(c, m, even)
+        c = c.view(poly.series.dtype).reshape(-1, poly.series.shape[-1])
+        lo, hi = _extremes(c)
         mu = margin[i:i + block]
         np.minimum(ZERO_TOL - lo.reshape(len(rows), -1).min(axis=1),
                    hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL, out=mu)
@@ -419,32 +400,20 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
     This is the kernel shared by momentum scans (kappa = k l) and torus
     sampling.  A row is a member iff the real secular function G changes
     sign or touches zero over the quasi-momenta: min G <= ZERO_TOL and
-    max G >= -ZERO_TOL along the generator of highest degree m, for every
+    max G >= -ZERO_TOL along the generator of highest degree, for every
     point of the GRID_FALLBACK_POINTS grid over the other generators of
-    nonzero degree together.  The extremes along that generator come from
-    the coefficients c_0..c_m of G along it, one matrix product with the
-    compiled ``series``: in closed form when m <= 1 (|c0| <= 2|c1| +
-    ZERO_TOL) and when m = 2 with one generator of nonzero degree (a
-    one-slice series), where G is even in alpha, and from the values at
-    2m + 1 equispaced and at the critical points otherwise.  ZERO_TOL is
-    absolute; it lets the noise of touching zeros (band edges, flat
-    bands) count as zero.
+    nonzero degree together.  ZERO_TOL is absolute; it lets the noise of
+    touching zeros (band edges, flat bands) count as zero.
     The test is the sign of the margin min(ZERO_TOL - min G, max G +
-    ZERO_TOL): in IEEE arithmetic a - b >= 0 holds exactly when a >= b,
-    so it decides as the two comparisons do.
-
-    Rows are screened in float32 (see :func:`_margin`): a row whose
-    float32 margin is farther than the polynomial's bound B from 0 is
-    decided by its sign, and the rest, with any block of rows holding a
-    phase outside [-2 pi, 2 pi] or a NaN, take the float64 margin.  B
-    bounds the float32 error of the margin with a slack of
-    _SCREEN_SLACK (:attr:`SecularPolynomial.screen_bound`), so the result
-    is the sign of the float64 margin on every row.
+    ZERO_TOL) (:func:`_margin`): in IEEE arithmetic a - b >= 0 holds
+    exactly when a >= b, so it decides as the two comparisons do.  Rows
+    are screened in float32, and the result is the sign of the float64
+    margin on every row.
 
     G and its exact degrees come from the compiled polynomial
     ``bs.secular_polynomial``, which raises :class:`GraphError` for a
-    graph above COMPILE_BUDGET (always from 5 generators of nonzero
-    flux weight on).
+    graph past COMPILE_BUDGET (always from 5 generators of nonzero flux
+    weight on).
     """
     return _margin(bs, _edge_phases(bs, kappas), np.float32) >= 0
 
@@ -570,6 +539,8 @@ def band_intervals(bs: BondSystem, k_max: float,
     round, and takes at most ceil(log2(step / bisect_tol)) + 1 rounds; a
     smooth edge takes about 6.  A ``bisect_tol`` below two float spacings
     at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
+    A grid of more than 2**52 steps, whose points would coincide, is
+    refused with a ValueError.
     """
     for name, value in (("k_max", k_max), ("grid_step", grid_step),
                         ("bisect_tol", bisect_tol)):
@@ -580,7 +551,11 @@ def band_intervals(bs: BondSystem, k_max: float,
     tol = bisect_tol if bisect_tol is not None else 1e-10 * max(1.0, k_max)
     tol = max(tol, 2.0 * np.spacing(float(k_max)))  # else it never ends
 
-    n = int(np.ceil(k_max / step))
+    steps = k_max / step
+    if not steps <= 2.0 ** 52:      # past it, steps are below a float spacing
+        raise ValueError("the scan grid would have k_max / grid_step = %r "
+                         "steps, above 2**52" % float(steps))
+    n = int(np.ceil(steps))
     grid = np.linspace(0.0, k_max, n + 1)
     margin = _momentum_margin(bs, grid)
     mem = margin >= 0

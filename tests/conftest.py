@@ -5,7 +5,8 @@ graphs (oracles independent of the package), and acceptance reporting."""
 import numpy as np
 import pytest
 
-from graphbands import Edge, MagneticGraph
+from graphbands import (Edge, FundamentalCell, Identification, MagneticGraph,
+                        bond_matrices)
 
 _CRITERION_LINES = []
 
@@ -13,6 +14,21 @@ _CRITERION_LINES = []
 # of (8/pi^3) arctan(4 sin a cos b / (3 sin^2 a + sin^2 b)) over [0, pi/2]^2
 # split at pi/4 in each axis, gives 0.42993954922940989957
 DIHEDRAL_RHO = 0.42993954922940990
+
+# the loop-with-pendant scattering matrix, entered by hand
+LASSO_S = np.array([
+    [2 / 3,  2 / 3, -1 / 3, 0.0],
+    [0.0,    0.0,    0.0,   1.0],
+    [-1 / 3, 2 / 3,  2 / 3, 0.0],
+    [2 / 3, -1 / 3,  2 / 3, 0.0]])
+
+# flower with pendant: two generator loops at one vertex (J = 2)
+FLOWER_CELL = FundamentalCell(
+    vertices=(0, 1, 2, 3),
+    edges=(Edge(1, 0, 1, 1.414), Edge(2, 0, 2, 1.732), Edge(3, 0, 3, 1.236)),
+    identifications=(Identification(1, plus=1, minus=0),
+                     Identification(2, plus=2, minus=0)),
+    generators=2)
 
 
 def random_magnetic_graph(seed, n_edges=5, generators=1, loops=True):
@@ -50,6 +66,13 @@ def flower_graph(loops):
                          flux=tuple(int(i == j) for i in range(loops)))
                     for j in range(loops)),
         generators=loops)
+
+
+def circle_system(length=1.0):
+    """Bond system of one loop of flux 1 at one vertex: the circle, whose
+    spectrum has no gaps."""
+    return bond_matrices(MagneticGraph(
+        vertices=(0,), edges=(Edge(1, 0, 0, length, (1,)),), generators=1))
 
 
 def theta_graph():

@@ -10,23 +10,16 @@ routes.
 import time
 
 import numpy as np
-import pytest
 
 import graphbands as gb
 from graphbands import spectrum
 from graphbands.secular import secular_values
-from conftest import DIHEDRAL_RHO, phi_lasso, random_magnetic_graph
+from conftest import DIHEDRAL_RHO, LASSO_S, phi_lasso, random_magnetic_graph
 
 QUAD_REF = 0.6368335201743935   # frozen from lasso_reference_density()
 
 LASSO_SEED = 42                 # documented length seed for the lasso runs
 MC_SEEDS = tuple(range(20))     # documented seeds for the torus MC contract
-
-LASSO_S = np.array([
-    [2 / 3,  2 / 3, -1 / 3, 0.0],
-    [0.0,    0.0,    0.0,   1.0],
-    [-1 / 3, 2 / 3,  2 / 3, 0.0],
-    [2 / 3, -1 / 3,  2 / 3, 0.0]])
 
 
 def _lasso_system(seed=LASSO_SEED):

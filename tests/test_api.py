@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import graphbands as gb
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 # The public API.  A name retired from the package leaves this set with
 # it, so a stale ``__all__`` entry or an accidental export fails here.
@@ -67,3 +69,30 @@ def test_bench_tracer_boundaries_resolve(monkeypatch):
     missing = [(module, attr) for module, attr, _ in tracer.BOUNDARIES
                if not hasattr(importlib.import_module(module), attr)]
     assert tracer.BOUNDARIES and missing == []
+
+
+def unused_imports(path):
+    """Names bound by the top-level imports of the module at ``path`` that
+    the module never reads; a name listed in its ``__all__`` counts as
+    read, and ``__future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    found = [(str(path.relative_to(ROOT)), name)
+             for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             for name in unused_imports(path)]
+    assert found == []

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import flower_graph, loop_with, random_magnetic_graph
-
-# the loop-with-pendant scattering matrix, entered by hand
-LASSO_S = np.array([
-    [2 / 3,  2 / 3, -1 / 3, 0.0],
-    [0.0,    0.0,    0.0,   1.0],
-    [-1 / 3, 2 / 3,  2 / 3, 0.0],
-    [2 / 3, -1 / 3,  2 / 3, 0.0]])
+from conftest import LASSO_S, flower_graph, loop_with, random_magnetic_graph
 
 
 def lasso_system(l1=1.3, l2=0.9):

@@ -106,10 +106,30 @@ def test_usage_errors_exit_2(lasso_file, capsys):
             run(argv)
         assert exc.value.code == 2
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        run(["density", lasso_file, "--kmax", "inf"])
-    assert ("argument --kmax: value must be positive and finite, got 'inf'"
-            in capsys.readouterr().err)
+    for argv, message in (
+            (["density", lasso_file, "--kmax", "inf"],
+             "argument --kmax: value must be positive and finite, got 'inf'"),
+            (["bands", lasso_file, "--kmax", "abc"],
+             "argument --kmax: 'abc' is not a number"),
+            (["scattering", lasso_file, "--lengths", "1,x"],
+             "argument --lengths: lengths must be comma-separated numbers"),
+            (["scattering", lasso_file, "--lengths", ","],
+             "argument --lengths: empty length list")):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err, argv
+
+
+def test_scan_grid_above_two_to_the_52_fails(lasso_file, capsys):
+    # the library's ValueError is one error line, not a traceback
+    for argv, steps in ((["density", lasso_file, "--kmax", "1e308"], "inf"),
+                        (["bands", lasso_file, "--kmax", "5",
+                          "--grid-step", "1e-300"], "4.9999999999999997e+300")):
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: the scan grid would have k_max / grid_step = %s "
+            "steps, above 2**52\n" % steps)
 
 
 def test_edgeless_graph_is_refused(tmp_path, capsys):

@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import (flower_graph, loop_with, marker_fig1d,
+from conftest import (FLOWER_CELL, flower_graph, loop_with, marker_fig1d,
                       random_magnetic_graph)
 from graphbands import graph_model, spectrum
-
-FLOWER_CELL = gb.FundamentalCell(
-    vertices=(0, 1, 2, 3),
-    edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
-           gb.Edge(3, 0, 3, 1.236)),
-    identifications=(gb.Identification(1, plus=1, minus=0),
-                     gb.Identification(2, plus=2, minus=0)),
-    generators=2)
 
 
 def lasso_style_cell():
@@ -82,6 +74,32 @@ def test_magnetic_graph_validates_on_construction():
         gb.MagneticGraph(vertices=(0, 1),
                          edges=(gb.Edge(1, 0, 1, 1.0, (1, 0)),),
                          generators=1)  # flux vector wrong size
+
+
+@pytest.mark.parametrize("violation, build", [
+    ("generator count -1 is negative",
+     lambda: gb.bloch_reduce(gb.FundamentalCell(
+         (0,), (gb.Edge(1, 0, 0, 1.0),), (), -1))),
+    ("vertex set is empty",
+     lambda: gb.bloch_reduce(gb.FundamentalCell((), (), (), 0))),
+    ("cell edge 1 carries flux; flux belongs to the reduced graph",
+     lambda: gb.bloch_reduce(gb.FundamentalCell(
+         (0,), (gb.Edge(1, 0, 0, 1.0, (1,)),), (), 1))),
+    ("generator count -1 is negative",
+     lambda: gb.MagneticGraph((0,), (), -1)),
+    ("vertex set is empty", lambda: gb.MagneticGraph((), (), 0)),
+    ("edge 1 has non-integer flux",
+     lambda: gb.MagneticGraph((0,), (gb.Edge(1, 0, 0, 1.0, (0.5,)),), 1)),
+    ("graph is disconnected",
+     lambda: gb.MagneticGraph((0, 1), (gb.Edge(1, 0, 0, 1.0, (1,)),), 1)),
+], ids=["cell-generators", "cell-vertices", "cell-flux", "graph-generators",
+        "graph-vertices", "graph-flux", "graph-disconnected"])
+def test_single_violation_is_named(violation, build):
+    # bloch_reduce raises the cell's validate_cell report, and a magnetic
+    # graph its own on construction
+    with pytest.raises(gb.GraphError) as err:
+        build()
+    assert err.value.violations == [violation]
 
 
 # ----------------------------------------------------------------- reduction
@@ -441,6 +459,9 @@ def test_malformed_payload_and_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(gb.GraphError):
+        gb.load_graph(bad)
+    bad.write_text("[1, 2]")
+    with pytest.raises(gb.GraphError, match="expected an object"):
         gb.load_graph(bad)
     with pytest.raises(OSError):
         gb.load_graph(tmp_path / "missing.json")

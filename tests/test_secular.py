@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import phi_lasso, random_magnetic_graph
+from conftest import flower_graph, phi_lasso, random_magnetic_graph
 from graphbands import spectrum
 
 UNIT_LASSO = gb.bind_lengths(gb.build_example("lasso"), [1.0, 1.0])
@@ -19,6 +19,29 @@ def phi(bs, kappa, alpha):
     kappa = np.asarray(kappa, dtype=float)
     return gb.secular_values(bs, kappa[bs.edge_of_bond][None, :],
                              np.atleast_2d(alpha))[0, 0]
+
+
+def test_alphas_one_dimensional_and_wrong_width():
+    # 1-d alphas are a column of quasi-momenta when J = 1 and one row when
+    # J = 2; a row of another width than J is refused
+    one = gb.bond_matrices(UNIT_LASSO)
+    two = gb.bond_matrices(flower_graph(2))
+    p1 = np.full((2, one.n_bonds), 0.3)
+    p2 = np.full((2, two.n_bonds), 0.4)
+    got = gb.secular_values(one, p1, [0.1, 0.7, 1.3])
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, gb.secular_values(one, p1,
+                                                 [[0.1], [0.7], [1.3]]))
+    got = gb.secular_values(two, p2, [0.1, 0.7])
+    assert got.shape == (2, 1)
+    assert np.array_equal(got, gb.secular_values(two, p2, [[0.1, 0.7]]))
+    for bs, phases, alphas in ((one, p1, np.zeros((3, 2))),
+                               (two, p2, [0.1, 0.7, 1.3]),
+                               (two, p2, np.zeros((3, 1)))):
+        with pytest.raises(ValueError) as err:
+            gb.secular_values(bs, phases, alphas)
+        assert str(err.value) == ("alphas must have shape (NA, %d)"
+                                  % bs.generators)
 
 
 def test_secular_zero_at_full_torus_period():

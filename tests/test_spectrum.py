@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import (flower_graph, marker_fig1d, random_magnetic_graph,
-                      theta_graph)
+from conftest import (FLOWER_CELL, circle_system, flower_graph, marker_fig1d,
+                      random_magnetic_graph, theta_graph)
 from graphbands import GraphError, spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
@@ -27,15 +27,6 @@ LADDER_CELL = gb.FundamentalCell(
     identifications=(gb.Identification(1, plus=2, minus=0),
                      gb.Identification(1, plus=3, minus=1)),
     generators=1)
-
-# flower with pendant: two generator loops at one vertex (J = 2)
-FLOWER_CELL = gb.FundamentalCell(
-    vertices=(0, 1, 2, 3),
-    edges=(gb.Edge(1, 0, 1, 1.414), gb.Edge(2, 0, 2, 1.732),
-           gb.Edge(3, 0, 3, 1.236)),
-    identifications=(gb.Identification(1, plus=1, minus=0),
-                     gb.Identification(2, plus=2, minus=0)),
-    generators=2)
 
 # random_magnetic_graph seeds by (flux weight, det S): (1, -1) 57,
 # (1, +1) 87, (2, -1) 17, (2, +1) 12, (3, -1) 3, (3, +1) 6, (4, -1) 2,
@@ -80,13 +71,6 @@ LOOSE_BOUND_MEMBERS = {      # seed: (degree of G, rows)
          2.3649633045068263, 2.172165486150771],
     ]),
 }
-
-
-def circle_system(length=1.0):
-    g = gb.MagneticGraph(vertices=(0,),
-                         edges=(gb.Edge(1, 0, 0, length, (1,)),),
-                         generators=1)
-    return gb.bond_matrices(g)
 
 
 # ------------------------------------------------------------ polynomial
@@ -179,8 +163,8 @@ def test_exact_degree_keeps_clear_members(monkeypatch):
     degrees = []
     extremes = spectrum._extremes
     monkeypatch.setattr(spectrum, "_extremes",
-                        lambda c, m, even: degrees.append(m)
-                        or extremes(c, m, even))
+                        lambda c: degrees.append(c.shape[1] - 1)
+                        or extremes(c))
     alphas = 2 * np.pi * np.arange(4096)[:, None] / 4096
     for seed, (degree, rows) in LOOSE_BOUND_MEMBERS.items():
         bs = gb.bond_matrices(random_magnetic_graph(seed))
@@ -270,7 +254,7 @@ def series_values(bs, kappas, alpha_main):
     generators of nonzero degree and at each of ``alpha_main``; shape (n,
     64^(J' - 1), len(alpha_main))."""
     poly = bs.secular_polynomial
-    trig = np.cos if poly.parity == 1 else np.sin
+    trig = np.cos if bs.parity == 1 else np.sin
     c = np.einsum("nr,rbj->nbj", trig(kappas @ poly.kappa_freq.T), poly.series)
     j = np.arange(c.shape[-1])[:, None]
     weight = np.where(j > 0, 2.0, 1.0)
@@ -281,11 +265,13 @@ def series_values(bs, kappas, alpha_main):
 def lu_membership(bs, kappas):
     """Reference membership with every G sample an LU determinant, taken
     on the quasi-momentum grid of the exact degree, with the extremes of
-    the membership kernel."""
+    the membership kernel.  One-slice coefficients are the rfft of an
+    even function, real up to roundoff, and are passed as real, as the
+    compile stores them."""
     c = lu_series(bs, kappas)
-    m = c.shape[-1] - 1
-    lo, hi = spectrum._extremes(c.reshape(-1, m + 1), m,
-                                even=c.shape[1] == 1)
+    if c.shape[1] == 1:
+        c = c.real
+    lo, hi = spectrum._extremes(c.reshape(-1, c.shape[-1]))
     return ((lo.reshape(len(kappas), -1).min(axis=1) <= ZERO_TOL)
             & (hi.reshape(len(kappas), -1).max(axis=1) >= -ZERO_TOL))
 
@@ -364,7 +350,7 @@ def test_alpha_series_matches_lu_fft():
         assert poly.series.shape[1:] == ref.shape[1:], name
         live = sum(d > 0 for d in poly.degree)
         assert np.isrealobj(poly.series) == (live <= 1), name
-        trig = np.cos if poly.parity == 1 else np.sin
+        trig = np.cos if bs.parity == 1 else np.sin
         got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
                         poly.series)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
@@ -393,7 +379,6 @@ def test_compile_takes_one_determinant_per_symmetry_orbit(monkeypatch):
         assert sum(dets) == expected, name
         live = sum(d > 0 for d in poly.degree)
         assert np.isrealobj(poly.series) == (live <= 1), name
-        assert poly.parity == bs.parity, name
 
 
 def test_compiled_membership_matches_lu_path():
@@ -479,6 +464,16 @@ def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
         assert np.array_equal(member, lu_membership(bs, kappas))
 
 
+def test_alpha_series_above_budget_refused_after_compile():
+    # four generators: 64^3 entries per row pass the check before the
+    # compile, the 21 kept rows of 64^3 slices and frequencies 0..1 do not
+    with pytest.raises(GraphError) as err:
+        gb.bond_matrices(flower_graph(4)).secular_polynomial
+    assert err.value.violations == [
+        "the alpha-series of the secular function has 11010048 entries, "
+        "above COMPILE_BUDGET = 2000000"]
+
+
 def test_degree_zero_generator_takes_no_grid_axis():
     # random_magnetic_graph(5, generators=2): G has degree 0 in the first
     # generator and 4 in the second, so the series has one slice and is
@@ -552,8 +547,8 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
     # and momentum rows k l, from compiled G and from LU determinants, for
     # both signs of det S, never reach the critical points.  Seeds 17 and
     # 12 have degree 1 below their flux weight 2.
-    def critical_values(c, m):
-        raise CriticalPointsReached(m)
+    def critical_values(c):
+        raise CriticalPointsReached(c.shape[1] - 1)
     monkeypatch.setattr(spectrum, "_critical_values", critical_values)
     rng = np.random.default_rng(17)
     alphas = 2 * np.pi * np.arange(4096) / 4096
@@ -597,7 +592,7 @@ def test_m2_closed_form_degenerate_rows():
 
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        lo, hi = spectrum._extremes(coef, 2, even=True)
+        lo, hi = spectrum._extremes(coef)
     assert not np.isnan(lo).any() and not np.isnan(hi).any()
     dense = rows(4096)
     assert np.allclose(lo, dense.min(axis=1), rtol=0, atol=1e-12)
@@ -619,7 +614,7 @@ def test_critical_points_degenerate_rows():
     dense = c[:, :1].real + 2 * (c[:, 1:] @ np.exp(1j * np.outer([1, 2, 3],
                                                                 alpha))).real
     with np.errstate(invalid="ignore"):
-        lo, hi = spectrum._extremes(c, 3, even=False)
+        lo, hi = spectrum._extremes(c)
     # the dense grid misses the exact extremes by O(grid step^2)
     for row in (0, 2, 3):
         assert dense[row].min() - 1e-8 <= lo[row] <= dense[row].min(), row
@@ -700,8 +695,7 @@ def recorded_extremes(monkeypatch):
     seen = []
     extremes = spectrum._extremes
     monkeypatch.setattr(spectrum, "_extremes",
-                        lambda c, m, even: seen.append(extremes(c, m, even))
-                        or seen[-1])
+                        lambda c: seen.append(extremes(c)) or seen[-1])
     return seen
 
 
@@ -746,11 +740,11 @@ def fixed_extremes(monkeypatch, bs, kappas, lo, hi):
     called and at either precision of the coefficients: row i is the one
     whose float64 coefficients on the first slice are nearest."""
     poly = bs.secular_polynomial
-    trig = np.cos if poly.parity == 1 else np.sin
+    trig = np.cos if bs.parity == 1 else np.sin
     ref = trig(kappas @ poly.kappa_freq.T) @ poly.series[:, 0]
 
-    def extremes(c, m, even):
-        first = c.reshape(-1, lo.shape[1], m + 1)[:, 0]
+    def extremes(c):
+        first = c.reshape(-1, lo.shape[1], c.shape[1])[:, 0]
         i = np.argmin(np.abs(first[:, None] - ref[None]).sum(axis=2), axis=1)
         return lo[i].ravel(), hi[i].ravel()
     monkeypatch.setattr(spectrum, "_extremes", extremes)
@@ -1070,6 +1064,20 @@ def test_scan_arguments_positive_and_finite(route, name, value):
     # band [0, k_max]; the other NaN and inf cases fail in int()
     with pytest.raises(ValueError, match=name + " must be positive and finite"):
         route(UNIT_LASSO, **{"k_max": 10.0, name: value})
+
+
+@pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
+                         ids=["band_intervals", "density"])
+def test_scan_grid_above_two_to_the_52_refused(route):
+    # unchecked, an infinite step count fails in int() and a finite one
+    # past numpy's array size limit in linspace
+    for options, steps in (({"k_max": 1e308}, "inf"),
+                           ({"k_max": 5.0, "grid_step": 1e-300},
+                            "4.9999999999999997e+300")):
+        with pytest.raises(ValueError) as err:
+            route(UNIT_LASSO, **options)
+        assert str(err.value) == ("the scan grid would have k_max / grid_step"
+                                  " = %s steps, above 2**52" % steps)
 
 
 # ------------------------------------------------------------ density

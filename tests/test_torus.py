@@ -6,18 +6,11 @@ import pytest
 
 import graphbands as gb
 import graphbands.torus as torus_mod
-from conftest import (lasso_membership, loop_with, random_magnetic_graph,
-                      theta_graph)
+from conftest import (circle_system, lasso_membership, loop_with,
+                      random_magnetic_graph, theta_graph)
 from graphbands import spectrum
 
 LASSO = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 42))
-
-
-def circle_system():
-    g = gb.MagneticGraph(vertices=(0,),
-                         edges=(gb.Edge(1, 0, 0, 1.0, (1,)),),
-                         generators=1)
-    return gb.bond_matrices(g)
 
 
 # ------------------------------------------------------------- membership
