@@ -27,11 +27,13 @@ The module, in the order of its code:
   generator from a row's coefficients.
 - :func:`_margin` turns them into one continuous number per row, the
   margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL), with a member iff
-  mu >= 0; :func:`membership_from_phases` is its sign on torus rows,
-  screened in float32.
-- :func:`band_intervals` brackets the roots of mu along kappa = k l and
-  refines them (:func:`_refine_edges`); :func:`density` reports the
-  measure of the bands below a series of cutoffs.
+  mu >= 0, optionally screened in float32 with the sign of the float64
+  margin on every row; :func:`membership_from_phases` is its screened
+  sign on torus rows.
+- :func:`band_intervals` brackets the roots of mu along kappa = k l on a
+  screened grid and refines them in float64 (:func:`_refine_edges`);
+  :func:`density` reports the measure of the bands below a series of
+  cutoffs.
 
 The one tolerance, ZERO_TOL, absorbs roundoff at touching zeros: band
 edges such as k = 0 or kappa = 0, and flat bands, where G vanishes
@@ -53,6 +55,7 @@ from .secular import secular_values
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
 GRID_FALLBACK_POINTS = 64    # grid per further generator of nonzero degree
 COMPILE_BUDGET = 2_000_000   # most compile grid points, and series entries
+SCAN_BUDGET = 10_000_000     # most points of a band-scan grid
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
 # on every graph tried the nonzero ones were >= 0.005 and the FFT noise
 # of the zero ones <= 5e-16, so the cut sits far from both.
@@ -63,6 +66,7 @@ _BLOCK_VALUES = 1 << 18      # values per block of membership rows; bounds memor
 # it), and the safety factor of B
 _TRIG_ULP = 2.0
 _SCREEN_SLACK = 16.0
+_SCREEN_REACH = 2.0 ** 20    # most |kappa_e| the screen takes, reduced mod 2 pi
 # ITP constants of the band-edge refinement: truncation _ITP_K1 / w0 (w0
 # the initial bracket) times the squared bracket width, and _ITP_N0 rounds
 # of slack over bisection
@@ -140,36 +144,56 @@ class SecularPolynomial:
     def screen_bound(self) -> float:
         """B of the float32 membership screen, derived on first use:
         _SCREEN_SLACK times a bound on |mu32 - mu| over rows with every
-        |kappa_e| <= 2 pi, mu32 the margin from float32 coefficients and
-        mu the float64 one.
+        |kappa_e| <= R = _SCREEN_REACH, mu32 the screened margin of
+        :func:`_margin` and mu the float64 one.
 
-        With u = 2^-24 the float32 unit roundoff, a kept row n_r with w_r
-        nonzero entries (each +-1) and |kappa_e| <= 2 pi:
+        With u = 2^-24 and u' = 2^-53 the float32 and float64 unit
+        roundoffs, a kept row n_r with w_r nonzero entries (each +-1):
 
-        - argument: casting the phases to float32 moves n_r . kappa by at
-          most u sum |kappa_e| <= 2 pi u w_r, and summing the w_r terms in
-          float32 by at most (w_r - 1) u 2 pi w_r, so da_r <= 2 pi u w_r^2;
+        - reduction: a phase outside [-2 pi, 2 pi] becomes r = kappa - 2 pi
+          j, j = rint(kappa / 2 pi), in float64.  The float 2 pi is within
+          2 pi u' of 2 pi, which |j| <= R / 2 pi + 1/2 scales to (R + pi)
+          u'; the product rounds by (R + pi) u' and the difference, |r| <=
+          pi, by pi u'.  So r is within (2R + 3 pi) u' of a value
+          congruent to kappa mod 2 pi.  The float64 margin's own argument
+          n_r . kappa, w_r - 1 additions of partial sums up to w_r R, is
+          off by (w_r - 1) w_r R u'.  The two arguments then differ by at
+          most dr_r = w_r (2R + 3 pi + w_r R) u', about 1e-9 at R = 2^20
+          and w_r = 2;
+        - argument: casting the phases, now in [-2 pi, 2 pi], to float32
+          moves n_r . kappa by at most 2 pi u w_r, and summing the w_r
+          terms in float32 by at most (w_r - 1) u 2 pi w_r, so da_r <=
+          2 pi u w_r^2;
         - trig: cos and sin are 1-Lipschitz, and float32 ``np.cos`` and
           ``np.sin`` are within tau = _TRIG_ULP 2^-23 of the float64 ones
           on |a| <= 2 pi E (a tier-1 test measures this), so the value t_r
-          is off by at most da_r + tau;
+          is off by at most dr_r + da_r + tau;
         - product: c_j = sum_r t_r S_rj over Rk terms, with S cast to
           float32 and |t_r| <= 1, adds (Rk + 1) u sum_r |S_rj|; a complex
           S is summed as separate real and imaginary columns, so each S_rj
-          counts as |Re S_rj| + |Im S_rj|.
+          counts as |Re S_rj| + |Im S_rj|;
+        - extremes and margin: every float32 branch of :func:`_extremes`
+          rounds a few times terms whose sizes sum to at most A = |c_0| +
+          2 sum_j |c_j| (the m = 2 vertex is taken only when |c_1| < 4
+          |c_2|, so |c_1^2 / 4 c_2| < |c_1|), which costs at most 2 u A,
+          and the margin adds u A; the companion path computes in
+          complex128.
 
-        So |dc_j| <= sum_r e_r |S_rj| with e_r = da_r + tau + (Rk + 1) u.
-        G = c_0 + 2 Re sum_j c_j exp(i j alpha) moves by at most |dc_0| +
-        2 sum_j |dc_j| at every alpha, and so do its exact extremes and mu,
-        which is 1-Lipschitz in each; the worst slice of the further
-        generators' grid counts.  The slack covers what this leaves out:
-        the terms of order u^2, the float64 roundoff of both margins, and
-        the critical points of m >= 3 found in float64 from either set of
-        coefficients.
+        So |dc_j| <= sum_r e_r |S_rj| with e_r = dr_r + da_r + tau + (Rk +
+        1) u, and G = c_0 + 2 Re sum_j c_j exp(i j alpha) moves by at most
+        |dc_0| + 2 sum_j |dc_j| at every alpha, and so do its exact
+        extremes and mu, which is 1-Lipschitz in each.  A <= sum_r (|S_r0|
+        + 2 sum_j |S_rj|), so 3 u more in e_r adds the rounding of the
+        extremes and margin.  The worst slice of the further generators'
+        grid counts.  The slack covers what this leaves out: the terms of
+        order u^2, the float64 roundoff of the float64 margin and of the
+        companion path, and the critical points of m >= 3 found in float64
+        from either set of coefficients.
         """
-        u = 2.0 ** -24
+        u, u64, R = 2.0 ** -24, 2.0 ** -53, _SCREEN_REACH
         w = np.abs(self.kappa_freq).sum(axis=1)
-        e = 2.0 * np.pi * u * w * w + _TRIG_ULP * 2.0 ** -23 + (len(w) + 1) * u
+        e = (2.0 * np.pi * u * w * w + w * (2 * R + 3 * np.pi + w * R) * u64
+             + _TRIG_ULP * 2.0 ** -23 + (len(w) + 4) * u)
         size = np.abs(self.series.real) + np.abs(self.series.imag)
         weight = np.where(np.arange(self.series.shape[-1]) > 0, 2.0, 1.0)
         return _SCREEN_SLACK * float(np.max(
@@ -323,10 +347,13 @@ def _extremes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       a NaN row stays NaN.  A complex row that happens to be even takes
       this path too, which is exact as well.
 
-    Extra evaluation points never create a false member."""
+    Extra evaluation points never create a false member.  The extremes
+    keep the precision of c, float32 for float32 or complex64 rows,
+    except on the last path, which computes in complex128."""
     m = c.shape[1] - 1
     if m <= 1:
-        mid, half = c[:, 0].real, 2.0 * np.abs(c[:, 1:]).sum(axis=1)
+        mid = c[:, 0].real
+        half = 2.0 * np.abs(c[:, 1]) if m else 0.0
         return mid - half, mid + half
     if m == 2 and np.isrealobj(c):
         c0, c1, c2 = c.T
@@ -353,21 +380,25 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     With ``precision`` float32 the margin is a screen.  With numpy 2.4 on
     an AVX-512 x86-64 core a float64 cosine took about 25 ns and a
     float32 one about 1 ns, and the cosines were most of the kernel.  A
-    block of rows whose phases all lie in [-2 pi, 2 pi] takes its
-    coefficients c from float32 phases, trig and product, upcast to
-    float64 for the extremes.  A row whose screened margin is within the
-    polynomial's ``screen_bound`` B of 0, or not finite, takes the
-    float64 margin (under 0.1% of the rows on the lasso, a few percent at
-    most on random graphs).  B bounds the float32 error of the margin
-    (:attr:`SecularPolynomial.screen_bound`), so the sign of every
-    returned margin is that of the float64 one.  Any other block is
-    float64 throughout.  The band scan reads margin values, not only
-    signs, and so stays float64."""
+    block of rows whose phases all lie in [-_SCREEN_REACH, _SCREEN_REACH]
+    is screened: phases outside [-2 pi, 2 pi] (momentum rows kappa = k l)
+    are first reduced to kappa - 2 pi rint(kappa / 2 pi) in float64, which
+    leaves every cosine and sine of the row unchanged; then the phases,
+    trig, product, extremes and margin are float32 (complex64 for a
+    complex series) and only mu is upcast.  A row whose screened margin
+    is within the polynomial's ``screen_bound`` B of 0, or not finite,
+    takes the float64 margin (under 0.1% of the rows on the lasso, a few
+    percent at most on random graphs).  B bounds the float32 error of the
+    margin (:attr:`SecularPolynomial.screen_bound`), so the sign of every
+    returned margin is that of the float64 one, and every other value is
+    within B of it.  A block with a phase past _SCREEN_REACH, or a NaN,
+    is float64 throughout."""
     poly = bs.secular_polynomial
     # a complex series as interleaved real and imaginary parts, so that
     # c is one real product, read back as complex
     series = poly.series.reshape(len(poly.series), -1).view(float)
     freq = poly.kappa_freq.T
+    slices, width = poly.series.shape[1:]
     screen = precision == np.float32
     if screen:
         series32, freq32 = series.astype(np.float32), freq.astype(np.float32)
@@ -376,18 +407,25 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
         rows = kappas[i:i + block]
-        # the bound holds for |kappa_e| <= 2 pi; a NaN fails this too
-        low = screen and rows.max() <= 2 * np.pi and rows.min() >= -2 * np.pi
-        if low:
-            c = trig(rows.astype(np.float32) @ freq32) @ series32
-            c = c.astype(float)
+        least, most = rows.min(), rows.max()
+        low = screen and -_SCREEN_REACH <= least and most <= _SCREEN_REACH
+        if low:                                       # so no NaN either
+            phases = rows
+            if least < -2 * np.pi or most > 2 * np.pi:
+                phases = np.rint(rows / (2 * np.pi))
+                phases *= -2 * np.pi
+                phases += rows                # rows - 2 pi rint(rows / 2 pi)
+            c = trig(phases.astype(np.float32) @ freq32) @ series32
         else:
             c = trig(rows @ freq) @ series
-        c = c.view(poly.series.dtype).reshape(-1, poly.series.shape[-1])
-        lo, hi = _extremes(c)
+        if np.iscomplexobj(poly.series):
+            c = c.view(np.complex64 if low else complex)
+        lo, hi = _extremes(c.reshape(-1, width))
+        if slices > 1:
+            lo = lo.reshape(len(rows), slices).min(axis=1)
+            hi = hi.reshape(len(rows), slices).max(axis=1)
         mu = margin[i:i + block]
-        np.minimum(ZERO_TOL - lo.reshape(len(rows), -1).min(axis=1),
-                   hi.reshape(len(rows), -1).max(axis=1) + ZERO_TOL, out=mu)
+        np.minimum(ZERO_TOL - lo, hi + ZERO_TOL, out=mu)
         if low:
             redo = ~(np.abs(mu) > poly.screen_bound)          # NaN too
             mu[redo] = _margin(bs, rows[redo])
@@ -418,11 +456,12 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
     return _margin(bs, _edge_phases(bs, kappas), np.float32) >= 0
 
 
-def _momentum_margin(bs: BondSystem, ks) -> np.ndarray:
-    """Membership margin (see :func:`_margin`) over an array of momenta."""
+def _momentum_margin(bs: BondSystem, ks, precision=np.float64) -> np.ndarray:
+    """Membership margin (see :func:`_margin`, also for ``precision``)
+    over an array of momenta."""
     ks = np.asarray(ks, dtype=float)
     kappas = ks.reshape(-1, 1) * bs.bond_lengths[None, :bs.n_edges]
-    return _margin(bs, kappas).reshape(ks.shape)
+    return _margin(bs, kappas, precision).reshape(ks.shape)
 
 
 def momentum_membership(bs: BondSystem, ks) -> np.ndarray:
@@ -528,8 +567,13 @@ def band_intervals(bs: BondSystem, k_max: float,
     continuous in k and >= 0 exactly on the spectrum, is sampled on a
     uniform grid, and every change of membership is refined to a bracket
     of width <= ``bisect_tol`` by ITP steps on the margin
-    (:func:`_refine_edges`); the edge is the bracket's midpoint.  The
-    default grid step pi / (8 L) puts 16 samples per period of the
+    (:func:`_refine_edges`); the edge is the bracket's midpoint.  The grid
+    takes the float32 screen of :func:`_margin`: each grid sign is the
+    float64 one, so the brackets are those of a float64 grid, and each
+    value, which only seeds the first ITP step, is within the polynomial's
+    ``screen_bound`` of the float64 one.  The refinement rounds are
+    float64: their late rows fall within the bound and would be redone.
+    The default grid step pi / (8 L) puts 16 samples per period of the
     fastest oscillation of the secular function (L = total graph
     length).  The scan is not certified: a band or gap narrower than the
     step can fall between two grid points and is then missed.  On a
@@ -539,8 +583,9 @@ def band_intervals(bs: BondSystem, k_max: float,
     round, and takes at most ceil(log2(step / bisect_tol)) + 1 rounds; a
     smooth edge takes about 6.  A ``bisect_tol`` below two float spacings
     at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
-    A grid of more than 2**52 steps, whose points would coincide, is
-    refused with a ValueError.
+    A grid of more than 2**52 steps, whose points would coincide, or of
+    more than SCAN_BUDGET points is refused with a ValueError naming the
+    count, before any of it is allocated.
     """
     for name, value in (("k_max", k_max), ("grid_step", grid_step),
                         ("bisect_tol", bisect_tol)):
@@ -556,8 +601,11 @@ def band_intervals(bs: BondSystem, k_max: float,
         raise ValueError("the scan grid would have k_max / grid_step = %r "
                          "steps, above 2**52" % float(steps))
     n = int(np.ceil(steps))
+    if n + 1 > SCAN_BUDGET:
+        raise ValueError("the scan grid would have %d points, above "
+                         "SCAN_BUDGET = %d" % (n + 1, SCAN_BUDGET))
     grid = np.linspace(0.0, k_max, n + 1)
-    margin = _momentum_margin(bs, grid)
+    margin = _momentum_margin(bs, grid, np.float32)
     mem = margin >= 0
 
     ti = np.nonzero(mem[:-1] != mem[1:])[0]

@@ -132,6 +132,17 @@ def test_scan_grid_above_two_to_the_52_fails(lasso_file, capsys):
             "steps, above 2**52\n" % steps)
 
 
+def test_scan_grid_above_budget_fails(lasso_file, monkeypatch, capsys):
+    # 5e9 + 1 grid points, 37 GiB: one error line before the grid exists
+    def linspace(*args, **kwargs):
+        raise AssertionError("the scan grid was allocated")
+    monkeypatch.setattr(np, "linspace", linspace)
+    assert run(["bands", lasso_file, "--kmax", "5", "--grid-step", "1e-9"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the scan grid would have 5000000001 points, above "
+        "SCAN_BUDGET = 10000000\n")
+
+
 def test_edgeless_graph_is_refused(tmp_path, capsys):
     graph = tmp_path / "edgeless.json"
     graph.write_text(json.dumps({"generators": 0, "vertices": [0], "edges": []}))

@@ -872,14 +872,47 @@ def test_screen_near_band_edges():
             assert np.all(member == (target > 0)), (name, target)
 
 
+def test_screen_bound_holds_without_redo(monkeypatch):
+    # the bound itself, not only the decisions: with the float64 redo off
+    # (B set to 0 on the compiled polynomial, so that only NaN margins
+    # are redone), the screened margin is within B / _SCREEN_SLACK of the
+    # float64 one on torus rows in [0, 2 pi) and on momentum rows kappa =
+    # k l up to |kappa| = 10^3, which the screen reduces mod 2 pi first
+    rng = np.random.default_rng(29)
+    for name, g in screen_graphs().items():
+        bs = gb.bond_matrices(g)
+        poly = bs.secular_polynomial
+        bound = poly.screen_bound / spectrum._SCREEN_SLACK
+        monkeypatch.setitem(vars(poly), "screen_bound", 0.0)
+        n = 2000 if max(poly.degree) >= 3 else 20_000
+        lengths = bs.bond_lengths[:bs.n_edges]
+        ks = rng.uniform(0, 1e3 / lengths.max(), n)
+        kappas = rng.uniform(0, 2 * np.pi, (n, bs.n_edges))
+        for mu32, mu64 in ((spectrum._momentum_margin(bs, ks, np.float32),
+                            spectrum._momentum_margin(bs, ks)),
+                           (spectrum._margin(bs, kappas, np.float32),
+                            spectrum._margin(bs, kappas))):
+            err = np.abs(mu32 - mu64)
+            assert 0 < err.max() <= bound, (name, err.max() / bound)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_screen_of_large_and_non_finite_phases():
-    # rows shifted by +-2 pi 10^6, where float32 phases keep no digit of
-    # the angle, and rows holding inf or NaN: their blocks take the
-    # float64 margin, row for row
+def test_screen_of_large_and_non_finite_phases(monkeypatch):
+    # rows shifted by +-2 pi 10^3 are screened after their reduction mod
+    # 2 pi, with the float64 margin's sign row for row and few redone;
+    # rows shifted by +-2 pi 10^6, past _SCREEN_REACH, and rows holding inf
+    # or NaN: their blocks take the float64 margin, row for row
+    rows = float64_rows(monkeypatch)
     rng = np.random.default_rng(27)
     for name in ("lasso", "ladder", "flower", "theta"):
         bs = gb.bond_matrices(screen_graphs()[name])
+        kappas = rng.uniform(0, 2 * np.pi, (3000, bs.n_edges))
+        kappas += rng.choice([-2e3 * np.pi, 2e3 * np.pi], kappas.shape)
+        rows.clear()
+        member = gb.membership_from_phases(bs, kappas)
+        assert 0 < member.sum() < len(member), name
+        assert sum(rows) <= 0.02 * len(kappas), (name, sum(rows))
+        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
         kappas = rng.uniform(0, 2 * np.pi, (3000, bs.n_edges))
         kappas[::3] += rng.choice([-2e6 * np.pi, 2e6 * np.pi], (1000, 1))
         member = gb.membership_from_phases(bs, kappas)
@@ -987,13 +1020,15 @@ def bisected_bands(bs, k_max, step, tol):
 
 
 def counted_margin(monkeypatch):
-    """Wrap spectrum._momentum_margin; the returned list collects the
-    number of momenta of every call."""
+    """Wrap spectrum._momentum_margin, passing ``precision`` through; the
+    returned list collects the number of momenta of every call."""
     calls = []
     margin = spectrum._momentum_margin
-    monkeypatch.setattr(spectrum, "_momentum_margin",
-                        lambda bs, ks: calls.append(np.size(ks))
-                        or margin(bs, ks))
+
+    def counted(bs, ks, precision=np.float64):
+        calls.append(np.size(ks))
+        return margin(bs, ks, precision)
+    monkeypatch.setattr(spectrum, "_momentum_margin", counted)
     return calls
 
 
@@ -1033,6 +1068,39 @@ def test_refinement_rounds_bounded_at_float_spacing(monkeypatch):
     rounds = len(calls) - 1
     assert 30 < rounds <= np.ceil(np.log2(bands.grid_step
                                           / bands.bisect_tol)) + 1
+
+
+def test_screened_grid_keeps_float64_brackets(monkeypatch):
+    # band_intervals screens its grid in float32: each grid sign is the
+    # float64 one (momentum_membership on the same grid) and each value
+    # within B of it, so a scan with a float64 grid finds as many bands,
+    # every edge within bisect_tol
+    margin = spectrum._momentum_margin
+    grids = []
+
+    def recorded(bs, ks, precision=np.float64):
+        mu = margin(bs, ks, precision)
+        if precision == np.float32:
+            grids.append((ks, mu))
+        return mu
+
+    for name, bands_wanted in (("lasso", 2000), ("fig1d", 600),
+                               ("ladder", 300), ("flower", 24)):
+        bs = gb.bond_matrices(margin_graphs()[name])
+        k_max = bands_wanted * np.pi / bs.total_length
+        monkeypatch.setattr(spectrum, "_momentum_margin", recorded)
+        grids.clear()
+        bands = gb.band_intervals(bs, k_max)
+        (ks, mu), = grids
+        assert np.array_equal(mu >= 0, spectrum.momentum_membership(bs, ks))
+        err = np.abs(mu - margin(bs, ks))
+        assert 0 < err.max() <= bs.secular_polynomial.screen_bound, name
+        monkeypatch.setattr(spectrum, "_momentum_margin",
+                            lambda bs, ks, precision=None: margin(bs, ks))
+        ref = gb.band_intervals(bs, k_max)
+        assert len(bands.lo) == len(ref.lo), name
+        assert np.abs(bands.lo - ref.lo).max() <= bands.bisect_tol, name
+        assert np.abs(bands.hi - ref.hi).max() <= bands.bisect_tol, name
 
 
 def band_list(lo, hi, k_max=5.0):
@@ -1078,6 +1146,26 @@ def test_scan_grid_above_two_to_the_52_refused(route):
             route(UNIT_LASSO, **options)
         assert str(err.value) == ("the scan grid would have k_max / grid_step"
                                   " = %s steps, above 2**52" % steps)
+
+
+@pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
+                         ids=["band_intervals", "density"])
+def test_scan_grid_above_budget_refused(route, monkeypatch):
+    # 5e9 + 1 points would take 37 GiB for the grid alone; the count is
+    # refused before the grid exists (np.linspace fails if called).  At a
+    # budget of 101 points, 100 steps pass the check and 101 do not.
+    def linspace(*args, **kwargs):
+        raise AssertionError("the scan grid was allocated")
+    monkeypatch.setattr(np, "linspace", linspace)
+    with pytest.raises(ValueError) as err:
+        route(UNIT_LASSO, k_max=5.0, grid_step=1e-9)
+    assert str(err.value) == ("the scan grid would have 5000000001 points, "
+                              "above SCAN_BUDGET = 10000000")
+    monkeypatch.setattr(spectrum, "SCAN_BUDGET", 101)
+    with pytest.raises(AssertionError, match="grid was allocated"):
+        route(UNIT_LASSO, k_max=100.0, grid_step=1.0)
+    with pytest.raises(ValueError, match="102 points, above SCAN_BUDGET = 101"):
+        route(UNIT_LASSO, k_max=101.0, grid_step=1.0)
 
 
 # ------------------------------------------------------------ density
