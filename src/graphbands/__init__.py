@@ -3,7 +3,7 @@
 Workflow: describe one translational cell of the periodic graph (or a
 pre-reduced magnetic graph), reduce it with :func:`bloch_reduce`, merge
 its degree-2 vertices (:func:`merge_series`; :func:`core_shape` also cuts
-flux-free bridge decorations for the torus route), build the bond
+flux-free parts at one vertex for the torus route), build the bond
 scattering system, and then either scan momentum bands directly
 or sample the band set on the torus of edge phases.  For generic edge
 lengths both routes estimate the same length-independent band density.

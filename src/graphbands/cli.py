@@ -3,10 +3,11 @@
 Subcommands: validate, scattering, bands, density, torus, reference.
 ``bands`` and ``density`` run on the graph with its degree-2 vertices
 merged away (:func:`merge_series`), which keeps the band set; ``torus``
-runs on its core shape (:func:`core_shape`), which also cuts flux-free
-bridge decorations back to pendant edges and keeps only the torus
-volume.  Lengths are bound first, so ``--lengths`` takes one value per
-edge of the file.  ``scattering`` dumps the graph as given.
+runs on its core shape (:func:`core_shape`), which also cuts each
+flux-free part that meets the rest at one vertex back to self-loops and
+at most one pendant edge, and keeps only the torus volume.  Lengths are
+bound first, so ``--lengths`` takes one value per edge of the file.
+``scattering`` dumps the graph as given.
 All numeric output is CSV with 17 significant digits, so runs are
 byte-reproducible given the same arguments, input file and seeds.
 Exit codes: 0 success, 1 invalid input or computation failure, 2 usage.
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torus",
                        help="Monte Carlo torus volume of the band set, on the "
                             "core shape: degree-2 vertices merged, flux-free "
-                            "bridge decorations cut to pendant edges")
+                            "one-vertex parts cut to self-loops and a pendant")
     p.add_argument("file")
     p.add_argument("--samples", type=_positive_int, required=True)
     _add_length_options(p)

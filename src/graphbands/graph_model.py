@@ -362,59 +362,72 @@ def merge_series(g: MagneticGraph) -> MagneticGraph:
 
 
 def core_shape(g: MagneticGraph) -> MagneticGraph:
-    """:func:`merge_series` of ``g`` with every flux-free bridge decoration
-    cut back to a pendant edge.  Exact for the torus volume of the band
-    set only, not for the band set itself.
+    """:func:`merge_series` of ``g`` with every flux-free one-port cut
+    back to its smallest Kirchhoff form.  Exact for the torus volume of
+    the band set only, not for the band set itself.
 
-    A side of a bridge is flux-free when every cycle in it carries zero
-    net flux, read from the tree potentials (:func:`_cycle_flux`), never
-    from the raw edge fluxes.  A flux-free side with at least one edge,
-    in a graph that carries flux (so its other side does), is dropped:
-    the bridge stays, with its id and length and flux 0, and its end on
-    the dropped side becomes a leaf.  Seen from the rest, the dropped
-    side with the bridge reflects with exp(2i kappa_c) Theta, where
-    kappa_c is the bridge's own phase and Theta the reflection
-    coefficient of the decoration, -B/A of the secular determinant A + B
-    exp(2ip) of the decoration closed by a lead of phase p
-    (:func:`graphbands.reference_models.effective_reflection`).  kappa_c
-    is uniform on the torus and independent of every other phase, so
-    that reflection is uniform on the circle whatever Theta is, exactly
-    as a pendant's exp(2i kappa): the torus volume is unchanged.  The
-    band set along kappa = k l is not, since it depends on the lengths.
-    Returns ``g`` itself when nothing reduces.
+    At each vertex v in turn, the edges not at v fall into the components
+    of G - v, and each component takes the edges from v that reach it;
+    a self-loop at v is a group of its own.  A group B of two or more
+    edges is a one-port at v with a edge ends there.  It is flux-free
+    when every cycle in it carries zero net flux, read from the tree
+    potentials (:func:`_cycle_flux`), never from the raw edge fluxes.  In
+    a graph that carries flux (so another group at v does), a flux-free
+    B becomes floor(a/2) self-loops at v plus, when a is odd, a pendant
+    to the far end of an end edge, all with flux 0 and with the ids and
+    lengths of B's first end edges.  A flux-free side of a bridge is the
+    case a = 1: the bridge stays, with flux 0, and its far end becomes a
+    leaf.
+
+    Splitting v into two Kirchhoff vertices joined by an edge of length
+    0 changes nothing, so B is closed by a lead at a vertex of degree
+    a + 1, and the rest of the graph sees B only through its reflection
+    coefficient Theta
+    (:func:`graphbands.reference_models.effective_reflection`).  Theta is
+    an inner function of the edge phases z_e = exp(i kappa_e) of B on the
+    polydisk, and Theta(0) = 2/(a + 1) - 1 = (1 - a)/(1 + a) is the split
+    vertex's own reflection.  An inner function carries the uniform
+    measure of the torus to the Poisson measure of Theta(0) on the circle
+    (Rudin, Function Theory in Polydiscs, 1969), and B's phases are
+    independent of every other phase: on the torus B counts only through
+    a, which its replacement shares.  Along kappa = k l the phases are
+    tied through k, so the band set changes.  A reduction changes only
+    its own group and keeps the degree of v, so no other group gains or
+    loses flux or falls below two edges, and one pass over the vertices
+    leaves nothing to reduce.  Returns ``g`` itself when nothing reduces.
     """
     h = merge_series(g)
     fluxed = {e.id for e, f in zip(h.edges, _cycle_flux(
         h.vertices, h.edges, h.generators)) if any(f)}
     if not fluxed:
         return h
-    degree = h.degrees()
-    drop_vertices, drop_edges, pendants = set(), set(), set()
-    for bridge in h.edges:
-        if bridge.tail == bridge.head or 1 in (degree[bridge.tail],
-                                               degree[bridge.head]):
-            continue                # a self-loop, or a pendant: nothing to cut
-        root = _roots(h.vertices, [(e.tail, e.head) for e in h.edges
-                                   if e is not bridge])
-        if root[bridge.tail] == root[bridge.head]:
-            continue                            # not a bridge
-        near = {v for v in h.vertices if root[v] == root[bridge.tail]}
-        for side, end in ((near, bridge.tail),
-                          (set(h.vertices) - near, bridge.head)):
-            inside = {e.id for e in h.edges
-                      if e is not bridge and e.tail in side}
-            if inside and not inside & fluxed:
-                drop_vertices |= side - {end}
-                drop_edges |= inside
-                pendants.add(bridge.id)
-    if not drop_edges:
-        return h
     zero = (0,) * h.generators
-    return MagneticGraph(
-        vertices=tuple(v for v in h.vertices if v not in drop_vertices),
-        edges=tuple(replace(e, flux=zero) if e.id in pendants else e
-                    for e in h.edges if e.id not in drop_edges),
-        generators=h.generators, name=h.name)
+    vertices, edges = list(h.vertices), list(h.edges)
+    for v in h.vertices:
+        if v not in vertices:
+            continue                        # inside a group already cut
+        root = _roots(vertices, [(e.tail, e.head) for e in edges
+                                 if v not in (e.tail, e.head)])
+        for r in set(root.values()) - {v}:          # the components of G - v
+            side = {u for u in vertices if root[u] == r}
+            group = {e.id: e for e in edges if {e.tail, e.head} & side}
+            if len(group) < 2 or fluxed & group.keys():
+                continue
+            ends = [e for e in group.values() if v in (e.tail, e.head)]
+            a = len(ends)
+            new = {e.id: Edge(e.id, v, v, e.length, zero)
+                   for e in ends[:a // 2]}
+            if a % 2:
+                pendant = ends[a // 2]
+                new[pendant.id] = replace(pendant, flux=zero)
+                side -= {pendant.tail, pendant.head}
+            vertices = [u for u in vertices if u not in side]
+            edges = [new.get(e.id, e) for e in edges
+                     if e.id in new or e.id not in group]
+    if len(edges) == h.edge_count:
+        return h
+    return MagneticGraph(vertices=tuple(vertices), edges=tuple(edges),
+                         generators=h.generators, name=h.name)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +543,7 @@ def from_payload(payload: dict) -> FundamentalCell | MagneticGraph:
                              generators=generators, name=graph_name)
     except GraphError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphError("malformed graph payload: %s" % exc) from None
 
 

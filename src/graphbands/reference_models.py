@@ -10,14 +10,15 @@ literally universal.  This module gives their densities; the hand
 formulas of their secular functions and band sets, independent oracles
 for the pipeline, live beside the tests in ``tests/conftest.py``.
 
-The reflection coefficient of a pendant decoration explains why whole
-families of graphs share one band density: a flux-free decoration
-behind a bridge enters the secular equation only through a unimodular
-phase exp(2i kappa_c) Theta, which the shift of the bridge phase
-kappa_c absorbs on the torus.  That is the mechanism
+The reflection coefficient of a decoration explains why whole families
+of graphs share one band density: a flux-free part that meets the rest
+at one vertex, with a edge ends there, enters the secular equation only
+through its unimodular reflection Theta, and on the torus Theta has the
+law of the Poisson measure of Theta(0) = (1 - a)/(1 + a), whatever the
+part's shape.  That is the mechanism
 :func:`graphbands.graph_model.core_shape` applies: it cuts every such
-decoration back to a pendant edge, and the torus route runs on the
-result.
+part back to floor(a/2) self-loops and, for odd a, a pendant edge, and
+the torus route runs on the result.
 
 The reflection coefficient is -B/A of the secular determinant A + B
 exp(2ip) of the decoration closed by a lead of phase p.  The dihedral
@@ -183,12 +184,15 @@ def effective_reflection(decoration: MagneticGraph, entry_vertex, k):
     outside, for a real momentum ``k`` (returns a complex) or an array of
     them (returns a complex array of the same shape).
 
-    The decoration hangs off the rest of the graph by a single edge
-    arriving at ``entry_vertex``; a wave entering there returns with
-    amplitude Theta(k) of modulus one, and that phase replaces the
-    decoration in the secular equation, as in
-    :func:`graphbands.graph_model.core_shape`.  Flux-free means, as
-    there, that every cycle carries zero net flux.
+    The decoration meets the rest of the graph at ``entry_vertex`` alone,
+    with any number a of edge ends there.  The lead that closes it there
+    is the Kirchhoff split of that vertex in
+    :func:`graphbands.graph_model.core_shape`, so this is the one-port's
+    Theta: a wave entering by the lead returns with amplitude Theta(k) of
+    modulus one, and that phase replaces the decoration in the secular
+    equation.  Over generic momenta Theta has the moments Theta(0)^n,
+    Theta(0) = (1 - a)/(1 + a).  Flux-free means, as there, that every
+    cycle carries zero net flux.
 
     Closed by a lead of phase p at a new leaf, the decoration has the
     secular determinant F(p) = A + B exp(2ip) = A (1 - Theta exp(2ip)),

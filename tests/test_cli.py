@@ -75,6 +75,18 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_object_edge_fails_with_one_line(tmp_path, capsys):
+    # an edge given as a list: one error line and exit 1, no traceback
+    path = tmp_path / "list_edge.json"
+    path.write_text('{"generators": 1, "vertices": [0], "edges": [[0, 0, 1]]}')
+    for argv in (["validate", str(path)],
+                 ["torus", str(path), "--samples", "10"]):
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: malformed graph payload: "
+                "'list' object has no attribute 'get'\n")
+
+
 def test_non_utf8_file_fails(tmp_path, capsys):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe{\x00\"\x00")

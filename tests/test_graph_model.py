@@ -6,7 +6,7 @@ import pytest
 
 import graphbands as gb
 from conftest import (FLOWER_CELL, flower_graph, loop_with, marker_fig1d,
-                      random_magnetic_graph)
+                      random_magnetic_graph, theta_graph)
 from graphbands import graph_model, spectrum
 
 
@@ -308,6 +308,66 @@ def test_core_shape_reads_cycle_flux_not_edge_flux():
         [(2, 0, 1, (0,)), (3, 1, 1, (1,))]
 
 
+K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_core_shape_cuts_a_one_port_to_its_edge_ends():
+    # a flux-free part meeting the rest at v with a edge ends there
+    # becomes floor(a/2) flux-free self-loops at v and, for odd a, one
+    # pendant, with the ids and lengths of its first end edges; v keeps
+    # its degree.  Loop + K4 at v (a = 3): loop + one loop + one pendant
+    g = loop_with([(t, h, 0) for t, h in K4])
+    core = gb.core_shape(g)
+    assert core.vertices == (0, 2)
+    assert core.edges == (g.edges[0], gb.Edge(2, 0, 0, 1.2, (0,)),
+                          gb.Edge(3, 0, 2, 1.3, (0,)))
+    assert core.degrees()[0] == g.degrees()[0] == 5
+    # a flux-1 loop + a double edge to w + a pendant at w (a = 2): loop +
+    # one loop
+    g = loop_with([(0, 1, 0), (0, 1, 0), (1, 2, 0)])
+    core = gb.core_shape(g)
+    assert core.vertices == (0,)
+    assert core.edges == (g.edges[0], gb.Edge(2, 0, 0, 1.2, (0,)))
+    # theta + a triangle at vertex 1 (a = 2): theta + one loop; theta +
+    # K4 at vertex 1 (a = 3): theta + one loop + one pendant
+    theta = theta_graph()
+    for part, vertices, cut in (
+            (((1, 2), (2, 3), (3, 1)), (0, 1), ((4, 1, 1, 1.4 + 1.5 + 1.6),)),
+            (tuple((t + 1, h + 1) for t, h in K4), (0, 1, 3),
+             ((4, 1, 1, 1.4), (5, 1, 3, 1.5)))):
+        g = gb.MagneticGraph(
+            tuple(sorted({0, 1} | {v for pair in part for v in pair})),
+            theta.edges + tuple(gb.Edge(i, t, h, 1.0 + 0.1 * i, (0,))
+                                for i, (t, h) in enumerate(part, 4)), 1)
+        core = gb.core_shape(g)
+        assert core.vertices == vertices
+        assert core.edges == theta.edges + tuple(
+            gb.Edge(i, t, h, pytest.approx(length), (0,))
+            for i, t, h, length in cut)
+
+
+def test_core_shape_cuts_nested_parts_in_one_call():
+    # vertex 0 comes first: its double edge to 1 with a pendant at 1 (a =
+    # 2) becomes a loop at 0; then vertex 3 cuts its three parallel edges
+    # to 0, which now carry that loop (a = 3), to a loop and a pendant
+    pairs = [(3, 3, 1), (0, 3, 0), (0, 3, 0), (3, 0, 0), (0, 1, 0),
+             (1, 0, 0), (1, 2, 0)]
+    g = gb.MagneticGraph((0, 1, 2, 3), tuple(
+        gb.Edge(i, t, h, 1.0 + 0.1 * i, (f,))
+        for i, (t, h, f) in enumerate(pairs, 1)), 1)
+    core = gb.core_shape(g)
+    assert core.vertices == (0, 3)
+    assert core.edges == (g.edges[0], gb.Edge(2, 3, 3, 1.2, (0,)),
+                          gb.Edge(3, 0, 3, 1.3, (0,)))
+    # one pass leaves nothing to reduce, here and on the corpus
+    assert gb.core_shape(core) == core
+    for seed in range(200):
+        for generators in (1, 2):
+            core = gb.core_shape(random_magnetic_graph(seed,
+                                                       generators=generators))
+            assert gb.core_shape(core) == core, (seed, generators)
+
+
 def test_tree_gauge_never_raises_the_flux_weight():
     # corpus graphs: the gauge is kept per generator only where it lowers
     # the edge-summed |flux|, so no weight rises and the sum falls
@@ -456,6 +516,12 @@ def test_malformed_payload_and_file(tmp_path):
         with pytest.raises(gb.GraphError) as err:
             gb.from_payload(bad)
         assert "%s: %r is not an integer" % (field, value) in str(err.value)
+    # an edge entry that is not an object is refused by the payload check
+    for bad in ({"generators": 1, "vertices": [0], "edges": [[0, 0, 1]]},
+                dict(payload(plus=1), edges=[[1, 0, 1]])):
+        with pytest.raises(gb.GraphError, match="malformed graph payload: "
+                           "'list' object has no attribute 'get'"):
+            gb.from_payload(bad)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(gb.GraphError):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -462,6 +463,43 @@ def test_reflection_array_matches_scalar_calls():
     assert all(type(theta) is complex for theta in scalar)
     assert np.array_equal(thetas.ravel(), scalar)
     assert gb.effective_reflection(dec, 0, ks[:0]).shape == (0, 7)
+
+
+def test_one_port_moments_are_poisson_moments():
+    """Over generic momenta the means of Theta and Theta^2 of a flux-free
+    one-port with a edge ends at its entry vertex are Theta(0) and
+    Theta(0)^2, Theta(0) = (1 - a)/(1 + a): an inner function carries the
+    uniform torus measure to the Poisson measure of Theta(0).  One-ports:
+    a pendant (a = 1), a triangle at the vertex (a = 2), three parallel
+    edges (a = 3) and K4 at a vertex (a = 3).
+
+    Lengths uniform in [1, 2] from default_rng(41); 20,000 momenta uniform
+    in [0, K], K = 1e4, from default_rng(42); both fixed before the first
+    run.  Theta is a power series in exp(i k l_e) with frequencies n >= 0,
+    so each term's k-mean is within 2 / (K n.l) <= 2e-4 of its torus mean.
+    The real and imaginary parts of each mean are held within z sample
+    SEs of the target, z = Phi^-1(1 - 5e-4 / 16) = 4.00: a 1e-3
+    family-wise rate over 16 comparisons (4 one-ports x 2 moments x 2
+    parts).
+    """
+    rng = np.random.default_rng(41)
+    ks = np.random.default_rng(42).uniform(0.0, 1e4, 20_000)
+    z = NormalDist().inv_cdf(1.0 - 5e-4 / 16)
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for a, pairs in ((1, [(0, 1)]), (2, [(0, 1), (1, 2), (2, 0)]),
+                     (3, [(0, 1)] * 3), (3, k4)):
+        port = gb.MagneticGraph(
+            tuple(sorted({v for pair in pairs for v in pair})),
+            tuple(gb.Edge(i, t, h, float(rng.uniform(1.0, 2.0)))
+                  for i, (t, h) in enumerate(pairs, 1)), generators=0)
+        assert port.degrees()[0] == a
+        theta = gb.effective_reflection(port, 0, ks)
+        for n in (1, 2):
+            moment = theta ** n
+            for part, want in ((moment.real, ((1 - a) / (1 + a)) ** n),
+                               (moment.imag, 0.0)):
+                se = part.std(ddof=1) / math.sqrt(len(part))
+                assert abs(part.mean() - want) <= z * se, (pairs, n)
 
 
 def test_interior_resonance_raises():

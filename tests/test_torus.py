@@ -154,9 +154,9 @@ def test_core_shape_keeps_the_torus_volume():
     samples each; both fixed before the first run), so when the volumes
     are equal their difference is close to normal with that standard
     error.  The test makes one comparison per shrunk graph, N of them
-    (107).  A Bonferroni split of a 1e-3 family-wise false-alarm rate
+    (110).  A Bonferroni split of a 1e-3 family-wise false-alarm rate
     gives each a two-sided rate of 1e-3 / N, so z = Phi^-1(1 - 5e-4 / N),
-    4.42 at N = 107.  A flat "3 SE" gate would fail by chance in about
+    4.44 at N = 110.  A flat "3 SE" gate would fail by chance in about
     one run of four over that many graphs.
     """
     shrunk = []
@@ -165,11 +165,39 @@ def test_core_shape_keeps_the_torus_volume():
         core = gb.core_shape(g)
         if core.edge_count < g.edge_count:
             shrunk.append((seed, g, core))
-    assert len(shrunk) == 107
+    assert len(shrunk) == 110
     for seed, g, core in shrunk:
         a = gb.mc_volume(gb.bond_matrices(g), 4000, 2 * seed)
         b = gb.mc_volume(gb.bond_matrices(core), 4000, 2 * seed + 1)
         assert abs(a.value - b.value) <= volume_gap_bound(a, b, len(shrunk)), \
+            (seed, a.value, b.value)
+
+
+def test_core_shape_keeps_the_torus_volume_of_multi_end_parts():
+    """The same check on the corpus graphs where core_shape cuts a
+    flux-free part with a >= 2 edge ends at its vertex, seen as a
+    self-loop of the core that is not one after merge_series:
+    random_magnetic_graph(seed, n_edges, J) for seeds 0..199, n_edges 5,
+    6 and 7 and J = 1 and 2, N = 16 graphs.  Philox seeds 2s and 2s + 1,
+    40,000 samples each (both fixed before the first run), and z =
+    Phi^-1(1 - 5e-4 / N) = 3.99.
+    """
+    def loops(g):
+        return {e.id for e in g.edges if e.tail == e.head}
+
+    cut = []
+    for generators in (1, 2):
+        for n_edges in (5, 6, 7):
+            for seed in range(200):
+                g = random_magnetic_graph(seed, n_edges, generators)
+                core = gb.core_shape(g)
+                if loops(core) - loops(gb.merge_series(g)):
+                    cut.append((seed, g, core))
+    assert len(cut) == 16
+    for seed, g, core in cut:
+        a = gb.mc_volume(gb.bond_matrices(g), 40_000, 2 * seed)
+        b = gb.mc_volume(gb.bond_matrices(core), 40_000, 2 * seed + 1)
+        assert abs(a.value - b.value) <= volume_gap_bound(a, b, len(cut)), \
             (seed, a.value, b.value)
 
 
