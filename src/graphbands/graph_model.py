@@ -489,9 +489,18 @@ EXAMPLE_NAMES = ("lasso", *_EXAMPLE_CELLS)
 # file interface
 # ---------------------------------------------------------------------------
 
+def _number(value, field):
+    """``value``, refused when it is a string or a boolean, which ``int``
+    and ``float`` would read as a number."""
+    if isinstance(value, (str, bool)):
+        raise GraphError("%s: %r is not a number" % (field, value))
+    return value
+
+
 def _integer(value, field):
-    """``int(value)`` that refuses, not truncates, a fractional number."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a number, that refuses, not truncates, a
+    fractional one."""
+    if isinstance(_number(value, field), float) and not value.is_integer():
         raise GraphError("%s: %r is not an integer" % (field, value))
     return int(value)
 
@@ -508,7 +517,10 @@ def from_payload(payload: dict) -> FundamentalCell | MagneticGraph:
     """
     def parse_edge(obj, with_flux):
         length = obj.get("length")
-        flux = tuple(_integer(f, "flux") for f in obj.get("flux", ()))
+        if length is not None:
+            length = float(_number(length, "length"))
+        flux = tuple(_integer(f, "flux")
+                     for f in _number(obj.get("flux", ()), "flux"))
         if not with_flux and any(flux):
             raise GraphError("edge %r: nonzero flux together with "
                              "identifications is not allowed" % (obj.get("id"),))
@@ -519,7 +531,7 @@ def from_payload(payload: dict) -> FundamentalCell | MagneticGraph:
         return Edge(id=_integer(obj["id"], "id"),
                     tail=_integer(obj["from"], "from"),
                     head=_integer(obj["to"], "to"),
-                    length=None if length is None else float(length),
+                    length=length,
                     flux=flux)
 
     try:

@@ -24,12 +24,18 @@ The module, in the order of its code:
   generator; ``bs.secular_polynomial`` keeps it.  It is the one source
   of G for membership.
 - :func:`_extremes` takes the exact minimum and maximum of G along that
-  generator from a row's coefficients.
-- :func:`_margin` turns them into one continuous number per row, the
-  margin mu = min(ZERO_TOL - min G, max G + ZERO_TOL), with a member iff
-  mu >= 0, optionally screened in float32 with the sign of the float64
-  margin on every row; :func:`membership_from_phases` is its screened
-  sign on torus rows.
+  generator from a row's coefficients: in closed form up to degree 2;
+  for a real (one-slice) row of degree m >= 3, as G = P(cos alpha) at
+  cos alpha = +-1 and at the roots of P' (:func:`_cosine_critical_values`);
+  for a complex row, at the roots of a 2m x 2m complex companion matrix
+  (:func:`_critical_values`).
+- :func:`_margin` computes the coefficients of a block of rows, with the
+  edge phases along the last axis, and turns the extremes into one
+  continuous number per row, the margin mu = min(ZERO_TOL - min G, max G
+  + ZERO_TOL), with a member iff mu >= 0, optionally screened in float32
+  with the sign of the float64 margin on every row;
+  :func:`membership_from_phases` is its screened sign on torus rows and
+  :func:`_momentum_margin` its value on momentum rows kappa = k l.
 - :func:`band_intervals` brackets the roots of mu along kappa = k l on a
   screened grid and refines them in float64 (:func:`_refine_edges`);
   :func:`density` reports the measure of the bands below a series of
@@ -176,8 +182,8 @@ class SecularPolynomial:
           rounds a few times terms whose sizes sum to at most A = |c_0| +
           2 sum_j |c_j| (the m = 2 vertex is taken only when |c_1| < 4
           |c_2|, so |c_1^2 / 4 c_2| < |c_1|), which costs at most 2 u A,
-          and the margin adds u A; the companion path computes in
-          complex128.
+          and the margin adds u A; from degree 3 on, real rows compute
+          in float64 and complex ones in complex128.
 
         So |dc_j| <= sum_r e_r |S_rj| with e_r = dr_r + da_r + tau + (Rk +
         1) u, and G = c_0 + 2 Re sum_j c_j exp(i j alpha) moves by at most
@@ -187,8 +193,8 @@ class SecularPolynomial:
         extremes and margin.  The worst slice of the further generators'
         grid counts.  The slack covers what this leaves out: the terms of
         order u^2, the float64 roundoff of the float64 margin and of the
-        companion path, and the critical points of m >= 3 found in float64
-        from either set of coefficients.
+        paths of degree >= 3, and the critical points of m >= 3 found in
+        float64 from either set of coefficients.
         """
         u, u64, R = 2.0 ** -24, 2.0 ** -53, _SCREEN_REACH
         w = np.abs(self.kappa_freq).sum(axis=1)
@@ -294,38 +300,83 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
 # membership
 # ---------------------------------------------------------------------------
 
+def _companion_roots(P: np.ndarray) -> np.ndarray:
+    """Roots of the polynomials sum_k P[:, k] z^k (rows of P, degree d =
+    P.shape[1] - 1), the eigenvalues of their companion matrices, complex
+    for complex P.  A row whose top nonzero coefficient is P[:, k], k < d,
+    is first multiplied by z^(d - k), so that its roots come with d - k at
+    z = 0; a row of zeros or NaN gets arbitrary roots."""
+    d = P.shape[1] - 1
+    # shift by d - k; the indices below 0 wrap onto the zeros above k
+    shift = np.argmax(P[:, ::-1] != 0, axis=1)
+    P = np.take_along_axis(P, np.arange(d + 1) - shift[:, None], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = P[:, :-1] / P[:, -1:]
+    C = np.zeros((len(P), d, d), dtype=P.dtype)
+    idx = np.arange(d - 1)
+    C[:, idx + 1, idx] = 1.0
+    C[:, :, -1] = -np.where(np.isfinite(monic), monic, 0.0)
+    return np.linalg.eigvals(C)
+
+
 def _critical_values(c: np.ndarray) -> np.ndarray:
     """Values of the real trigonometric polynomials c_0 + 2 Re sum_{j=1..m}
     c_j exp(i j alpha) of degree m = c.shape[1] - 1 >= 2 (rows of c) at
     the 2m + 1 equispaced points and at the arguments of the 2m roots of
     sum_j j c_j z^(j+m), c_{-j} = conj(c_j), their critical points when on
-    the unit circle.  A row whose top nonzero c_j has j = d < m is first
-    multiplied by z^(m - d), so that its 2d roots come with 2(m - d) at
-    z = 0, which are NaN on the circle.  Non-finite entries past the
-    first 2m + 1 mark those and failed roots; the equispaced points keep
-    a row with G = 0 exact."""
+    the unit circle (:func:`_companion_roots`, in complex128).  A row of
+    degree d < m has 2(m - d) of its roots at z = 0, which are NaN on the
+    circle.  Non-finite entries past the first 2m + 1 mark those and
+    failed roots; the equispaced points keep a row with G = 0 exact."""
     m = c.shape[1] - 1
     j = np.arange(1, m + 1)
     P = np.zeros((len(c), 2 * m + 1), dtype=complex)
     P[:, m + 1:] = j * c[:, 1:]
     P[:, m - 1::-1] = -j * np.conj(c[:, 1:])
-    # shift by m - d; the indices below 0 wrap onto the zeros above m + d
-    shift = np.argmax(c[:, :0:-1] != 0, axis=1)
-    P = np.take_along_axis(P, np.arange(2 * m + 1) - shift[:, None], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        monic = P[:, :-1] / P[:, -1:]
-    C = np.zeros((len(c), 2 * m, 2 * m), dtype=complex)
-    idx = np.arange(2 * m - 1)
-    C[:, idx + 1, idx] = 1.0
-    # a row with G = 0 gets arbitrary, hence harmless, points
-    C[:, :, -1] = -np.where(np.isfinite(monic), monic, 0.0)
-    roots = np.linalg.eigvals(C)
+    roots = _companion_roots(P)
     with np.errstate(divide="ignore", invalid="ignore"):
         roots /= np.abs(roots)
     z = np.exp(2j * np.pi * np.arange(2 * m + 1) / (2 * m + 1))
     z = np.hstack([np.broadcast_to(z, (len(c), 2 * m + 1)), roots])
     return c[:, :1].real + 2.0 * sum((c[:, k:k + 1] * z ** k).real
                                      for k in range(1, m + 1))
+
+
+def _cosine_critical_values(c: np.ndarray) -> np.ndarray:
+    """Values, in float64, of the even trigonometric polynomials G = c_0 +
+    2 sum_{j=1..m} c_j cos(j alpha) of degree m = c.shape[1] - 1 >= 3
+    (rows of a real c) at x = cos(alpha) = -1 and 1 and at the real parts
+    of the m - 1 roots of P', each clipped to [-1, 1], where P(x) = c_0 +
+    2 sum_j c_j T_j(x) is G in x (T_j the Chebyshev polynomials).  The
+    extremes of P over [-1, 1] lie at +-1 or at a real root of P' there,
+    and every point of [-1, 1] is a value of G, so the extra points (real
+    parts of complex roots, clipped ones) cannot widen the range.  At m =
+    3, P'/2 = 12 c_3 x^2 + 4 c_2 x + c_1 - 3 c_3 is solved by the stable
+    quadratic formula, with a negative discriminant taken as 0; above,
+    the roots are the eigenvalues of the real companion matrix of P'
+    (:func:`_companion_roots`).  A row with c_m = 0 falls to its true
+    degree: a root at infinity (clipped) or a spare root at 0.  A NaN
+    entry is NaN."""
+    c = np.asarray(c, dtype=float)
+    n, m = len(c), c.shape[1] - 1
+    if m == 3:
+        a, b, q = 12.0 * c[:, 3], 4.0 * c[:, 2], c[:, 1] - 3.0 * c[:, 3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * q,
+                                                           0.0)), b))
+            roots = np.stack([h / a, q / h], axis=1)
+    else:
+        T = np.eye(m + 1)            # row j: T_j in powers of x, by the
+        for j in range(1, m):        # recurrence T_(j+1) = 2 x T_j - T_(j-1)
+            T[j + 1] = 2.0 * np.roll(T[j], 1) - T[j - 1]
+        power = (c * np.where(np.arange(m + 1) > 0, 2.0, 1.0)) @ T
+        roots = _companion_roots(power[:, 1:] * np.arange(1, m + 1)).real
+    x = np.clip(np.hstack([np.broadcast_to([-1.0, 1.0], (n, 2)), roots]),
+                -1.0, 1.0)
+    b1 = b2 = 0.0
+    for j in range(m, 0, -1):                         # Clenshaw's recurrence
+        b1, b2 = 2.0 * (c[:, j:j + 1] + x * b1) - b2, b1
+    return c[:, :1] + x * b1 - b2
 
 
 def _extremes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,20 +387,26 @@ def _extremes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     - m = 0 is c_0 and m = 1 is c_0 + 2|c_1| cos(alpha + phase), in
       closed form, so at m = 1 a row touches zero iff |c_0| <= 2|c_1|.
-    - A real row of degree 2 is c0 + 2 c1 cos(alpha) + 2 c2 cos(2 alpha),
-      the quadratic P(x) = c0 - 2 c2 + 2 c1 x + 4 c2 x^2 in x =
-      cos(alpha), whose extremes over [-1, 1] are P(+-1) and, when |c1| <
-      4|c2|, the vertex value c0 - 2 c2 - c1^2 / (4 c2).  The compile
-      stores a real series exactly when it has one slice, where G is even
-      in alpha (:func:`compile_secular`).
-    - Other rows take the values at the 2m + 1 equispaced and at the
-      critical points (:func:`_critical_values`), skipping failed roots;
-      a NaN row stays NaN.  A complex row that happens to be even takes
-      this path too, which is exact as well.
+    - A real row is c0 + 2 sum_j c_j cos(j alpha), a polynomial P of
+      degree m in x = cos(alpha), whose extremes over [-1, 1] lie at +-1
+      and at the real roots of P'.  The compile stores a real series
+      exactly when it has one slice, where G is even in alpha
+      (:func:`compile_secular`).  At degree 2, P(x) = c0 - 2 c2 + 2 c1 x
+      + 4 c2 x^2, and its extremes are P(+-1) and, when |c1| < 4|c2|, the
+      vertex value c0 - 2 c2 - c1^2 / (4 c2).  From degree 3 on, P is
+      evaluated at +-1 and at the roots of P', found by the quadratic
+      formula at m = 3 and by a real (m - 1) x (m - 1) companion matrix
+      above (:func:`_cosine_critical_values`).
+    - A complex row takes the values at the 2m + 1 equispaced and at the
+      critical points (:func:`_critical_values`, from a 2m x 2m complex
+      companion matrix), skipping failed roots; a NaN row stays NaN.  A
+      complex row that happens to be even takes this path too, which is
+      exact as well.
 
     Extra evaluation points never create a false member.  The extremes
     keep the precision of c, float32 for float32 or complex64 rows,
-    except on the last path, which computes in complex128."""
+    except from degree 3 on, where real rows compute in float64 and
+    complex ones in complex128."""
     m = c.shape[1] - 1
     if m <= 1:
         mid = c[:, 0].real
@@ -363,7 +420,8 @@ def _extremes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                               c0 - 2.0 * c2 - c1 * c1 / (4.0 * c2), np.nan)
         return (np.fmin(np.minimum(minus, plus), vertex),
                 np.fmax(np.maximum(minus, plus), vertex))
-    vals = _critical_values(c)
+    vals = (_cosine_critical_values(c) if np.isrealobj(c)
+            else _critical_values(c))
     return np.fmin.reduce(vals, axis=1), np.fmax.reduce(vals, axis=1)
 
 
@@ -376,6 +434,20 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     main generator come from its coefficients c_0..c_m, one matrix
     product with the compiled ``series`` (:func:`_extremes`), and are
     taken over every slice, the grid of the other generators.
+
+    The phases of a block are read along the last axis: ``rows`` is the
+    (E, n) transpose of the block, and t = trig(kappa_freq @ rows), shape
+    (Rk, n), gives c = t.T @ series, shape (n, W) with W the series width;
+    everything from c on is row-major.  E (2-3 on the benchmark graphs),
+    Rk (3-9) and W (2-3) are short, and numpy is slow on a short inner
+    axis.  For the 16,001 grid rows of the lasso (numpy 2.4, one BLAS
+    thread, AVX-512 x86-64 core), the phases took 224 us as an (n, 1)
+    (1, E) broadcast against 11 us as an (E, 1) (n,) one, and the two
+    float32 matrix products 42 + 24 us against 8 + 11 us transposed; the
+    screened margin of that grid went from 633 to 429 us.
+    :func:`_momentum_margin` passes the transpose view of (E, n) phases,
+    so a momentum block is contiguous; torus rows, (n, E), are read
+    through the same view.
 
     With ``precision`` float32 the margin is a screen.  With numpy 2.4 on
     an AVX-512 x86-64 core a float64 cosine took about 25 ns and a
@@ -397,7 +469,7 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     # a complex series as interleaved real and imaginary parts, so that
     # c is one real product, read back as complex
     series = poly.series.reshape(len(poly.series), -1).view(float)
-    freq = poly.kappa_freq.T
+    freq = poly.kappa_freq
     slices, width = poly.series.shape[1:]
     screen = precision == np.float32
     if screen:
@@ -406,7 +478,7 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     block = max(1, _BLOCK_VALUES // max(series.shape[1], len(series)))
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
-        rows = kappas[i:i + block]
+        rows = kappas[i:i + block].T                          # (E, n)
         least, most = rows.min(), rows.max()
         low = screen and -_SCREEN_REACH <= least and most <= _SCREEN_REACH
         if low:                                       # so no NaN either
@@ -415,20 +487,20 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
                 phases = np.rint(rows / (2 * np.pi))
                 phases *= -2 * np.pi
                 phases += rows                # rows - 2 pi rint(rows / 2 pi)
-            c = trig(phases.astype(np.float32) @ freq32) @ series32
+            c = trig(freq32 @ phases.astype(np.float32)).T @ series32
         else:
-            c = trig(rows @ freq) @ series
+            c = trig(freq @ rows).T @ series
         if np.iscomplexobj(poly.series):
             c = c.view(np.complex64 if low else complex)
         lo, hi = _extremes(c.reshape(-1, width))
         if slices > 1:
-            lo = lo.reshape(len(rows), slices).min(axis=1)
-            hi = hi.reshape(len(rows), slices).max(axis=1)
+            lo = lo.reshape(-1, slices).min(axis=1)
+            hi = hi.reshape(-1, slices).max(axis=1)
         mu = margin[i:i + block]
         np.minimum(ZERO_TOL - lo, hi + ZERO_TOL, out=mu)
         if low:
             redo = ~(np.abs(mu) > poly.screen_bound)          # NaN too
-            mu[redo] = _margin(bs, rows[redo])
+            mu[redo] = _margin(bs, kappas[i:i + block][redo])
     return margin
 
 
@@ -460,8 +532,8 @@ def _momentum_margin(bs: BondSystem, ks, precision=np.float64) -> np.ndarray:
     """Membership margin (see :func:`_margin`, also for ``precision``)
     over an array of momenta."""
     ks = np.asarray(ks, dtype=float)
-    kappas = ks.reshape(-1, 1) * bs.bond_lengths[None, :bs.n_edges]
-    return _margin(bs, kappas, precision).reshape(ks.shape)
+    kappas = bs.bond_lengths[:bs.n_edges, None] * ks.ravel()    # (E, n)
+    return _margin(bs, kappas.T, precision).reshape(ks.shape)
 
 
 def momentum_membership(bs: BondSystem, ks) -> np.ndarray:

@@ -87,6 +87,18 @@ def test_non_object_edge_fails_with_one_line(tmp_path, capsys):
                 "'list' object has no attribute 'get'\n")
 
 
+def test_string_number_fails_with_one_line(tmp_path, capsys):
+    # a JSON string where a number belongs: one error line and exit 1
+    path = tmp_path / "string_flux.json"
+    path.write_text('{"generators": 2, "vertices": [0], "edges": [{"id": 7, '
+                    '"from": 0, "to": 0, "length": 1.5, "flux": "11"}]}')
+    for argv in (["validate", str(path)],
+                 ["torus", str(path), "--samples", "10"]):
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: flux: '11' is not a number\n")
+
+
 def test_non_utf8_file_fails(tmp_path, capsys):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe{\x00\"\x00")

@@ -516,6 +516,33 @@ def test_malformed_payload_and_file(tmp_path):
         with pytest.raises(gb.GraphError) as err:
             gb.from_payload(bad)
         assert "%s: %r is not an integer" % (field, value) in str(err.value)
+    # JSON strings and booleans are not numbers: one error naming the
+    # field, never a value read from the text (a flux "11" is not (1, 1))
+    def edge_payload(**fields):
+        edge = dict({"id": 7, "from": 0, "to": 0, "length": 1.5,
+                     "flux": [1, 1]}, **fields)
+        return {"generators": 2, "vertices": [0], "edges": [edge]}
+
+    assert gb.from_payload(edge_payload()).edges[0] == \
+        gb.Edge(id=7, tail=0, head=0, length=1.5, flux=(1, 1))
+    assert gb.from_payload(edge_payload(id=np.int64(7), length=np.float64(1.5))
+                           ) == gb.from_payload(edge_payload())
+    for field, value, bad in (
+            ("length", "1.5", edge_payload(id="7", length="1.5", flux="11")),
+            ("id", "7", edge_payload(id="7")),
+            ("id", True, edge_payload(id=True)),
+            ("from", "0", edge_payload(**{"from": "0"})),
+            ("length", "1.5", edge_payload(length="1.5")),
+            ("length", True, edge_payload(length=True)),
+            ("flux", "11", edge_payload(flux="11")),
+            ("flux", True, edge_payload(flux=True)),
+            ("flux", False, edge_payload(flux=[1, False])),
+            ("generators", "2", dict(edge_payload(), generators="2")),
+            ("vertices", True, dict(edge_payload(), vertices=[True])),
+            ("plus", "1", payload(plus="1"))):
+        with pytest.raises(gb.GraphError) as err:
+            gb.from_payload(bad)
+        assert str(err.value) == "%s: %r is not a number" % (field, value)
     # an edge entry that is not an object is refused by the payload check
     for bad in ({"generators": 1, "vertices": [0], "edges": [[0, 0, 1]]},
                 dict(payload(plus=1), edges=[[1, 0, 1]])):

@@ -146,8 +146,18 @@ def dense_alpha_values(secular, bs, kappas, n):
     return np.hstack([half, half[:, (n + 1) // 2 - 1:0:-1]])
 
 
-def test_membership_matches_dense_alpha_reference():
-    # seeds cover exact degrees 1..4 and both signs of det S
+def test_membership_matches_dense_alpha_reference(monkeypatch):
+    # seeds cover exact degrees 1..4 and both signs of det S.  No J = 1 row
+    # needs a complex eigensolve (from degree 3 on, real rows take the
+    # roots of P' in cos alpha), so with one that raises every row is
+    # still decided; a J = 2 row shows that the patch holds.
+    eigvals = np.linalg.eigvals
+
+    def real_only(a):
+        if np.iscomplexobj(a):
+            raise AssertionError("complex eigensolve")
+        return eigvals(a)
+    monkeypatch.setattr(np.linalg, "eigvals", real_only)
     rng = np.random.default_rng(4)
     for seed, degree in DEGREE_SEEDS.items():
         bs = gb.bond_matrices(random_magnetic_graph(seed))
@@ -157,6 +167,10 @@ def test_membership_matches_dense_alpha_reference():
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         member = gb.membership_from_phases(bs, kappas)
         assert np.array_equal(member, dense), seed
+    with pytest.raises(AssertionError, match="complex eigensolve"):
+        gb.membership_from_phases(
+            gb.bond_matrices(random_magnetic_graph(17, generators=2)),
+            rng.uniform(0, 2 * np.pi, (10, 5)))
 
 
 def test_exact_degree_keeps_clear_members(monkeypatch):
@@ -569,9 +583,10 @@ def test_m2_closed_form_matches_dense_alpha_reference(monkeypatch):
         assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
         assert np.array_equal(lu_membership(bs, kappas), dense)
     assert parities == {-1, 1}
-    # degree 3 still takes the critical points
-    bs = gb.bond_matrices(random_magnetic_graph(53))
-    assert bs.secular_polynomial.degree == (3,)
+    # a complex row of degree 2 (J = 2, degree (2, 1)) still takes the
+    # critical points
+    bs = gb.bond_matrices(random_magnetic_graph(17, generators=2))
+    assert bs.secular_polynomial.degree == (2, 1)
     with pytest.raises(CriticalPointsReached):
         gb.membership_from_phases(bs, rng.uniform(0, 2 * np.pi, (10, 5)))
 
@@ -621,6 +636,91 @@ def test_critical_points_degenerate_rows():
         assert dense[row].max() <= hi[row] <= dense[row].max() + 1e-8, row
     assert lo[1] == hi[1] == 0.0
     assert np.isnan(lo[4]) and np.isnan(hi[4])
+
+
+def test_real_critical_points_degenerate_rows():
+    # real rows c_0 + 2 sum_j c_j cos(j alpha) at m = 3 (quadratic P'),
+    # m = 4 and m = 5 (real companion): a regular row, G = 0 (a flat
+    # band), vanishing leads down to degree 0, at m = 3 a P' without real
+    # roots and one with a double root, and NaN (a failed sample).  All
+    # but the last are exact, without a warning; the last is NaN.
+    nan = np.nan
+    rows = {3: [[0.1, 0.3, -0.25, 0.15], [0.0, 0.0, 0.0, 0.0],
+                [0.2, 0.4, -0.3, 0.0], [0.2, 0.4, 0.0, 0.0],
+                [0.7, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.01],
+                [0.1, 0.6, 0.3, 0.1], [nan, 0.1, 0.1, 0.1]],
+            4: [[0.1, 0.3, -0.25, 0.15, 0.2], [0.0] * 5,
+                [0.1, 0.3, -0.25, 0.15, 0.0], [0.2, 0.4, -0.3, 0.0, 0.0],
+                [0.2, 0.4, 0.0, 0.0, 0.0], [0.1, 0.1, 0.1, nan, 0.1]],
+            5: [[0.1, 0.3, -0.25, 0.15, 0.2, -0.1], [0.0] * 6,
+                [0.1, 0.3, -0.25, 0.15, 0.2, 0.0],
+                [0.2, 0.4, 0.0, 0.0, 0.0, 0.0],
+                [nan, 0.1, 0.1, 0.1, 0.1, 0.1]]}
+    alpha = 2 * np.pi * np.arange(1 << 16) / (1 << 16)
+    for m, c in rows.items():
+        c = np.array(c)
+        dense = c[:, :1] + 2 * c[:, 1:] @ np.cos(np.outer(np.arange(1, m + 1),
+                                                          alpha))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            lo, hi = spectrum._extremes(c)
+        assert lo.dtype == hi.dtype == np.float64
+        # the dense grid misses the exact extremes by O(grid step^2)
+        for row in range(len(c) - 1):
+            assert dense[row].min() - 1e-8 <= lo[row] \
+                <= dense[row].min() + 1e-15, (m, row)
+            assert dense[row].max() - 1e-15 <= hi[row] \
+                <= dense[row].max() + 1e-8, (m, row)
+        assert lo[1] == hi[1] == 0.0
+        assert np.isnan(lo[-1]) and np.isnan(hi[-1])
+        # float32 rows are upcast, to the same extremes
+        c32 = c.astype(np.float32)
+        assert np.array_equal(spectrum._extremes(c32)[0],
+                              spectrum._extremes(c32.astype(float))[0],
+                              equal_nan=True)
+
+
+def real_degree_graphs():
+    """Every random_magnetic_graph of seed 0..199 (J = 1) whose core has
+    degree 3 or 4, with its bond system."""
+    found = {}
+    for seed in range(200):
+        bs = gb.bond_matrices(gb.core_shape(random_magnetic_graph(seed)))
+        if bs.secular_polynomial.degree in ((3,), (4,)):
+            found[seed] = bs
+    return found
+
+
+def test_real_rows_match_complex_companion(monkeypatch):
+    # membership of real rows of degree 3 and 4, torus rows, momentum rows
+    # k l and rows at touching zeros (phases in {0, pi}), is row for row
+    # that of the extremes of the 2m x 2m complex companion path, which
+    # takes real rows too; the float64 margins agree to roundoff
+    graphs = real_degree_graphs()
+    assert {bs.secular_polynomial.degree for bs in graphs.values()} == \
+        {(3,), (4,)}
+    assert len(graphs) >= 10
+    fast = spectrum._cosine_critical_values
+    touching = 0
+    for seed, bs in graphs.items():
+        rng = np.random.default_rng(seed)
+        E = bs.n_edges
+        kappas = np.vstack([rng.uniform(0, 2 * np.pi, (1000, E)),
+                            np.outer(rng.uniform(0, 300, 500),
+                                     bs.bond_lengths[:E]),
+                            rng.choice([0.0, np.pi], (100, E))])
+        member, mu = (gb.membership_from_phases(bs, kappas),
+                      spectrum._margin(bs, kappas))
+        monkeypatch.setattr(spectrum, "_cosine_critical_values",
+                            spectrum._critical_values)
+        ref, mu_ref = (gb.membership_from_phases(bs, kappas),
+                       spectrum._margin(bs, kappas))
+        monkeypatch.setattr(spectrum, "_cosine_critical_values", fast)
+        assert 0 < member.sum() < len(member), seed
+        assert np.array_equal(member, ref), seed
+        assert np.abs(mu - mu_ref).max() <= 1e-13, seed
+        touching += np.sum(np.abs(mu - ZERO_TOL) < 0.5 * ZERO_TOL)
+    assert touching > 0
 
 
 def test_two_generator_slices_keep_critical_points():
@@ -794,6 +894,31 @@ def test_margin_of_non_finite_phases(monkeypatch):
         old = assert_margin_sign_is_old_rule(bs, kappas, seen)
         assert not old.any(), name
         assert np.isnan(spectrum._margin(bs, kappas)).all(), name
+
+
+def test_margin_takes_rows_in_either_layout():
+    # the kernel reads the phases along the last axis, (E, n), through a
+    # transposed view of its (n, E) argument: C-ordered rows and the
+    # transposed view of an (E, n) array give the same membership and
+    # margins to roundoff, screened and in float64; _momentum_margin,
+    # which builds (E, n) phases, has the signs of the (n, E) rows k l
+    rng = np.random.default_rng(31)
+    for name, g in margin_graphs().items():
+        bs = gb.bond_matrices(g)
+        E = bs.n_edges
+        ks = rng.uniform(0, 50, 3000)
+        rows = np.vstack([rng.uniform(0, 2 * np.pi, (3000, E)),
+                          ks[:, None] * bs.bond_lengths[:E]])
+        view = np.ascontiguousarray(rows.T).T
+        assert rows.flags.c_contiguous and view.flags.f_contiguous
+        for precision in (np.float32, np.float64):
+            mu = spectrum._margin(bs, rows, precision)
+            mu_view = spectrum._margin(bs, view, precision)
+            assert np.array_equal(mu >= 0, mu_view >= 0), (name, precision)
+            assert np.abs(mu - mu_view).max() <= 1e-14, (name, precision)
+            assert 0 < (mu >= 0).sum() < len(mu), name
+        mu = spectrum._margin(bs, ks[:, None] * bs.bond_lengths[:E])
+        assert np.array_equal(spectrum._momentum_margin(bs, ks) >= 0, mu >= 0)
 
 
 # ------------------------------------------------------------ float32 screen
