@@ -37,7 +37,7 @@ import numpy as np
 from .bond_system import bond_matrices
 from .graph_model import Edge, GraphError, MagneticGraph, _cycle_flux
 from .secular import secular_values
-from .torus import sample_count
+from .spectrum import positive_count
 
 UNITARITY_TOL = 1e-10
 _RESONANCE_TOL = 1e-6   # roundoff of F, relative to |A|, of a resonance
@@ -152,7 +152,7 @@ def dihedral_density(samples: int) -> ReferenceValue:
     and ``error_bound`` = |I_h - I_2h|: 1.3e-13 at h = 1/32, where the
     value is within 1e-16 of the 25-digit integral 0.42993954922940990.
     """
-    samples = sample_count(samples)
+    samples = positive_count(samples, "samples")
     if samples < DIHEDRAL_GRIDS[0] ** 2:
         raise ValueError("samples must be at least %d, got %d"
                          % (DIHEDRAL_GRIDS[0] ** 2, samples))

@@ -48,7 +48,9 @@ identically in alpha, evaluate to noise of either sign.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +61,8 @@ from .graph_model import GraphError
 from .secular import secular_values
 
 ZERO_TOL = 1e-12             # |G| at or below which a value counts as zero
-GRID_FALLBACK_POINTS = 64    # grid per further generator of nonzero degree
+GRID_FALLBACK_POINTS = 64    # grid per further generator of nonzero degree,
+                             # of which the +-beta half grid is kept
 COMPILE_BUDGET = 2_000_000   # most compile grid points, and series entries
 SCAN_BUDGET = 10_000_000     # most points of a band-scan grid
 # Coefficients of G are sums of products of scattering amplitudes 2/d;
@@ -72,7 +75,6 @@ _BLOCK_VALUES = 1 << 18      # values per block of membership rows; bounds memor
 # it), and the safety factor of B
 _TRIG_ULP = 2.0
 _SCREEN_SLACK = 16.0
-_SCREEN_REACH = 2.0 ** 20    # most |kappa_e| the screen takes, reduced mod 2 pi
 # ITP constants of the band-edge refinement: truncation _ITP_K1 / w0 (w0
 # the initial bracket) times the squared bracket width, and _ITP_N0 rounds
 # of slack over bisection
@@ -92,10 +94,12 @@ def _grid_index(sizes) -> np.ndarray:
 
 
 def _half_grid(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One point of each pair {x, -x} of the grid with odd sizes, the one
-    of lower flat index (x = 0 is its own pair), as an array of points;
-    for every grid point the row of its pair's point in that array; and
-    a mask of the grid points that are in it."""
+    """One point of each pair {x, -x mod sizes} of the equispaced torus
+    grid, the one of lower flat index, as an array of points (a point
+    whose coordinates are each 0 or, along an axis of even size n, n/2 is
+    its own pair, so k even axes keep (prod(sizes) + 2^k) / 2 points); for
+    every grid point the row of its pair's point in that array; and a
+    mask of the grid points that are in it."""
     index = _grid_index(sizes)
     flat = np.arange(len(index))
     pair = np.minimum(flat, np.ravel_multi_index(tuple(-index.T), sizes,
@@ -103,6 +107,22 @@ def _half_grid(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     own = pair == flat
     points = index[own] * (2.0 * np.pi / np.array(sizes, dtype=float))
     return points, (np.cumsum(own) - 1)[pair], own
+
+
+def positive_count(value, name: str) -> int:
+    """``value`` as a Python int of at least 1.  Any integer is accepted
+    (``np.int64`` included); a bool, or a float even when whole, is
+    refused by ``name``."""
+    try:
+        if isinstance(value, bool):               # operator.index takes it
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError("%s must be an integer, got %r"
+                        % (name, value)) from None
+    if value < 1:
+        raise ValueError("%s must be at least 1" % name)
+    return value
 
 
 def _edge_phases(bs: BondSystem, kappas) -> np.ndarray:
@@ -127,9 +147,10 @@ def real_secular_values(bs: BondSystem, kappas, alphas) -> np.ndarray:
 class SecularPolynomial:
     """The real secular function G as its coefficients along the
     generator of highest degree m, the main one (:func:`compile_secular`).
-    At point b of the grid of GRID_FALLBACK_POINTS points per other
-    generator of nonzero degree, J' - 1 of them (the first slowest), G =
-    c_0 + 2 Re sum_{j=1..m} c_j exp(i j alpha_main), with
+    At slice b, the b-th point beta that :func:`_half_grid` keeps of the
+    grid of GRID_FALLBACK_POINTS points per other generator of nonzero
+    degree, J' - 1 of them (the first slowest), G = c_0 + 2 Re
+    sum_{j=1..m} c_j exp(i j alpha_main), with
 
         c_j = sum_r series[r, b, j] t(kappa_freq[r] . kappa),
 
@@ -137,35 +158,52 @@ class SecularPolynomial:
     is -1.  ``kappa_freq`` holds one edge phase frequency n of each
     +-pair with a nonzero coefficient (entries in {-1, 0, 1}, first
     nonzero entry 1).  ``series`` is real exactly when it has one slice
-    (J' <= 1), and complex otherwise.  ``degree`` is the exact degree of
-    G in each quasi-momentum, at most its flux weight.  ``screen_bound``
-    is the bound B of the float32 membership screen (:func:`_margin`).
+    (J' <= 1), and complex otherwise; the slices at beta and -beta have
+    conjugate coefficients and so the same extremes along the main
+    generator, and only the first is kept, (64^(J' - 1) + 2^(J' - 1)) / 2
+    slices in all.  ``degree`` is the exact degree of G in each
+    quasi-momentum, at most its flux weight.  :meth:`screen_bound` is the
+    bound B of the float32 membership screen (:func:`_margin`).
     """
 
     kappa_freq: np.ndarray       # (Rk, E) float, integer valued
-    series: np.ndarray           # (Rk, 64^(J'-1), m + 1), complex if J' >= 2
+    series: np.ndarray           # (Rk, (64^k + 2^k) / 2, m + 1), k = J' - 1
     degree: tuple[int, ...]
 
     @cached_property
-    def screen_bound(self) -> float:
-        """B of the float32 membership screen, derived on first use:
-        _SCREEN_SLACK times a bound on |mu32 - mu| over rows with every
-        |kappa_e| <= R = _SCREEN_REACH, mu32 the screened margin of
-        :func:`_margin` and mu the float64 one.
+    def _screen_terms(self) -> tuple[float, float]:
+        """B_0 and B_1 of :meth:`screen_bound`, derived on first use."""
+        u, u64 = 2.0 ** -24, 2.0 ** -53
+        w = np.abs(self.kappa_freq).sum(axis=1)
+        e = np.stack([2.0 * np.pi * u * w * w + 6.0 * np.pi * w * u64
+                      + _TRIG_ULP * 2.0 ** -23 + (len(w) + 4) * u,
+                      w * (2.0 + w) * u64])             # e_r = e_0 + R e_1
+        size = np.abs(self.series.real) + np.abs(self.series.imag)
+        weight = np.where(np.arange(self.series.shape[-1]) > 0, 2.0, 1.0)
+        terms = e @ (size @ weight)                     # (2, slices)
+        return tuple(_SCREEN_SLACK * terms.max(axis=1, initial=0.0))
+
+    def screen_bound(self, reach: float) -> float:
+        """B(R) = B_0 + R B_1 of the float32 membership screen: a bound on
+        |mu32 - mu| over rows with every |kappa_e| <= R = ``reach``, mu32
+        the screened margin of :func:`_margin` and mu the float64 one.  It
+        is _SCREEN_SLACK times the sum of the terms below; B_0 and B_1 are
+        derived once per polynomial.
 
         With u = 2^-24 and u' = 2^-53 the float32 and float64 unit
-        roundoffs, a kept row n_r with w_r nonzero entries (each +-1):
+        roundoffs, a kept row n_r with w_r nonzero entries (each +-1), and
+        R below about 1.4e16:
 
-        - reduction: a phase outside [-2 pi, 2 pi] becomes r = kappa - 2 pi
-          j, j = rint(kappa / 2 pi), in float64.  The float 2 pi is within
-          2 pi u' of 2 pi, which |j| <= R / 2 pi + 1/2 scales to (R + pi)
-          u'; the product rounds by (R + pi) u' and the difference, |r| <=
-          pi, by pi u'.  So r is within (2R + 3 pi) u' of a value
-          congruent to kappa mod 2 pi.  The float64 margin's own argument
-          n_r . kappa, w_r - 1 additions of partial sums up to w_r R, is
-          off by (w_r - 1) w_r R u'.  The two arguments then differ by at
-          most dr_r = w_r (2R + 3 pi + w_r R) u', about 1e-9 at R = 2^20
-          and w_r = 2;
+        - reduction: when R > 2 pi a phase becomes r = kappa - 2 pi j, j =
+          rint(kappa / 2 pi), in float64.  kappa / 2 pi rounds by at most
+          u' R / 2 pi < 1/4, so |j| <= R / 2 pi + 1 and |r| <= 2 pi.  The
+          float 2 pi is within 2 pi u' of 2 pi, which j scales to (R + 2
+          pi) u'; the product rounds by (R + 2 pi) u' and the difference by
+          2 pi u'.  So r is within (2R + 6 pi) u' of a value congruent to
+          kappa mod 2 pi.  The float64 margin's own argument n_r . kappa,
+          w_r - 1 additions of partial sums up to w_r R, is off by (w_r -
+          1) w_r R u'.  The two arguments then differ by at most dr_r = w_r
+          (2R + 6 pi + w_r R) u', the only term that grows with R;
         - argument: casting the phases, now in [-2 pi, 2 pi], to float32
           moves n_r . kappa by at most 2 pi u w_r, and summing the w_r
           terms in float32 by at most (w_r - 1) u 2 pi w_r, so da_r <=
@@ -191,28 +229,34 @@ class SecularPolynomial:
         extremes and mu, which is 1-Lipschitz in each.  A <= sum_r (|S_r0|
         + 2 sum_j |S_rj|), so 3 u more in e_r adds the rounding of the
         extremes and margin.  The worst slice of the further generators'
-        grid counts.  The slack covers what this leaves out: the terms of
-        order u^2, the float64 roundoff of the float64 margin and of the
-        paths of degree >= 3, and the critical points of m >= 3 found in
-        float64 from either set of coefficients.
+        grid counts, for the terms in R^0 and R^1 apart.  The slack covers
+        what this leaves out: the terms of order u^2, the float64 roundoff
+        of the float64 margin and of the paths of degree >= 3, and the
+        critical points of m >= 3 found in float64 from either set of
+        coefficients.
+
+        B(R) holds for every R.  From R about 3.8e14 on it exceeds any
+        |mu32 - mu| of a finite row, whatever the reduction gives, which
+        covers R past 1.4e16, where |r| may exceed 2 pi: a row n_r with
+        w_r >= 1 has |t_r| <= 1 in either precision (and n_r = 0 has t_r
+        = 1 in both), so mu32 and mu differ by at most 2 A' plus the
+        roundings above, A' the part of A from rows with w_r >= 1, while
+        R B_1 >= 48 R u' A' >= 2 A' once R >= 2^53 / 24.  The two ranges
+        of R overlap.  A NaN phase makes R NaN and an infinite one makes B
+        inf or NaN; either way no row of the block passes |mu32| > B(R).
         """
-        u, u64, R = 2.0 ** -24, 2.0 ** -53, _SCREEN_REACH
-        w = np.abs(self.kappa_freq).sum(axis=1)
-        e = (2.0 * np.pi * u * w * w + w * (2 * R + 3 * np.pi + w * R) * u64
-             + _TRIG_ULP * 2.0 ** -23 + (len(w) + 4) * u)
-        size = np.abs(self.series.real) + np.abs(self.series.imag)
-        weight = np.where(np.arange(self.series.shape[-1]) > 0, 2.0, 1.0)
-        return _SCREEN_SLACK * float(np.max(
-            np.einsum("r,rbj,j->b", e, size, weight), initial=0.0))
+        b0, b1 = self._screen_terms
+        return b0 + reach * b1
 
 
 def compile_secular(bs: BondSystem) -> SecularPolynomial:
     """Compile G of ``bs``; a :class:`GraphError` naming the count when
     the sampling grid has more than COMPILE_BUDGET points or the
     ``series`` more than COMPILE_BUDGET entries.  Five or more generators
-    of nonzero flux weight are refused before any determinant: the grid
-    of the other generators alone would have more points than that.  Use
-    ``bs.secular_polynomial``, which compiles once and keeps it.
+    of nonzero flux weight are refused before any determinant: the half
+    grid of the other generators alone, (64^4 + 2^4) / 2 slices, would
+    have more points than that.  Use ``bs.secular_polynomial``, which
+    compiles once and keeps it.
 
     G is a real trigonometric polynomial: each edge phase kappa_e enters
     with frequency -1, 0 or 1, and generator j with |frequency| at most
@@ -236,25 +280,32 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
     coefficient; the row n = 0, which only det S = +1 has, is taken once.
     Coefficients at or below _DROP_TOL are exact zeros lost in roundoff
     and are dropped; the rest give the exact degrees d_j <= m_j.  The
-    main generator keeps frequencies 0..m, a generator of degree 0 its
-    one frequency 0 and no grid axis, and each other one is summed at its
-    grid points beta, sum_s c_s exp(i s beta), which makes the series
-    complex.  A membership row then costs one cosine (or sine) per kept n
-    and one small matrix product instead of 2m + 1 determinants.
+    main generator keeps frequencies 0..m, and the others are summed in
+    one product, sum_s exp(i beta . s) c_s over the multi-index s of
+    their frequencies, at the points beta of their grid that
+    :func:`_half_grid` keeps: a generator of degree 0 has beta = 0 (its
+    one frequency is 0, so it takes no grid axis), and a point beta
+    stands for -beta too, since G is even in alpha, so the slice at -beta
+    has the conjugate coefficients of the slice at beta and the same
+    extremes along the main generator.  With J' - 1 = k >= 1 further
+    generators of nonzero degree the series is complex and has (64^k +
+    2^k) / 2 slices, 33 at k = 1.  A membership row then costs one cosine
+    (or sine) per kept n and one small matrix product instead of 2m + 1
+    determinants.
     """
     def refuse_above_budget(count, what):
         if count > COMPILE_BUDGET:
             raise GraphError(what % count + ", above COMPILE_BUDGET = %d"
                              % COMPILE_BUDGET)
 
-    E, J = bs.n_edges, bs.generators
-    sizes = [3] * E + [2 * m + 1 for m in bs.flux_weight]
+    E, J, weights = bs.n_edges, bs.generators, bs.flux_weight
+    sizes = [3] * E + [2 * m + 1 for m in weights]
     refuse_above_budget(math.prod(sizes),     # exact; 3**E overflows int64
                         "the grid the secular function is compiled on has "
                         "%d points")
     n = GRID_FALLBACK_POINTS
-    live = sum(m > 0 for m in bs.flux_weight)
-    refuse_above_budget(n ** max(live - 1, 0),    # entries of one row
+    k = max(sum(m > 0 for m in weights) - 1, 0)    # further fluxed ones
+    refuse_above_budget((n ** k + 2 ** k) // 2,    # slices: entries of a row
                         "the alpha-series of the secular function has at "
                         "least %d entries")
     kappas, k_row, k_own = _half_grid(sizes[:E])
@@ -273,26 +324,19 @@ def compile_secular(bs: BondSystem) -> SecularPolynomial:
                    for f, i in zip(freqs, np.nonzero(c)[1:]))
     m = max(degree, default=0)
     main = degree.index(m) if J else 0
-    others = [j for j in range(J) if j != main and degree[j]]
-    points = n ** len(others)
-    refuse_above_budget(len(c) * points * (m + 1),
+    rest = [j for j in range(J) if j != main]
+    # one beta of each +-pair of the others' grid; degree 0 keeps beta = 0
+    beta = _half_grid([n if degree[j] else 1 for j in rest])[0]
+    refuse_above_budget(len(c) * len(beta) * (m + 1),
                         "the alpha-series of the secular function has %d "
                         "entries")
-    if J:
-        # frequencies 0..m of the main generator last; a generator of
-        # degree 0 keeps its one frequency, 0
-        keep = tuple(slice(None) if degree[j] else 0
-                     for j in range(J) if j != main)
-        series = np.moveaxis(c, main + 1, -1)[(slice(None),) + keep
-                                              + (slice(m + 1),)]
-    else:
-        series = c[..., None]
-    beta = 2.0 * np.pi * np.arange(n) / n
-    for axis, j in enumerate(others, start=1):
-        wave = np.exp(1j * np.outer(beta, freqs[j]))
-        series = np.moveaxis(np.tensordot(wave, series, axes=(1, axis)),
-                             0, axis)
-    series = np.ascontiguousarray(series.reshape(len(c), points, m + 1))
+    # the multi-index s of the others' frequencies, then 0..m of the main
+    # generator (J = 0: one frequency, 0)
+    c = np.moveaxis(c[..., None], main + 1, -1)
+    c = c.reshape(len(c), -1, c.shape[-1])[..., :m + 1]
+    s = np.array(list(itertools.product(*(freqs[j] for j in rest))))
+    wave = np.exp(1j * (beta @ s.T))
+    series = (wave.real if len(beta) == 1 else wave) @ c      # beta = 0
     return SecularPolynomial(freq[rows], series, degree)
 
 
@@ -433,7 +477,7 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     kappa = k l the band edges are its roots.  The extremes of G along the
     main generator come from its coefficients c_0..c_m, one matrix
     product with the compiled ``series`` (:func:`_extremes`), and are
-    taken over every slice, the grid of the other generators.
+    taken over every slice, the half grid of the other generators.
 
     The phases of a block are read along the last axis: ``rows`` is the
     (E, n) transpose of the block, and t = trig(kappa_freq @ rows), shape
@@ -451,20 +495,20 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
 
     With ``precision`` float32 the margin is a screen.  With numpy 2.4 on
     an AVX-512 x86-64 core a float64 cosine took about 25 ns and a
-    float32 one about 1 ns, and the cosines were most of the kernel.  A
-    block of rows whose phases all lie in [-_SCREEN_REACH, _SCREEN_REACH]
-    is screened: phases outside [-2 pi, 2 pi] (momentum rows kappa = k l)
-    are first reduced to kappa - 2 pi rint(kappa / 2 pi) in float64, which
-    leaves every cosine and sine of the row unchanged; then the phases,
-    trig, product, extremes and margin are float32 (complex64 for a
-    complex series) and only mu is upcast.  A row whose screened margin
-    is within the polynomial's ``screen_bound`` B of 0, or not finite,
-    takes the float64 margin (under 0.1% of the rows on the lasso, a few
-    percent at most on random graphs).  B bounds the float32 error of the
-    margin (:attr:`SecularPolynomial.screen_bound`), so the sign of every
-    returned margin is that of the float64 one, and every other value is
-    within B of it.  A block with a phase past _SCREEN_REACH, or a NaN,
-    is float64 throughout."""
+    float32 one about 1 ns, and the cosines were most of the kernel.
+    Every block is screened.  Its reach R = max |kappa_e| comes from the
+    block's min and max; when R > 2 pi (momentum rows kappa = k l) the
+    phases are first reduced to kappa - 2 pi rint(kappa / 2 pi) in
+    float64, which leaves every cosine and sine of the row unchanged; then
+    the phases, trig, product, extremes and margin are float32 (complex64
+    for a complex series) and only mu is upcast.  A row whose screened
+    margin is within B(R) of 0, or not finite, takes the float64 margin
+    (under 0.1% of the rows on the lasso, a few percent at most on random
+    graphs).  B(R) = B_0 + R B_1 bounds the float32 error of the margin
+    at every R (:meth:`SecularPolynomial.screen_bound`), so the sign of
+    every returned margin is that of the float64 one, and every other
+    value is within B(R) of it.  A block holding a NaN has R NaN, and one
+    holding an inf has B(R) inf or NaN, so every row of it is redone."""
     poly = bs.secular_polynomial
     # a complex series as interleaved real and imaginary parts, so that
     # c is one real product, read back as complex
@@ -479,11 +523,10 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
     margin = np.empty(len(kappas))
     for i in range(0, len(kappas), block):
         rows = kappas[i:i + block].T                          # (E, n)
-        least, most = rows.min(), rows.max()
-        low = screen and -_SCREEN_REACH <= least and most <= _SCREEN_REACH
-        if low:                                       # so no NaN either
+        if screen:
+            reach = max(-rows.min(), rows.max())              # NaN for a NaN
             phases = rows
-            if least < -2 * np.pi or most > 2 * np.pi:
+            if reach > 2 * np.pi:
                 phases = np.rint(rows / (2 * np.pi))
                 phases *= -2 * np.pi
                 phases += rows                # rows - 2 pi rint(rows / 2 pi)
@@ -491,15 +534,15 @@ def _margin(bs: BondSystem, kappas: np.ndarray,
         else:
             c = trig(freq @ rows).T @ series
         if np.iscomplexobj(poly.series):
-            c = c.view(np.complex64 if low else complex)
+            c = c.view(np.complex64 if screen else complex)
         lo, hi = _extremes(c.reshape(-1, width))
         if slices > 1:
             lo = lo.reshape(-1, slices).min(axis=1)
             hi = hi.reshape(-1, slices).max(axis=1)
         mu = margin[i:i + block]
         np.minimum(ZERO_TOL - lo, hi + ZERO_TOL, out=mu)
-        if low:
-            redo = ~(np.abs(mu) > poly.screen_bound)          # NaN too
+        if screen:
+            redo = ~(np.abs(mu) > poly.screen_bound(reach))   # NaN too
             mu[redo] = _margin(bs, kappas[i:i + block][redo])
     return margin
 
@@ -512,8 +555,9 @@ def membership_from_phases(bs: BondSystem, kappas) -> np.ndarray:
     sign or touches zero over the quasi-momenta: min G <= ZERO_TOL and
     max G >= -ZERO_TOL along the generator of highest degree, for every
     point of the GRID_FALLBACK_POINTS grid over the other generators of
-    nonzero degree together.  ZERO_TOL is absolute; it lets the noise of
-    touching zeros (band edges, flat bands) count as zero.
+    nonzero degree together (its +-beta half, which has the same
+    extremes).  ZERO_TOL is absolute; it lets the noise of touching
+    zeros (band edges, flat bands) count as zero.
     The test is the sign of the margin min(ZERO_TOL - min G, max G +
     ZERO_TOL) (:func:`_margin`): in IEEE arithmetic a - b >= 0 holds
     exactly when a >= b, so it decides as the two comparisons do.  Rows
@@ -655,9 +699,10 @@ def band_intervals(bs: BondSystem, k_max: float,
     round, and takes at most ceil(log2(step / bisect_tol)) + 1 rounds; a
     smooth edge takes about 6.  A ``bisect_tol`` below two float spacings
     at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
-    A grid of more than 2**52 steps, whose points would coincide, or of
-    more than SCAN_BUDGET points is refused with a ValueError naming the
-    count, before any of it is allocated.
+    A grid of more than SCAN_BUDGET points is refused with a ValueError
+    naming the count (inf when k_max / grid_step overflows), before any
+    of it is allocated; the budget lies far below 2**52 steps, past which
+    the points would coincide.
     """
     for name, value in (("k_max", k_max), ("grid_step", grid_step),
                         ("bisect_tol", bisect_tol)):
@@ -668,15 +713,11 @@ def band_intervals(bs: BondSystem, k_max: float,
     tol = bisect_tol if bisect_tol is not None else 1e-10 * max(1.0, k_max)
     tol = max(tol, 2.0 * np.spacing(float(k_max)))  # else it never ends
 
-    steps = k_max / step
-    if not steps <= 2.0 ** 52:      # past it, steps are below a float spacing
-        raise ValueError("the scan grid would have k_max / grid_step = %r "
-                         "steps, above 2**52" % float(steps))
-    n = int(np.ceil(steps))
-    if n + 1 > SCAN_BUDGET:
-        raise ValueError("the scan grid would have %d points, above "
+    n = np.ceil(k_max / step)            # inf when the division overflows
+    if not n + 1 <= SCAN_BUDGET:
+        raise ValueError("the scan grid would have %.17g points, above "
                          "SCAN_BUDGET = %d" % (n + 1, SCAN_BUDGET))
-    grid = np.linspace(0.0, k_max, n + 1)
+    grid = np.linspace(0.0, k_max, int(n) + 1)
     margin = _momentum_margin(bs, grid, np.float32)
     mem = margin >= 0
 
@@ -740,8 +781,7 @@ def density(bs: BondSystem, k_max: float, checkpoints: int = 16,
     decades up to k_max, which makes the convergence of the K -> infinity
     limit visible at no extra band-finding cost.
     """
-    if checkpoints < 1:
-        raise ValueError("checkpoints must be at least 1")
+    checkpoints = positive_count(checkpoints, "checkpoints")
     bands = band_intervals(bs, k_max, grid_step, bisect_tol)
     if checkpoints == 1:
         cutoffs = np.array([k_max], dtype=float)

@@ -13,13 +13,12 @@ edge phases.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bond_system import BondSystem
-from .spectrum import membership_from_phases
+from .spectrum import membership_from_phases, positive_count
 
 TWO_PI = 2.0 * np.pi
 # rows per membership call; at 16,384 lasso rows the phases and the
@@ -38,19 +37,6 @@ class VolumeEstimate:
     seed: int
 
 
-def sample_count(samples) -> int:
-    """``samples`` as a Python int of at least 1.  Any integer is accepted
-    (``np.int64`` included); a float, even a whole one, is refused by name."""
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise TypeError("samples must be an integer, got %r"
-                        % (samples,)) from None
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    return samples
-
-
 def mc_volume(bs: BondSystem, samples: int, seed: int,
               threads: int | None = None) -> VolumeEstimate:
     """Monte Carlo volume of the secular zero-set union on the torus.
@@ -64,7 +50,7 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     ``threads`` has no effect: membership rows evaluate the compiled
     secular polynomial, with no determinant work to split.
     """
-    samples = sample_count(samples)
+    samples = positive_count(samples, "samples")
     rng = np.random.Generator(np.random.Philox(seed))
     hits = done = 0
     while done < samples:

@@ -1,6 +1,10 @@
 """Shared test helpers: a random graph corpus, hand-built graphs, the
 closed-form secular functions and band sets of the lasso and dihedral
-graphs (oracles independent of the package), and acceptance reporting."""
+graphs (oracles independent of the package), and acceptance reporting,
+which ends with the source size of the package."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,9 +184,35 @@ def record_criterion():
     return _record
 
 
+def source_size(package=Path(__file__).resolve().parents[1] / "src"
+                / "graphbands"):
+    """Lines of the package's modules, in all and as code: code lines leave
+    out blank lines, lines that hold only a # comment, and the docstrings
+    of the modules, classes and functions (found with ``ast``)."""
+    total = code = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node) is not None):
+                doc = node.body[0]
+                docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+        lines = text.splitlines()
+        total += len(lines)
+        code += sum(1 for i, line in enumerate(lines, 1)
+                    if line.strip() and not line.lstrip().startswith("#")
+                    and i not in docstrings)
+    return total, code
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _CRITERION_LINES:
         return
     terminalreporter.section("acceptance criteria")
     for line in _CRITERION_LINES:
         terminalreporter.write_line(line)
+    terminalreporter.write_line("source size: src/graphbands has %d lines, %d "
+                                "of them code (no blank lines, # comments "
+                                "or docstrings)" % source_size())

@@ -146,14 +146,15 @@ def test_usage_errors_exit_2(lasso_file, capsys):
 
 
 def test_scan_grid_above_two_to_the_52_fails(lasso_file, capsys):
-    # the library's ValueError is one error line, not a traceback
-    for argv, steps in ((["density", lasso_file, "--kmax", "1e308"], "inf"),
-                        (["bands", lasso_file, "--kmax", "5",
-                          "--grid-step", "1e-300"], "4.9999999999999997e+300")):
+    # the library's ValueError is one error line, not a traceback; the
+    # point count is inf when k_max / grid_step overflows
+    for argv, points in ((["density", lasso_file, "--kmax", "1e308"], "inf"),
+                         (["bands", lasso_file, "--kmax", "5", "--grid-step",
+                           "1e-300"], "4.9999999999999997e+300")):
         assert run(argv) == 1
         assert capsys.readouterr() == (
-            "", "error: the scan grid would have k_max / grid_step = %s "
-            "steps, above 2**52\n" % steps)
+            "", "error: the scan grid would have %s points, above "
+            "SCAN_BUDGET = 10000000\n" % points)
 
 
 def test_scan_grid_above_budget_fails(lasso_file, monkeypatch, capsys):

@@ -228,13 +228,15 @@ def lu_real_secular(bs, kappas, alphas):
     return F.real if bs.parity == 1 else F.imag
 
 
-def series_alphas(bs, alpha_main):
+def series_alphas(bs, alpha_main, half=True):
     """Quasi-momentum rows at every point of the GRID_FALLBACK_POINTS grid
     over the generators of nonzero degree other than the one of highest
-    exact degree (the first of them slowest) and, fastest, at each of
-    ``alpha_main`` along that one; a generator of degree 0 sits at 0.
-    Shape (64^(J' - 1) len(alpha_main), J), J' the generators of nonzero
-    degree (at least 1)."""
+    exact degree (the first of them slowest), or only at the points that
+    ``spectrum._half_grid`` keeps of it, one of each +-pair, and, fastest,
+    at each of ``alpha_main`` along that one; a generator of degree 0 sits
+    at 0.  Shape (P len(alpha_main), J), P = 64^(J' - 1) on the whole grid
+    and (64^(J' - 1) + 2^(J' - 1)) / 2 on the half grid, J' the
+    generators of nonzero degree (at least 1)."""
     degree = bs.secular_polynomial.degree
     J = len(degree)
     if J == 0:
@@ -242,38 +244,45 @@ def series_alphas(bs, alpha_main):
     n = spectrum.GRID_FALLBACK_POINTS
     main = int(np.argmax(degree))
     others = [j for j in range(J) if j != main and degree[j]]
-    dead = [j for j in range(J) if j != main and not degree[j]]
-    axes = ([2 * np.pi * np.arange(n) / n] * len(others) + [alpha_main]
-            + [[0.0]] * len(dead))
-    alphas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    order = others + [main] + dead
-    return alphas.reshape(-1, J)[:, np.argsort(order)]
+    beta = (spectrum._half_grid([n] * len(others))[0] if half else
+            2 * np.pi * spectrum._grid_index([n] * len(others)) / n)
+    alphas = np.zeros((len(beta), len(alpha_main), J))
+    alphas[:, :, others] = beta[:, None, :]
+    alphas[:, :, main] = alpha_main
+    return alphas.reshape(-1, J)
 
 
-def lu_series(bs, kappas):
+def lu_series(bs, kappas, half=True):
     """Reference coefficients c_0..c_m of G along the generator of highest
-    exact degree m, at every point of the GRID_FALLBACK_POINTS grid over
-    the other generators of nonzero degree (the first of them slowest):
-    the FFT of LU samples at 2m + 1 equispaced points; shape (n,
-    64^(J' - 1), m + 1)."""
+    exact degree m, at the points of the GRID_FALLBACK_POINTS grid over
+    the other generators of nonzero degree that :func:`series_alphas`
+    takes: the FFT of LU samples at 2m + 1 equispaced points; shape (n,
+    P, m + 1)."""
     m = max(bs.secular_polynomial.degree, default=0)
-    alphas = series_alphas(bs, 2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1))
+    alphas = series_alphas(bs, 2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1),
+                           half)
     G = lu_real_secular(bs, kappas, alphas).reshape(len(kappas), -1, 2 * m + 1)
     return np.fft.rfft(G, axis=-1) / (2 * m + 1)
 
 
-def series_values(bs, kappas, alpha_main):
-    """G from the compiled series, c_0 + 2 Re sum_j c_j exp(i j alpha), at
-    rows of edge phases (n, E), at every point of the grid over the other
-    generators of nonzero degree and at each of ``alpha_main``; shape (n,
-    64^(J' - 1), len(alpha_main))."""
-    poly = bs.secular_polynomial
-    trig = np.cos if bs.parity == 1 else np.sin
-    c = np.einsum("nr,rbj->nbj", trig(kappas @ poly.kappa_freq.T), poly.series)
+def values_along_main(c, alpha_main):
+    """c_0 + 2 Re sum_j c_j exp(i j alpha) of coefficient rows c (..., m +
+    1) at each of ``alpha_main``; shape (..., len(alpha_main))."""
     j = np.arange(c.shape[-1])[:, None]
     weight = np.where(j > 0, 2.0, 1.0)
     return (c.real @ (weight * np.cos(j * alpha_main))
             - c.imag @ (weight * np.sin(j * alpha_main)))
+
+
+def series_values(bs, kappas, alpha_main):
+    """G from the compiled series, c_0 + 2 Re sum_j c_j exp(i j alpha), at
+    rows of edge phases (n, E), at every kept point of the half grid over
+    the other generators of nonzero degree and at each of ``alpha_main``;
+    shape (n, (64^(J' - 1) + 2^(J' - 1)) / 2, len(alpha_main))."""
+    poly = bs.secular_polynomial
+    trig = np.cos if bs.parity == 1 else np.sin
+    c = np.einsum("nr,rbj->nbj", trig(kappas @ poly.kappa_freq.T), poly.series)
+    return values_along_main(c, alpha_main)
 
 
 def lu_membership(bs, kappas):
@@ -326,9 +335,9 @@ def test_secular_symmetries():
 
 def test_compiled_secular_matches_determinants():
     # G from the compiled series matches LU determinants at random points
-    # along the main generator, with at most one kept edge-phase row per
-    # +-pair and exact degrees within the flux weights.  Covers J = 0, 1
-    # and 2.
+    # along the main generator, at the further generators' points that
+    # _half_grid keeps, with at most one kept edge-phase row per +-pair
+    # and exact degrees within the flux weights.  Covers J = 0, 1 and 2.
     rng = np.random.default_rng(12)
     graphs = dict(compiled_graphs(),
                   J0=random_magnetic_graph(5, generators=0),
@@ -351,7 +360,8 @@ def test_alpha_series_matches_lu_fft():
     # frequencies, gives the coefficients of G along the main generator at
     # every grid point of the others; the reference is the FFT of LU
     # samples on the 2m + 1 x 64^(J' - 1) grid, J' the generators of
-    # nonzero degree.  Covers J = 0, 1 and 2.
+    # nonzero degree, at the (64^(J' - 1) + 2^(J' - 1)) / 2 points of it
+    # that _half_grid keeps, one of each +-pair.  Covers J = 0, 1 and 2.
     rng = np.random.default_rng(21)
     graphs = dict(compiled_graphs(),
                   J0=random_magnetic_graph(5, generators=0),
@@ -363,6 +373,8 @@ def test_alpha_series_matches_lu_fft():
         ref = lu_series(bs, kappas)
         assert poly.series.shape[1:] == ref.shape[1:], name
         live = sum(d > 0 for d in poly.degree)
+        k = max(live - 1, 0)
+        assert poly.series.shape[1] == (64 ** k + 2 ** k) // 2, name
         assert np.isrealobj(poly.series) == (live <= 1), name
         trig = np.cos if bs.parity == 1 else np.sin
         got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
@@ -440,9 +452,9 @@ def test_large_graph_compiles_and_cap_raises():
 
 def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
     # five generators: a compile grid of 3^5 * 3^5 = 59,049 points, but an
-    # alpha-series over 64^4 grid points per edge phase frequency; refused
-    # from every entry point, before any determinant and with no large
-    # allocation on the way
+    # alpha-series over (64^4 + 2^4) / 2 slices of the half grid per edge
+    # phase frequency; refused from every entry point, before any
+    # determinant and with no large allocation on the way
     dets = []
 
     def counted(*args, **kwargs):
@@ -458,7 +470,8 @@ def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
                         lambda: gb.membership_from_phases(big, np.zeros((1, 5))),
                         lambda: gb.band_intervals(big, 1.0),
                         lambda: gb.mc_volume(big, 10, seed=0)):
-            with pytest.raises(GraphError, match="alpha-series"):
+            with pytest.raises(GraphError, match="alpha-series of the secular "
+                               "function has at least 8388616 entries"):
                 compute()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -466,9 +479,9 @@ def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
     assert peak < 100e6
     assert dets == []
     # three generators stay accepted and match the LU reference: degrees
-    # (1, 1, 1) on a 64^2 grid, and (0, 1, 1), whose generator of degree 0
-    # takes no grid axis
-    for seed, points in ((2, 64 ** 2), (4, 64)):
+    # (1, 1, 1) on the half of a 64^2 grid, and (0, 1, 1), whose generator
+    # of degree 0 takes no grid axis
+    for seed, points in ((2, (64 ** 2 + 4) // 2), (4, (64 + 2) // 2)):
         bs = gb.bond_matrices(random_magnetic_graph(seed, generators=3))
         assert bs.secular_polynomial.series.shape[1] == points
         kappas = np.random.default_rng(22).uniform(0, 2 * np.pi,
@@ -479,12 +492,14 @@ def test_alpha_series_above_budget_refused_before_allocation(monkeypatch):
 
 
 def test_alpha_series_above_budget_refused_after_compile():
-    # four generators: 64^3 entries per row pass the check before the
-    # compile, the 21 kept rows of 64^3 slices and frequencies 0..1 do not
+    # four generators: (64^3 + 2^3) / 2 entries per row pass the check
+    # before the compile, the 21 kept rows of that many slices and
+    # frequencies 0..1 do not
     with pytest.raises(GraphError) as err:
         gb.bond_matrices(flower_graph(4)).secular_polynomial
+    assert 21 * (64 ** 3 + 2 ** 3) // 2 * 2 == 5505192
     assert err.value.violations == [
-        "the alpha-series of the secular function has 11010048 entries, "
+        "the alpha-series of the secular function has 5505192 entries, "
         "above COMPILE_BUDGET = 2000000"]
 
 
@@ -522,7 +537,7 @@ def test_flux_free_generators_do_not_count_towards_refusal():
     assert bs5.flux_weight == bs2.flux_weight + (0, 0, 0)
     p2, p5 = bs2.secular_polynomial, bs5.secular_polynomial
     assert p5.degree == p2.degree + (0, 0, 0) == (1, 1, 0, 0, 0)
-    assert p5.series.shape == p2.series.shape == (8, 64, 2)
+    assert p5.series.shape == p2.series.shape == (8, 33, 2)
     kappas = np.random.default_rng(25).uniform(0, 2 * np.pi, (4000, 3))
     member = gb.membership_from_phases(bs5, kappas)
     assert 0 < member.sum() < len(member)
@@ -724,21 +739,61 @@ def test_real_rows_match_complex_companion(monkeypatch):
 
 
 def test_two_generator_slices_keep_critical_points():
-    # with J = 2 a slice along the main generator is not even in alpha, so
-    # the closed form of even degree-2 rows must not decide it.  Degrees
-    # (2, 1); the reference samples the main generator densely at the
-    # same grid of the other.
-    bs = gb.bond_matrices(random_magnetic_graph(17, generators=2))
-    poly = bs.secular_polynomial
-    assert poly.degree == (2, 1)
-    kappas = np.random.default_rng(18).uniform(0, 2 * np.pi, (400, bs.n_edges))
-    alpha_main = 2 * np.pi * np.arange(1024) / 1024
-    dense = np.concatenate([
-        (G.min(axis=(1, 2)) <= ZERO_TOL) & (G.max(axis=(1, 2)) >= -ZERO_TOL)
-        for G in (series_values(bs, rows, alpha_main)
-                  for rows in np.split(kappas, 16))])
-    assert 0 < dense.sum() < len(dense)
-    assert np.array_equal(gb.membership_from_phases(bs, kappas), dense)
+    # with J' >= 2 a slice along the main generator is not even in alpha,
+    # so the closed form of even degree-2 rows must not decide it, and the
+    # slices of the half grid must give the extremes of the whole grid.
+    # Degrees (1, 1) (the flower cell), (2, 1) and (1, 1, 1); the reference
+    # takes LU determinants at 2m + 1 main points at every one of the 64^(J'
+    # - 1) grid points of the others, the FFT of those samples, and samples
+    # the main generator densely at each
+    rng = np.random.default_rng(18)
+    cases = {"flower": (gb.bloch_reduce(FLOWER_CELL), (1, 1), 400, 1024),
+             "J2-17": (random_magnetic_graph(17, generators=2), (2, 1), 400,
+                       1024),
+             "J3-2": (random_magnetic_graph(2, generators=3), (1, 1, 1), 60,
+                      256)}
+    for name, (g, degree, n, points) in cases.items():
+        bs = gb.bond_matrices(g)
+        assert bs.secular_polynomial.degree == degree, name
+        kappas = rng.uniform(0, 2 * np.pi, (n, bs.n_edges))
+        alpha_main = 2 * np.pi * np.arange(points) / points
+        dense = []
+        for rows in np.array_split(kappas, n // 4):
+            G = values_along_main(lu_series(bs, rows, half=False), alpha_main)
+            assert G.shape[1] == 64 ** (len(degree) - 1), name
+            dense.append((G.min(axis=(1, 2)) <= ZERO_TOL)
+                         & (G.max(axis=(1, 2)) >= -ZERO_TOL))
+        dense = np.concatenate(dense)
+        assert 0 < dense.sum() < len(dense), name
+        assert np.array_equal(gb.membership_from_phases(bs, kappas), dense), \
+            name
+
+
+def test_half_grid_of_even_sizes():
+    # _half_grid keeps one point of each pair {x, -x mod n}: x = n/2 along
+    # an axis is its own partner, so (prod(n) + 2^k) / 2 points are kept on
+    # k even axes, and the partner of every other kept point is dropped;
+    # every grid point maps to the row of its pair's kept point
+    for sizes in ([64], [64, 64], [4, 6], [64, 1], [2], []):
+        points, row, own = spectrum._half_grid(sizes)
+        index = spectrum._grid_index(sizes)
+        even = sum(size % 2 == 0 for size in sizes)
+        assert len(points) == own.sum() == (np.prod(sizes, dtype=int)
+                                            + 2 ** even) // 2, sizes
+        step = 2 * np.pi / np.array(sizes, dtype=float)
+        assert np.array_equal(points, index[own] * step), sizes
+        partner = np.atleast_1d(    # a scalar for sizes []
+            np.ravel_multi_index(tuple(-index.T), sizes, mode="wrap"))
+        self_paired = partner == np.arange(len(index))
+        assert np.array_equal(self_paired,
+                              np.all(2 * index % sizes == 0, axis=1)), sizes
+        assert own[self_paired].all(), sizes
+        assert not (own & own[partner] & ~self_paired).any(), sizes
+        assert np.array_equal(row, row[partner]), sizes
+        assert np.array_equal(row[own], np.arange(own.sum())), sizes
+    points, _, own = spectrum._half_grid([64])
+    assert own[32] and not own[33:].any()
+    assert np.allclose(points[:, 0], 2 * np.pi * np.arange(33) / 64)
 
 
 # ------------------------------------------------------------ series merge
@@ -866,14 +921,16 @@ def test_margin_sign_at_exact_extremes(monkeypatch):
     assert 0 < old.sum() < len(old)
     assert np.array_equal(spectrum._margin(bs, kappas) >= 0, old)
     assert np.array_equal(gb.membership_from_phases(bs, kappas), old)
-    # J = 2: 64 slices per row, the same values at a few random slices
+    # J = 2: 33 slices per row, the same values at a few random slices
     n = 400
-    lo = rng.normal(0.0, 2 * ZERO_TOL, (n, 64)) + 3 * ZERO_TOL
-    hi = lo + rng.exponential(2 * ZERO_TOL, (n, 64)) - 6 * ZERO_TOL
-    for a in (lo, hi):
-        a[rng.integers(0, n, 300), rng.integers(0, 64, 300)] = \
-            rng.choice(values, 300)
     bs = gb.bond_matrices(margin_graphs()["flower"])
+    slices = bs.secular_polynomial.series.shape[1]
+    assert slices == 33
+    lo = rng.normal(0.0, 2 * ZERO_TOL, (n, slices)) + 3 * ZERO_TOL
+    hi = lo + rng.exponential(2 * ZERO_TOL, (n, slices)) - 6 * ZERO_TOL
+    for a in (lo, hi):
+        a[rng.integers(0, n, 300), rng.integers(0, slices, 300)] = \
+            rng.choice(values, 300)
     kappas = rng.uniform(0, 2 * np.pi, (n, 3))
     fixed_extremes(monkeypatch, bs, kappas, lo, hi)
     old = (lo.min(axis=1) <= ZERO_TOL) & (hi.max(axis=1) >= -ZERO_TOL)
@@ -999,54 +1056,63 @@ def test_screen_near_band_edges():
 
 def test_screen_bound_holds_without_redo(monkeypatch):
     # the bound itself, not only the decisions: with the float64 redo off
-    # (B set to 0 on the compiled polynomial, so that only NaN margins
-    # are redone), the screened margin is within B / _SCREEN_SLACK of the
-    # float64 one on torus rows in [0, 2 pi) and on momentum rows kappa =
-    # k l up to |kappa| = 10^3, which the screen reduces mod 2 pi first
+    # (B(R) set to 0 on the compiled polynomial, so that only NaN margins
+    # are redone), the screened margin is within B(R) / _SCREEN_SLACK of
+    # the float64 one, R the largest |kappa_e| of the rows: on torus rows
+    # in [0, 2 pi), on momentum rows kappa = k l up to |kappa| = 10^3 and
+    # on torus rows shifted by +-2 pi 10^6, which the screen reduces mod
+    # 2 pi first
     rng = np.random.default_rng(29)
     for name, g in screen_graphs().items():
         bs = gb.bond_matrices(g)
         poly = bs.secular_polynomial
-        bound = poly.screen_bound / spectrum._SCREEN_SLACK
-        monkeypatch.setitem(vars(poly), "screen_bound", 0.0)
+        bound = poly.screen_bound
+        monkeypatch.setitem(vars(poly), "screen_bound", lambda reach: 0.0)
         n = 2000 if max(poly.degree) >= 3 else 20_000
         lengths = bs.bond_lengths[:bs.n_edges]
         ks = rng.uniform(0, 1e3 / lengths.max(), n)
         kappas = rng.uniform(0, 2 * np.pi, (n, bs.n_edges))
-        for mu32, mu64 in ((spectrum._momentum_margin(bs, ks, np.float32),
-                            spectrum._momentum_margin(bs, ks)),
-                           (spectrum._margin(bs, kappas, np.float32),
-                            spectrum._margin(bs, kappas))):
+        shifted = kappas + rng.choice([-2e6, 2e6], kappas.shape) * np.pi
+        for reach, mu32, mu64 in (
+                (ks.max() * lengths.max(),
+                 spectrum._momentum_margin(bs, ks, np.float32),
+                 spectrum._momentum_margin(bs, ks)),
+                *((np.abs(rows).max(), spectrum._margin(bs, rows, np.float32),
+                   spectrum._margin(bs, rows)) for rows in (kappas, shifted))):
             err = np.abs(mu32 - mu64)
-            assert 0 < err.max() <= bound, (name, err.max() / bound)
+            B = bound(reach) / spectrum._SCREEN_SLACK
+            assert 0 < err.max() <= B, (name, err.max() / B)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_screen_of_large_and_non_finite_phases(monkeypatch):
-    # rows shifted by +-2 pi 10^3 are screened after their reduction mod
-    # 2 pi, with the float64 margin's sign row for row and few redone;
-    # rows shifted by +-2 pi 10^6, past _SCREEN_REACH, and rows holding inf
-    # or NaN: their blocks take the float64 margin, row for row
+    # rows shifted by +-2 pi 10^3 and by +-2 pi 10^6 (past the 2^20 at
+    # which the screen used to stop) are screened after their reduction
+    # mod 2 pi, with the float64 margin's sign row for row and few redone;
+    # a block holding inf or NaN makes B inf or NaN, so every row of it
+    # takes the float64 margin
     rows = float64_rows(monkeypatch)
     rng = np.random.default_rng(27)
     for name in ("lasso", "ladder", "flower", "theta"):
         bs = gb.bond_matrices(screen_graphs()[name])
-        kappas = rng.uniform(0, 2 * np.pi, (3000, bs.n_edges))
-        kappas += rng.choice([-2e3 * np.pi, 2e3 * np.pi], kappas.shape)
-        rows.clear()
-        member = gb.membership_from_phases(bs, kappas)
-        assert 0 < member.sum() < len(member), name
-        assert sum(rows) <= 0.02 * len(kappas), (name, sum(rows))
-        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
-        kappas = rng.uniform(0, 2 * np.pi, (3000, bs.n_edges))
-        kappas[::3] += rng.choice([-2e6 * np.pi, 2e6 * np.pi], (1000, 1))
-        member = gb.membership_from_phases(bs, kappas)
-        assert 0 < member.sum() < len(member), name
-        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
-        kappas[1::3, 0] = rng.choice([np.nan, np.inf, -np.inf], 1000)
-        member = gb.membership_from_phases(bs, kappas)
-        assert not member[1::3].any(), name
-        assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), name
+        for shift in (2e3 * np.pi, 2e6 * np.pi):
+            kappas = rng.uniform(0, 2 * np.pi, (3000, bs.n_edges))
+            kappas += rng.choice([-shift, shift], kappas.shape)
+            rows.clear()
+            member = gb.membership_from_phases(bs, kappas)
+            assert 0 < member.sum() < len(member), (name, shift)
+            assert sum(rows) <= 0.02 * len(kappas), (name, shift, sum(rows))
+            assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), \
+                (name, shift)
+        for bad in (np.nan, np.inf, -np.inf):
+            kappas[1::3, 0] = bad
+            rows.clear()
+            member = gb.membership_from_phases(bs, kappas)
+            assert sum(rows) == len(kappas), (name, bad)
+            assert not member[1::3].any(), (name, bad)
+            assert 0 < member.sum(), (name, bad)
+            assert np.array_equal(member, spectrum._margin(bs, kappas) >= 0), \
+                (name, bad)
 
 
 def test_float32_trig_within_screen_budget():
@@ -1219,7 +1285,8 @@ def test_screened_grid_keeps_float64_brackets(monkeypatch):
         (ks, mu), = grids
         assert np.array_equal(mu >= 0, spectrum.momentum_membership(bs, ks))
         err = np.abs(mu - margin(bs, ks))
-        assert 0 < err.max() <= bs.secular_polynomial.screen_bound, name
+        reach = ks.max() * bs.bond_lengths.max()
+        assert 0 < err.max() <= bs.secular_polynomial.screen_bound(reach), name
         monkeypatch.setattr(spectrum, "_momentum_margin",
                             lambda bs, ks, precision=None: margin(bs, ks))
         ref = gb.band_intervals(bs, k_max)
@@ -1261,16 +1328,20 @@ def test_scan_arguments_positive_and_finite(route, name, value):
 
 @pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
                          ids=["band_intervals", "density"])
-def test_scan_grid_above_two_to_the_52_refused(route):
+def test_scan_grid_above_two_to_the_52_refused(route, monkeypatch):
     # unchecked, an infinite step count fails in int() and a finite one
-    # past numpy's array size limit in linspace
-    for options, steps in (({"k_max": 1e308}, "inf"),
-                           ({"k_max": 5.0, "grid_step": 1e-300},
-                            "4.9999999999999997e+300")):
+    # past numpy's array size limit in linspace; the one budget check
+    # refuses both, the overflowed count as inf, before the grid exists
+    def linspace(*args, **kwargs):
+        raise AssertionError("the scan grid was allocated")
+    monkeypatch.setattr(np, "linspace", linspace)
+    for options, points in (({"k_max": 1e308}, "inf"),
+                            ({"k_max": 5.0, "grid_step": 1e-300},
+                             "4.9999999999999997e+300")):
         with pytest.raises(ValueError) as err:
             route(UNIT_LASSO, **options)
-        assert str(err.value) == ("the scan grid would have k_max / grid_step"
-                                  " = %s steps, above 2**52" % steps)
+        assert str(err.value) == ("the scan grid would have %s points, above "
+                                  "SCAN_BUDGET = 10000000" % points)
 
 
 @pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
@@ -1327,3 +1398,10 @@ def test_density_checkpoints_structure():
     assert single.final == pytest.approx(series.final, abs=1e-12)
     with pytest.raises(ValueError):
         gb.density(bs, 300.0, checkpoints=0)
+    # a bool or a float, even a whole one, is refused by name: True is not
+    # one checkpoint, and 2.5 does not fail inside np.geomspace
+    for checkpoints in (True, False, 2.5, 10.0, "10"):
+        with pytest.raises(TypeError, match="checkpoints must be an integer"):
+            gb.density(bs, 300.0, checkpoints=checkpoints)
+    numpy_count = gb.density(bs, 300.0, checkpoints=np.int64(10))
+    assert np.array_equal(numpy_count.values, series.values)

@@ -88,8 +88,9 @@ def test_mc_volume_rejects_bad_samples():
 
 
 def test_mc_sample_counts_must_be_integers():
-    # a float count, even a whole one, is refused by name, not deep in numpy
-    for samples in (1e5, 1000.5, "1000"):
+    # a float count, even a whole one, is refused by name, not deep in numpy;
+    # a bool is refused, not run as the count 1 or 0
+    for samples in (1e5, 1000.5, "1000", True, False, np.True_):
         with pytest.raises(TypeError, match="samples"):
             gb.dihedral_density(samples)
         with pytest.raises(TypeError, match="samples"):
