@@ -14,6 +14,7 @@ edge phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,9 +49,13 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     Philox stream in chunks of ``_MC_CHUNK`` rows; chunking does not
     change the stream, so the result depends only on (samples, seed).
     ``threads`` has no effect: membership rows evaluate the compiled
-    secular polynomial, with no determinant work to split.
+    secular polynomial, with no determinant work to split.  A ``samples``
+    that is not an integer >= 1, or a ``seed`` that is not an integer >=
+    0 (a bool included), is refused by name.
     """
     samples = positive_count(samples, "samples")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     rng = np.random.Generator(np.random.Philox(seed))
     hits = done = 0
     while done < samples:

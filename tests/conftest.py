@@ -1,7 +1,8 @@
 """Shared test helpers: a random graph corpus, hand-built graphs, the
 closed-form secular functions and band sets of the lasso and dihedral
-graphs (oracles independent of the package), and acceptance reporting,
-which ends with the source size of the package."""
+graphs (oracles independent of the package), the LU reference of the
+real secular function, and acceptance reporting, which ends with the
+source size of the package."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from graphbands import (Edge, FundamentalCell, Identification, MagneticGraph,
                         bond_matrices)
+from graphbands.secular import secular_values
 
 _CRITERION_LINES = []
 
@@ -174,6 +176,17 @@ def dihedral_membership(kappa1, kappa2, kappa3):
     lhs = np.abs(np.sin(k1 + k2 + k3) - 0.5 * s1 * s2 * s3 - s1)
     inside = lhs <= np.abs(s2 + s3)
     return inside if inside.ndim else bool(inside)
+
+
+def lu_real_secular(bs, kappas, alphas):
+    """Reference G straight from LU determinants at every pair of an edge
+    phase row (n, E) and a quasi-momentum row (NA, J): exp(-i sum kappa)
+    F, real part when det S = +1, imaginary part when det S = -1; shape
+    (n, NA).  The package samples G only inside its compile."""
+    kappas = np.asarray(kappas, dtype=float)
+    F = secular_values(bs, kappas[:, bs.edge_of_bond], alphas)
+    F = F * np.exp(-1j * kappas.sum(axis=1))[:, None]
+    return F.real if bs.parity == 1 else F.imag
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ import numpy as np
 import graphbands as gb
 from graphbands import spectrum
 from graphbands.secular import secular_values
-from conftest import DIHEDRAL_RHO, LASSO_S, phi_lasso, random_magnetic_graph
+from conftest import (DIHEDRAL_RHO, LASSO_S, lu_real_secular, phi_lasso,
+                      random_magnetic_graph)
 
 QUAD_REF = 0.6368335201743935   # frozen from lasso_reference_density()
 
@@ -238,7 +239,7 @@ def test_criterion_09_decoration_reduction(record_criterion):
     edge_lengths = full.bond_lengths[:full.n_edges]
 
     def full_real(ks, alpha):
-        return spectrum.real_secular_values(
+        return lu_real_secular(
             full, ks[:, None] * edge_lengths[None, :], [[alpha]])[:, 0]
 
     worst_root = 0.0

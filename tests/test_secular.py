@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import flower_graph, phi_lasso, random_magnetic_graph
-from graphbands import spectrum
+from conftest import (flower_graph, lu_real_secular, phi_lasso,
+                      random_magnetic_graph)
 
 UNIT_LASSO = gb.bind_lengths(gb.build_example("lasso"), [1.0, 1.0])
 
@@ -152,7 +152,7 @@ def test_realified_is_real_section_of_phi():
     rng = np.random.default_rng(10)
     kappas = rng.uniform(0, 2 * np.pi, (40, 2))
     a = 0.7
-    r = spectrum.real_secular_values(bs, kappas, [[a]])[:, 0]
+    r = lu_real_secular(bs, kappas, [[a]])[:, 0]
     closed = phi_lasso(kappas[:, 0], kappas[:, 1], a)
     assert np.abs(r - 4.0 / 3.0 * closed).max() <= 1e-12 * 10
 
@@ -165,7 +165,7 @@ def test_realified_has_full_magnitude():
         bs = gb.bond_matrices(g)
         kappas = rng.uniform(0, 2 * np.pi, (10, 5))
         a = rng.uniform(0, np.pi)
-        r = spectrum.real_secular_values(bs, kappas, [[a]])[:, 0]
+        r = lu_real_secular(bs, kappas, [[a]])[:, 0]
         phases = kappas[:, bs.edge_of_bond]
         full = np.abs(gb.secular_values(bs, phases, np.array([[a]]))[:, 0])
         assert np.abs(np.abs(r) - full).max() <= 1e-10 * (1 + full.max())

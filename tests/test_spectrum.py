@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 import graphbands as gb
-from conftest import (FLOWER_CELL, circle_system, flower_graph, marker_fig1d,
-                      random_magnetic_graph, theta_graph)
+from conftest import (FLOWER_CELL, circle_system, flower_graph,
+                      lu_real_secular, marker_fig1d, random_magnetic_graph,
+                      theta_graph)
 from graphbands import GraphError, spectrum
 from graphbands.secular import secular_values
 from graphbands.spectrum import ZERO_TOL
@@ -163,7 +165,7 @@ def test_membership_matches_dense_alpha_reference(monkeypatch):
         bs = gb.bond_matrices(random_magnetic_graph(seed))
         assert bs.secular_polynomial.degree == (degree,), seed
         kappas = rng.uniform(0, 2 * np.pi, (300, bs.n_edges))
-        G = dense_alpha_values(spectrum.real_secular_values, bs, kappas, 1024)
+        G = dense_alpha_values(lu_real_secular, bs, kappas, 1024)
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
         member = gb.membership_from_phases(bs, kappas)
         assert np.array_equal(member, dense), seed
@@ -184,7 +186,7 @@ def test_exact_degree_keeps_clear_members(monkeypatch):
         bs = gb.bond_matrices(random_magnetic_graph(seed))
         assert bs.flux_weight == (4,)
         assert bs.secular_polynomial.degree == (degree,)
-        G = spectrum.real_secular_values(bs, rows, alphas)
+        G = lu_real_secular(bs, rows, alphas)
         assert np.all(G.min(axis=1) < -0.02) and np.all(G.max(axis=1) > 0.02)
         degrees.clear()
         assert gb.membership_from_phases(bs, rows).all(), seed
@@ -219,14 +221,6 @@ def test_two_generator_flower_closed_form():
 
 
 # ------------------------------------------------------------ compiled G
-
-def lu_real_secular(bs, kappas, alphas):
-    """Reference G straight from LU determinants: exp(-i sum kappa) F,
-    real part when det S = +1, imaginary part when det S = -1."""
-    F = secular_values(bs, kappas[:, bs.edge_of_bond], alphas)
-    F = F * np.exp(-1j * kappas.sum(axis=1))[:, None]
-    return F.real if bs.parity == 1 else F.imag
-
 
 def series_alphas(bs, alpha_main, half=True):
     """Quasi-momentum rows at every point of the GRID_FALLBACK_POINTS grid
@@ -324,10 +318,10 @@ def test_secular_symmetries():
         parities.add(bs.parity)
         kappas = rng.uniform(0, 2 * np.pi, (100, bs.n_edges))
         alphas = rng.uniform(0, 2 * np.pi, (8, bs.generators))
-        G = spectrum.real_secular_values(bs, kappas, alphas)
+        G = lu_real_secular(bs, kappas, alphas)
         tol = 1e-12 * (1 + np.abs(G))
-        flip_alpha = spectrum.real_secular_values(bs, kappas, -alphas)
-        flip_kappa = spectrum.real_secular_values(bs, -kappas, alphas)
+        flip_alpha = lu_real_secular(bs, kappas, -alphas)
+        flip_kappa = lu_real_secular(bs, -kappas, alphas)
         assert np.all(np.abs(flip_alpha - G) <= tol), name
         assert np.all(np.abs(flip_kappa - bs.parity * G) <= tol), name
     assert parities == {1, -1}
@@ -380,6 +374,88 @@ def test_alpha_series_matches_lu_fft():
         got = np.einsum("nr,rbt->nbt", trig(kappas @ poly.kappa_freq.T),
                         poly.series)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), name
+
+
+def degree_product(g):
+    """D = prod_v d_v, from the vertex degrees of the graph."""
+    return math.prod(g.degrees().values())
+
+
+def lu_compile_grid_coefficients(bs):
+    """FFT of LU samples of G on the whole compile grid, 3 points per edge
+    phase and 2 m_j + 1 per generator (m_j the flux weight), so the
+    coefficient array of G with no aliasing, before any rounding."""
+    sizes = [3] * bs.n_edges + [2 * m + 1 for m in bs.flux_weight]
+    kappas, alphas = (spectrum._grid_index(part) * (2 * np.pi / np.array(part))
+                      for part in (sizes[:bs.n_edges], sizes[bs.n_edges:]))
+    G = lu_real_secular(bs, kappas, alphas).reshape(sizes)
+    return np.fft.fftn(G) / G.size
+
+
+def integral_corpus():
+    """compiled_graphs() plus random graphs with J = 1, 2 and 3."""
+    graphs = compiled_graphs()
+    for J, E in ((1, 6), (2, 4), (3, 3)):
+        for seed in range(6):
+            graphs["J%d-E%d-%d" % (J, E, seed)] = random_magnetic_graph(
+                seed, n_edges=E, generators=J)
+    return graphs
+
+
+def test_degree_product_times_coefficients_is_gaussian_integer():
+    # D = prod_v d_v times every Fourier coefficient of G is a Gaussian
+    # integer (the proof is in compile_secular's docstring).  Checked
+    # before any rounding, on the FFT of LU samples, with D from the
+    # vertex degrees, never from S; some coefficients are not integers
+    # themselves, so D is needed.
+    fractional = False
+    for name, g in integral_corpus().items():
+        D = degree_product(g)
+        c = D * lu_compile_grid_coefficients(gb.bond_matrices(g))
+        assert np.abs(c - np.rint(c)).max() <= 1e-9, name
+        fractional |= bool(np.any(np.abs(c / D - np.rint(c / D)) > 0.1))
+    assert fractional
+
+
+def test_one_slice_series_exact_over_degree_product():
+    # a one-slice series holds 1 or 2 times the rounded coefficients over
+    # D: each entry is the float nearest an integer over D, so rounding D
+    # times it and dividing by D gives it back bit for bit.  (D times the
+    # float need not be an integer: 49 * (1 / 49) is not 1.)
+    one_slice = 0
+    for name, g in integral_corpus().items():
+        series = gb.bond_matrices(g).secular_polynomial.series
+        if series.shape[1] == 1:
+            D = degree_product(g)
+            assert np.array_equal(np.rint(D * series) / D, series), name
+            one_slice += 1
+    assert one_slice >= 20
+
+
+def test_compile_rounds_to_degree_product_and_refuses_off_lattice(monkeypatch):
+    # adding delta to G at every sample of the lasso (det S = +1, D = 3)
+    # moves its constant coefficient by delta: 1 / 8D is rounded away and
+    # gives the same polynomial bit for bit, 1 / 2D leaves D c half way
+    # between two integers and is refused, naming the residual and D
+    assert degree_product(UNIT_LASSO_GRAPH) == 3 and UNIT_LASSO.parity == 1
+    exact = spectrum.compile_secular(UNIT_LASSO)
+
+    def shift_samples(delta):
+        def shifted(bs, bond_phases, alphas=None):
+            # G = Re(exp(-i sum kappa) F), sum kappa = half the bond sum
+            return (secular_values(bs, bond_phases, alphas) + delta
+                    * np.exp(0.5j * bond_phases.sum(axis=1))[:, None])
+        monkeypatch.setattr(spectrum, "secular_values", shifted)
+
+    shift_samples(1 / 24)
+    poly = spectrum.compile_secular(UNIT_LASSO)
+    assert poly.degree == exact.degree
+    assert np.array_equal(poly.kappa_freq, exact.kappa_freq)
+    assert np.array_equal(poly.series, exact.series)
+    shift_samples(1 / 6)
+    with pytest.raises(GraphError, match=r"times D = 3 lie up to 0\.5 off "
+                       r"Gaussian integers$"):
+        spectrum.compile_secular(UNIT_LASSO)
 
 
 def test_compile_takes_one_determinant_per_symmetry_orbit(monkeypatch):
@@ -518,7 +594,7 @@ def test_degree_zero_generator_takes_no_grid_axis():
     assert 0 < member.sum() < len(member)
     for first in (0.0, 2.1):
         G = dense_alpha_values(
-            lambda bs, k, a: spectrum.real_secular_values(
+            lambda bs, k, a: lu_real_secular(
                 bs, k, np.column_stack([np.full(len(a), first), a])),
             bs, kappas, 1024)
         dense = (G.min(axis=1) <= ZERO_TOL) & (G.max(axis=1) >= -ZERO_TOL)
@@ -1318,11 +1394,15 @@ def test_band_validation():
 @pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
                          ids=["band_intervals", "density"])
 @pytest.mark.parametrize("name", ["k_max", "grid_step", "bisect_tol"])
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, True,
+                                   pytest.param(np.True_, id="np.True_")])
 def test_scan_arguments_positive_and_finite(route, name, value):
     # unchecked, an infinite grid step makes one grid cell and so one
-    # band [0, k_max]; the other NaN and inf cases fail in int()
-    with pytest.raises(ValueError, match=name + " must be positive and finite"):
+    # band [0, k_max]; the other NaN and inf cases fail in int(), and a
+    # bool passes 0 < value < inf as 1, so k_max=True, grid_step=True
+    # scans [0, 1] in one step
+    with pytest.raises(ValueError,
+                       match=name + " must be a positive finite number"):
         route(UNIT_LASSO, **{"k_max": 10.0, name: value})
 
 

@@ -8,7 +8,6 @@ import graphbands as gb
 import graphbands.torus as torus_mod
 from conftest import (circle_system, lasso_membership, loop_with,
                       random_magnetic_graph, theta_graph)
-from graphbands import spectrum
 
 LASSO = gb.bond_matrices(gb.with_random_lengths(gb.build_example("lasso"), 42))
 
@@ -26,8 +25,6 @@ def test_torus_membership_rows_are_edge_phases():
     for shape in ((1, 3), (1, 4), (1, 1), (2,)):
         with pytest.raises(ValueError):
             gb.membership_from_phases(LASSO, np.zeros(shape))
-    with pytest.raises(ValueError):
-        spectrum.real_secular_values(LASSO, np.zeros((1, 4)), [[0.0]])
 
 
 def test_torus_membership_matches_closed_form():
@@ -95,6 +92,14 @@ def test_mc_sample_counts_must_be_integers():
             gb.dihedral_density(samples)
         with pytest.raises(TypeError, match="samples"):
             gb.mc_volume(LASSO, samples, seed=0)
+
+
+def test_mc_seeds_must_be_non_negative_integers():
+    # refused by name, not run as seed 1 (a bool) and not failed inside
+    # numpy with numpy's message (a float, a string, a negative seed)
+    for seed in (True, False, np.True_, 1.5, 1.0, "1", -1, np.int64(-1)):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            gb.mc_volume(LASSO, 10, seed=seed)
 
 
 def test_mc_numpy_sample_counts_give_python_numbers():
