@@ -651,25 +651,44 @@ class BandList:
 def _refine_edges(bs: BondSystem, lo: np.ndarray, hi: np.ndarray,
                   f_lo: np.ndarray, f_hi: np.ndarray,
                   tol: float) -> np.ndarray:
-    """Band edges in the brackets [lo, hi], across each of which the
-    membership margin f changes sign, as midpoints of brackets of width
-    <= tol.
+    """Band edges in the brackets [lo, hi] (0 <= lo < hi), across each of
+    which the membership margin f changes sign, as midpoints of brackets
+    of width <= tol.
 
-    Every round moves all open brackets by one ITP step (Oliveira and
-    Takahashi, ACM TOMS 47, 2020): the regula-falsi point of the margins
-    at the ends, truncated towards the midpoint by _ITP_K1 w^2 / w0 and
-    projected into the ball about the midpoint that keeps both parts of
-    the bracket within S_j = tol 2^(n - j - 1) after round j, where w0 is
-    the widest initial bracket and n = ceil(log2(w0 / tol)) + _ITP_N0.
-    So no edge takes more than n rounds, and smooth ones converge
-    superlinearly.  S_j is short of that by (2^(n - j - 1) - 1) float
-    spacings, so that the ball always holds a float and rounding cannot
-    cost a round.  A step point not strictly inside the bracket (NaN
-    margins) falls back to the midpoint.
+    Every round j = 0, 1, ... moves all open brackets [a, b] by one ITP
+    step (Oliveira and Takahashi, ACM TOMS 47, 2020): the regula-falsi
+    point of the margins at the ends, truncated towards the midpoint by
+    _ITP_K1 w^2 / w0 and clamped into the ball [b - R_j, a + R_j] with
+    rounded ends, R_j = (tol - u) 2^(n - j - 1).  Here w0 is the widest
+    initial bracket, n = ceil(log2(w0 / tol)) + _ITP_N0, taken from the
+    exponents of w0 and tol so that tol 2^(n - 1) >= w0 holds exactly, and
+    u is the float spacing at the largest end H.  The midpoint stands in
+    for a point that is not strictly inside the bracket (NaN margins) or
+    that the clamp leaves below the ball's lower end, which only an empty
+    ball allows; so every other probe lies between the ball's ends.
+
+    After round j both parts of every bracket are at most S_j = R_j + u
+    wide, in exact arithmetic on the floats.  S_(n-1) = tol, so no edge
+    takes more than n rounds, and smooth ones converge superlinearly.
+    Rounding cannot break the bound.  A bracket wider than tol has
+    tol < H, so tol - u is exact, and a sum that lies in [0, H] rounds by
+    at most u / 2:
+
+    - Ball.  If b - a <= S_j, every point of (a, b) meets the bound.
+      Otherwise a + R_j and b - R_j lie in (a, b), and their rounded
+      values are within R_j + u / 2 < S_j of the far end, as is every
+      point between them.
+    - Midpoint.  fl(a + b) / 2 is within u / 2 of (a + b) / 2 (a + b <=
+      2H), so it meets the bound whenever b - a <= 2 S_j - u.  For j >= 1
+      that is the bound of round j - 1, as 2 S_j - u = S_(j-1).  At j = 0,
+      b - a <= w0 + u / 2 (w0 is a rounded width), and as tol >= 2u
+      (two float spacings of k_max at least) 2 S_0 - u = 2^n (tol - u) + u
+      >= 2^(n-1) tol + u >= w0 + u.
     """
     edges = 0.5 * (lo + hi)
     w0 = float(np.max(hi - lo, initial=tol))
-    n = math.ceil(math.log2(w0 / tol)) + _ITP_N0
+    (mw, ew), (mt, et) = math.frexp(w0), math.frexp(tol)
+    n = ew - et + (mw > mt) + _ITP_N0       # ceil(log2(w0 / tol)), exactly
     u = float(np.spacing(np.max(hi, initial=0.0)))
     idx = np.nonzero(hi - lo > tol)[0]
     a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
@@ -679,16 +698,13 @@ def _refine_edges(bs: BondSystem, lo: np.ndarray, hi: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             x = (a * fb - b * fa) / (fb - fa)                 # regula falsi
             delta = (_ITP_K1 / w0) * (b - a) ** 2
-            x = np.where(delta <= np.abs(mid - x),
-                         x + np.sign(mid - x) * delta, mid)
-        # projection into [b - S, a + S], rounded inwards
-        scale = 2.0 ** (n - j - 1)
-        S = tol * scale - (scale - 1.0) * u
-        least, most = b - S, a + S
-        least = np.where(b - least > S, np.nextafter(least, b), least)
-        most = np.where(most - a > S, np.nextafter(most, a), most)
+            d = mid - x
+            x = np.where(delta <= np.abs(d), x + np.copysign(delta, d), mid)
+        # projection into the ball [b - R, a + R]; the midpoint if it is empty
+        R = (tol - u) * 2.0 ** (n - j - 1)
+        least, most = b - R, a + R
         x = np.minimum(np.maximum(x, least), most)
-        x = np.where((a < x) & (x < b), x, mid)
+        x = np.where((least <= x) & (a < x) & (x < b), x, mid)
         fx = _momentum_margin(bs, x)
         same = (fx >= 0) == (fa >= 0)
         a, fa = np.where(same, x, a), np.where(same, fx, fa)
@@ -718,7 +734,11 @@ def band_intervals(bs: BondSystem, k_max: float,
     float64: their late rows fall within the bound and would be redone.
     The default grid step pi / (8 L) puts 16 samples per period of the
     fastest oscillation of the secular function (L = total graph
-    length).  The scan is not certified: a band or gap narrower than the
+    length).  The grid has n = ceil(k_max / grid_step) steps, except that
+    a ratio at most 16 float spacings above an integer takes that integer,
+    so that the count does not hang on the last bits of a length sum; the
+    spacing k_max / n then exceeds ``grid_step`` by at most 16 * 2**-52
+    relative.  The scan is not certified: a band or gap narrower than the
     step can fall between two grid points and is then missed.  On a
     generic lasso over [0, 200] the default step finds 360 interior band
     edges where a dense count of sign changes finds 408.  The refinement
@@ -744,7 +764,10 @@ def band_intervals(bs: BondSystem, k_max: float,
     tol = bisect_tol if bisect_tol is not None else 1e-10 * max(1.0, k_max)
     tol = max(tol, 2.0 * np.spacing(float(k_max)))  # else it never ends
 
-    n = np.ceil(k_max / step)            # inf when the division overflows
+    # an excess of a few float spacings over an integer is the rounding of
+    # a length sum, not a grid cell
+    ratio = k_max / step                 # inf when the division overflows
+    n = np.fmax(np.floor(ratio), np.ceil(ratio - 16 * np.spacing(ratio)))
     if not n + 1 <= SCAN_BUDGET:
         raise ValueError("the scan grid would have %.17g points, above "
                          "SCAN_BUDGET = %d" % (n + 1, SCAN_BUDGET))

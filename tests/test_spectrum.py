@@ -1258,10 +1258,18 @@ def test_bisect_tol_below_float_spacing():
     assert np.abs(tiny.hi - default.hi).max() <= 1e-8
 
 
+def scan_cells(k_max, step):
+    """Cells of the scan grid: ceil(k_max / step), but the integer below
+    when the ratio exceeds it by at most 16 float spacings of the ratio."""
+    ratio = k_max / step
+    whole = math.floor(ratio)
+    return whole if ratio - whole <= 16 * np.spacing(ratio) else whole + 1
+
+
 def bisected_bands(bs, k_max, step, tol):
     """Reference: the same grid, then plain bisection of the membership
     indicator on every edge until each bracket is at most tol wide."""
-    grid = np.linspace(0.0, k_max, int(np.ceil(k_max / step)) + 1)
+    grid = np.linspace(0.0, k_max, scan_cells(k_max, step) + 1)
     mem = spectrum.momentum_membership(bs, grid)
     ti = np.nonzero(mem[:-1] != mem[1:])[0]
     lo, hi = grid[ti], grid[ti + 1]
@@ -1315,7 +1323,7 @@ def test_band_intervals_match_bisection_reference(monkeypatch):
         bands = gb.band_intervals(bs, k_max)
         grid_rows, *rounds = calls
         step, tol = bands.grid_step, bands.bisect_tol
-        assert grid_rows == np.ceil(k_max / step) + 1, name
+        assert grid_rows == scan_cells(k_max, step) + 1, name
         assert len(rounds) <= np.ceil(np.log2(step / tol)) + 1, name
         got = np.column_stack([bands.lo, bands.hi])
         ref = bisected_bands(bs, k_max, step, tol)
@@ -1335,6 +1343,133 @@ def test_refinement_rounds_bounded_at_float_spacing(monkeypatch):
     rounds = len(calls) - 1
     assert 30 < rounds <= np.ceil(np.log2(bands.grid_step
                                           / bands.bisect_tol)) + 1
+
+
+def synthetic_refinements(configurations=120, count=1000):
+    """Inputs of _refine_edges with a known root in every bracket: per
+    configuration ``count`` disjoint brackets with unaligned ends spread
+    geometrically over [k / 1000, k], k from 1e3 to 1e14, so that most
+    ends have a finer float spacing than the largest.  Each root lies in
+    the middle three fifths of its bracket, under a cubic, exponential,
+    linear or step margin of either sign; the step's regula-falsi point
+    sits by one end, so that every probe is clamped to the ball.  tol is
+    2 float spacings of the largest end in every third configuration and
+    up to 1e4 spacings in the others.  Yields (lo, hi, margin, roots,
+    tol); the margin takes any momenta inside the brackets."""
+    rng = np.random.default_rng(20)
+    for c in range(configurations):
+        k = 10.0 ** rng.uniform(3, 14)
+        slots = k * np.geomspace(1e-3, 1.0, count + 1)
+        room = np.diff(slots)
+        spacings = 2 if c % 3 == 0 else 10.0 ** rng.uniform(np.log10(2), 4)
+        nominal = spacings * float(np.spacing(k))
+        w0 = nominal * 2.0 ** rng.uniform(1, np.log2(0.5 * room[0] / nominal))
+        width = w0 * rng.uniform(0.3, 1.0, count)
+        lo = slots[:-1] + (room - width) * rng.uniform(0.0, 1.0, count)
+        hi = lo + width
+        roots = lo + (hi - lo) * rng.uniform(0.2, 0.8, count)
+        sign = rng.choice([-1.0, 1.0], count)
+        shape = (lambda d, w0=w0: d ** 3 / w0 ** 2,
+                 lambda d, w0=w0: np.expm1(8 * d / w0),
+                 lambda d: 3.0 * d,
+                 lambda d: np.where(d < 0, -1e-3, 1.0))[c % 4]
+
+        def margin(x, shape=shape, roots=roots, sign=sign, slots=slots):
+            i = np.searchsorted(slots, x) - 1
+            return sign[i] * shape(x - roots[i])
+        yield lo, hi, margin, roots, spacings * float(np.spacing(hi.max()))
+
+
+def test_refinement_within_round_bound_on_synthetic_margins(monkeypatch):
+    # every edge within tol of its root, in at most ceil(log2(w0 / tol)) + 1
+    # rounds, at tol down to two float spacings of the largest end
+    for lo, hi, margin, roots, tol in synthetic_refinements():
+        rounds = []
+
+        def counted(bs, ks, precision=None, margin=margin):
+            rounds.append(ks.size)
+            return margin(ks)
+        monkeypatch.setattr(spectrum, "_momentum_margin", counted)
+        edges = spectrum._refine_edges(None, lo, hi, margin(lo), margin(hi),
+                                       tol)
+        assert np.abs(edges - roots).max() <= tol
+        assert len(rounds) <= math.ceil(math.log2((hi - lo).max() / tol)) + 1
+
+
+def test_refinement_probes_keep_both_parts_within_round_bound(monkeypatch):
+    # replay every round's brackets from the probes: each probe lies
+    # strictly inside its bracket, and both parts of the bracket are at
+    # most S_j = (tol - u) 2^(n - j - 1) + u wide in round j, with u the
+    # float spacing of the largest end and n the least integer with
+    # tol 2^(n - 1) >= w0 (the _refine_edges docstring)
+    rounds = 0
+    for lo, hi, margin, roots, tol in synthetic_refinements():
+        u = float(np.spacing(hi.max()))
+        w0 = (hi - lo).max()
+        n = 1
+        while tol * 2.0 ** (n - 1) < w0:
+            n += 1
+        state = {"a": lo, "b": hi, "fa": margin(lo), "j": 0}
+        state["open"] = state["b"] - state["a"] > tol
+
+        def replayed(bs, x, precision=None, margin=margin, state=state):
+            a, b = state["a"][state["open"]], state["b"][state["open"]]
+            fa = state["fa"][state["open"]]
+            S = (tol - u) * 2.0 ** (n - state["j"] - 1) + u
+            assert x.shape == a.shape
+            assert np.all((a < x) & (x < b))
+            assert np.all(x - a <= S) and np.all(b - x <= S), state["j"]
+            fx = margin(x)
+            same = (fx >= 0) == (fa >= 0)
+            a, b = np.where(same, x, a), np.where(same, b, x)
+            for key, value in (("a", a), ("b", b),
+                               ("fa", np.where(same, fx, fa))):
+                state[key] = state[key].copy()
+                state[key][state["open"]] = value
+            state["open"] = state["b"] - state["a"] > tol
+            state["j"] += 1
+            return fx
+        monkeypatch.setattr(spectrum, "_momentum_margin", replayed)
+        edges = spectrum._refine_edges(None, lo, hi, margin(lo), margin(hi),
+                                       tol)
+        assert not state["open"].any() and state["j"] <= n
+        assert np.array_equal(edges, 0.5 * (state["a"] + state["b"]))
+        rounds += state["j"]
+    assert rounds > 1000
+
+
+def test_scan_grid_ignores_an_ulp_of_the_ratio(monkeypatch):
+    # fig1c with its edges in two orders is one graph, but the two length
+    # sums differ by one float spacing, and so k_max / step lands on 800
+    # for one and one spacing above it for the other: both scan the same
+    # 801 grid points and find the same bands.  A ratio 1e-9 above an
+    # integer still takes the next one.
+    g = gb.with_random_lengths(gb.build_example("fig1c"), 0)
+    h = gb.MagneticGraph(vertices=g.vertices, generators=g.generators,
+                         edges=(g.edges[0], g.edges[2], g.edges[1]))
+    grids = []
+    margin = spectrum._momentum_margin
+
+    def recorded(bs, ks, precision=np.float64):
+        if precision == np.float32:
+            grids.append(ks)
+        return margin(bs, ks, precision)
+    monkeypatch.setattr(spectrum, "_momentum_margin", recorded)
+    first, second = gb.bond_matrices(g), gb.bond_matrices(h)
+    assert second.total_length == np.nextafter(first.total_length, np.inf)
+    k_max = 100 * np.pi / first.total_length
+    ratios = [k_max / (np.pi / (8.0 * bs.total_length))
+              for bs in (first, second)]
+    assert ratios == [800.0, np.nextafter(800.0, np.inf)]
+    bands = [gb.band_intervals(bs, k_max) for bs in (first, second)]
+    assert len(grids[0]) == len(grids[1]) == 801
+    assert np.array_equal(grids[0], grids[1])
+    assert len(bands[0].lo) == len(bands[1].lo) == 100
+    assert np.abs(bands[0].lo - bands[1].lo).max() <= bands[0].bisect_tol
+    assert np.abs(bands[0].hi - bands[1].hi).max() <= bands[0].bisect_tol
+    grids.clear()
+    gb.band_intervals(first, 100 * (1 + 1e-9), grid_step=1.0)
+    assert len(grids[0]) == 102
 
 
 def test_screened_grid_keeps_float64_brackets(monkeypatch):
