@@ -78,7 +78,9 @@ class BondSystem:
 
     @property
     def total_length(self) -> float:
-        return float(self.bond_lengths[:self.n_edges].sum())
+        """Sum of the edge lengths; inf, without a warning, on overflow."""
+        with np.errstate(over="ignore"):
+            return float(self.bond_lengths[:self.n_edges].sum())
 
     @property
     def flux_weight(self) -> tuple[int, ...]:

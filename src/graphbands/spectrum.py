@@ -748,11 +748,14 @@ def band_intervals(bs: BondSystem, k_max: float,
     at k_max is raised to that; ``BandList.bisect_tol`` is the one used.
     ``k_max``, ``grid_step`` and ``bisect_tol`` must be positive finite
     numbers; a bool (``np.bool_`` included) is refused by name, as are
-    zero, negative, NaN and infinite values.  A grid of more than
-    SCAN_BUDGET points is refused with a ValueError naming the count (inf
-    when k_max / grid_step overflows), before any of it is allocated; the
-    budget lies far below 2**52 steps, past which the points would
-    coincide.
+    zero, negative, NaN and infinite values.  A graph whose total length
+    L is not finite (a sum of edge lengths that overflows) is refused with
+    a ValueError naming L.  A grid of more than SCAN_BUDGET points is
+    refused with a ValueError naming the count (inf when k_max / grid_step
+    overflows), before any of it is allocated; the budget lies far below
+    2**52 steps, past which the points would coincide.  A grid within the
+    budget whose phases k l would overflow, k_max * L not finite, is
+    refused naming L and k_max.
     """
     for name, value in (("k_max", k_max), ("grid_step", grid_step),
                         ("bisect_tol", bisect_tol)):
@@ -760,7 +763,11 @@ def band_intervals(bs: BondSystem, k_max: float,
                                   or not 0 < value < np.inf):   # NaN fails too
             raise ValueError("%s must be a positive finite number, got %r"
                              % (name, value))
-    step = grid_step if grid_step is not None else np.pi / (8.0 * bs.total_length)
+    length = bs.total_length
+    if not length < np.inf:             # an overflowed sum of edge lengths
+        raise ValueError("the total length must be finite, got %r" % length)
+    # (pi / 8) / L is pi / (8 L) to the bit, and positive for any finite L
+    step = grid_step if grid_step is not None else np.pi / 8.0 / length
     tol = bisect_tol if bisect_tol is not None else 1e-10 * max(1.0, k_max)
     tol = max(tol, 2.0 * np.spacing(float(k_max)))  # else it never ends
 
@@ -771,6 +778,9 @@ def band_intervals(bs: BondSystem, k_max: float,
     if not n + 1 <= SCAN_BUDGET:
         raise ValueError("the scan grid would have %.17g points, above "
                          "SCAN_BUDGET = %d" % (n + 1, SCAN_BUDGET))
+    if not k_max * length < np.inf:     # else inf phases, NaN margins
+        raise ValueError("the total length %r times k_max %r is not finite"
+                         % (length, k_max))
     grid = np.linspace(0.0, k_max, int(n) + 1)
     margin = _momentum_margin(bs, grid, np.float32)
     mem = margin >= 0

@@ -8,7 +8,9 @@ volume depends only on the combinatorial graph, never on the lengths,
 which is why every generic length draw produces the same band density.
 :func:`mc_volume` estimates it by feeding uniform torus points straight
 to :func:`graphbands.spectrum.membership_from_phases`, whose rows are
-edge phases.
+edge phases.  The points come from numpy's SFC64 generator, the fastest
+of numpy's at float64 draws and a stream apart from the
+``default_rng(seed)`` that draws random edge lengths.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .spectrum import membership_from_phases, positive_count
 
 TWO_PI = 2.0 * np.pi
 # rows per membership call; at 16,384 lasso rows the phases and the
-# float32 temporaries of the kernel stay in a 2 MiB L2 cache, and 60,000
-# rows took 4.0 ms against 5.8 ms at 65,536 rows per call
+# float32 temporaries of the kernel stay in a 2 MiB L2 cache: mc_volume on
+# 60,000 rows, draws included, took 1.3 ms against 1.4 ms at 8,192 and
+# 2.0 ms at 65,536 rows per call (best of 5, one BLAS thread, 2-core x86)
 _MC_CHUNK = 16384
 
 
@@ -45,9 +48,15 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     The fraction of uniform torus points where the secular membership
     test holds, with its binomial standard error sqrt(p(1-p)/n).  It
     converges to the band density of any graph with the same shape and
-    rationally independent lengths.  Points come from a counter-based
-    Philox stream in chunks of ``_MC_CHUNK`` rows; chunking does not
-    change the stream, so the result depends only on (samples, seed).
+    rationally independent lengths.  Points are ``2 pi`` times the
+    uniforms of ``Generator(SFC64(seed))`` in row-major order (the
+    arithmetic of ``uniform(0, 2 pi)``), drawn in chunks of ``_MC_CHUNK``
+    rows into one buffer that each chunk refills; chunking does not change
+    the stream, so the result depends only on (samples, seed).  SFC64
+    draws a chunk in under half the time of Philox, and unlike PCG64 it is
+    not the ``default_rng(seed)`` stream that ``with_random_lengths`` draws
+    lengths from, so ``torus --random-lengths --seed S`` does not reuse the
+    length uniforms as the first torus row.
     ``threads`` has no effect: membership rows evaluate the compiled
     secular polynomial, with no determinant work to split.  A ``samples``
     that is not an integer >= 1, or a ``seed`` that is not an integer >=
@@ -56,11 +65,13 @@ def mc_volume(bs: BondSystem, samples: int, seed: int,
     samples = positive_count(samples, "samples")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
+    buf = np.empty((min(_MC_CHUNK, samples), bs.n_edges))
     hits = done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
-        kappa = rng.uniform(0.0, TWO_PI, size=(n, bs.n_edges))
+        kappa = rng.random(out=buf[:n])
+        kappa *= TWO_PI                 # the arithmetic of uniform(0, 2 pi)
         hits += int(np.count_nonzero(membership_from_phases(bs, kappa)))
         done += n
     p = hits / samples

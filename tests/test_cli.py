@@ -168,6 +168,18 @@ def test_scan_grid_above_budget_fails(lasso_file, monkeypatch, capsys):
         "SCAN_BUDGET = 10000000\n")
 
 
+def test_infinite_total_length_fails_with_one_line(lasso_file, capsys):
+    # lengths (1e308, 1e308) sum to inf: one error line naming the
+    # length, where the scan used to end in a ZeroDivisionError traceback
+    # (or, with a grid step, in bands from NaN margins)
+    for argv in (["density", lasso_file, "--kmax", "10"],
+                 ["bands", lasso_file, "--kmax", "10"],
+                 ["bands", lasso_file, "--kmax", "10", "--grid-step", "0.1"]):
+        assert run(argv + ["--lengths", "1e308,1e308"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: the total length must be finite, got inf\n")
+
+
 def test_edgeless_graph_is_refused(tmp_path, capsys):
     graph = tmp_path / "edgeless.json"
     graph.write_text(json.dumps({"generators": 0, "vertices": [0], "edges": []}))

@@ -1579,6 +1579,32 @@ def test_scan_grid_above_budget_refused(route, monkeypatch):
         route(UNIT_LASSO, k_max=101.0, grid_step=1.0)
 
 
+@pytest.mark.parametrize("route", [gb.band_intervals, gb.density],
+                         ids=["band_intervals", "density"])
+def test_scan_refuses_a_total_length_that_is_not_finite(route):
+    # unchecked, lengths (1e308, 1e308) sum to inf, the default step
+    # pi / (8 inf) is 0 and k_max / step raised ZeroDivisionError; with a
+    # grid step given, the bands came from inf phases and NaN margins
+    huge = gb.bond_matrices(gb.bind_lengths(gb.build_example("lasso"),
+                                            [1e308, 1e308]))
+    assert huge.total_length == np.inf
+    for options in ({}, {"grid_step": 0.1}):
+        with pytest.raises(ValueError) as err:
+            route(huge, k_max=10.0, **options)
+        assert str(err.value) == "the total length must be finite, got inf"
+    # a finite L = 1e308: 8 L overflows, but the default step (pi / 8) / L
+    # stays positive and the budget refuses its count; with a step of 0.1
+    # the 101 grid points pass, and their phases k l overflow at k_max
+    big = gb.bond_matrices(gb.bind_lengths(gb.build_example("lasso"),
+                                           [5e307, 5e307]))
+    with pytest.raises(ValueError, match="inf points, above SCAN_BUDGET"):
+        route(big, k_max=1.0)
+    with pytest.raises(ValueError) as err:
+        route(big, k_max=10.0, grid_step=0.1)
+    assert str(err.value) == ("the total length 1e+308 times k_max 10.0 is "
+                              "not finite")
+
+
 # ------------------------------------------------------------ density
 
 def test_measure_below_brute_force():

@@ -1,14 +1,25 @@
-"""The verdicts of tools/bench_pairs.py on made-up runs."""
+"""The verdicts of tools/bench_pairs.py and the comparisons of
+tools/cli_outputs.py on made-up records."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+cli_outputs = _load("cli_outputs")
 
 
 def test_seed_ranges_and_lists():
@@ -51,3 +62,42 @@ def test_bound_verdicts():
                                  0.25)["bound_verdict"] == "unresolved"
     assert bench_pairs.summarize(wide, [4.0] * 10, "lower",
                                  0.25)["bound_verdict"] == "within"
+
+
+def test_torus_value_shift_in_standard_errors():
+    # |0.6 - 0.61| / hypot(0.003, 0.004) = 2; the worse row counts
+    a = "0.6,0.003,1000,42\n0.5,0.001,1000,43\n"
+    b = "0.61,0.004,1000,42\n0.5,0.001,1000,43\n"
+    assert cli_outputs.se_shift(a, b) == pytest.approx(2.0)
+    assert cli_outputs.se_shift(a, a) == 0.0
+    assert cli_outputs.se_shift("1,0,5,1\n", "1,0,5,1\n") == 0.0
+    assert cli_outputs.se_shift("1,0,5,1\n", "0.8,0,5,1\n") == math.inf
+    # not a torus output: two fields, a text, or a row more on one side
+    assert cli_outputs.se_shift("1,2\n", "1,3\n") is None
+    assert cli_outputs.se_shift("OK\n", "OK\n") is None
+    assert cli_outputs.se_shift(a, a + "0.5,0.001,1000,44\n") is None
+
+
+def test_diff_reports_torus_shifts_in_standard_errors(tmp_path, capsys):
+    def record(output):
+        return {"exit": 0, "stdout": "", "stderr": "", "output": output}
+    a = {"w seed=1 full: density lasso": record("1,0.6\n2,0.63\n"),
+         "w seed=1 full: torus lasso": record("0.6,0.003,1000,1\n"),
+         "w seed=1 full: torus fig1d": record("0.5,0.003,1000,1\n")}
+    b = dict(a)
+    b["w seed=1 full: torus lasso"] = record("0.61,0.004,1000,1\n")
+    b["w seed=1 full: torus fig1d"] = record("0.497,0.004,1000,1\n")
+    paths = []
+    for name, records in (("a.json", a), ("b.json", b)):
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(json.dumps(records), encoding="utf-8")
+    assert cli_outputs.diff(*paths) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w seed=1 full: torus fig1d: output differ; largest |difference| "
+        "per field 0.003, 0.001, 0, 0; value shift 0.60 SE",
+        "w seed=1 full: torus lasso: output differ; largest |difference| "
+        "per field 0.01, 0.001, 0, 0; value shift 2.00 SE",
+        "2 of 3 invocations differ",
+        "largest torus value shift: 2.00 SE (w seed=1 full: torus lasso)"]
+    assert cli_outputs.diff(paths[0], paths[0]) == 0
+    assert capsys.readouterr().out == "0 of 3 invocations differ\n"

@@ -13,7 +13,10 @@ Use one process per tree: a process imports one ``graphbands``.
 
 ``diff`` lists the invocations whose records differ, and for an output
 file of comma-separated numbers with the same shape on both sides, the
-largest absolute difference of each field.  It exits 1 when any
+largest absolute difference of each field.  For a ``torus`` output, rows
+of the 4 fields value, std_error, samples and seed, it also gives the
+largest value shift in units of sqrt(se_a**2 + se_b**2), and its last
+line names the largest such shift of all.  It exits 1 when any
 invocation differs.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -93,12 +97,28 @@ def field_shifts(a, b):
             for i in range(len(rows_a[0]) if rows_a else 0)]
 
 
+def se_shift(a, b):
+    """Largest |value_a - value_b| / sqrt(se_a**2 + se_b**2) over the rows
+    of two ``torus`` outputs (value, std_error, samples, seed), or None
+    when either is not one or their row counts differ."""
+    rows_a, rows_b = _numbers(a), _numbers(b)
+    if (not rows_a or rows_b is None or len(rows_a) != len(rows_b)
+            or any(len(r) != 4 for r in rows_a + rows_b)):
+        return None
+    shifts = []
+    for (va, sa, _, _), (vb, sb, _, _) in zip(rows_a, rows_b):
+        d, se = abs(va - vb), math.hypot(sa, sb)
+        shifts.append(d / se if se else 0.0 if d == 0 else math.inf)
+    return max(shifts)
+
+
 def diff(path_a, path_b):
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     differ = 0
+    worst = None                        # (SE shift, key) of a torus output
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
             print("%s: only in %s" % (key, path_a if key in a else path_b))
@@ -115,8 +135,14 @@ def diff(path_a, path_b):
             line += (", not comparable field by field" if shifts is None else
                      "; largest |difference| per field "
                      + ", ".join("%.3g" % s for s in shifts))
+            se = se_shift(a[key]["output"], b[key]["output"])
+            if se is not None:
+                line += "; value shift %.2f SE" % se
+                worst = max(worst or (se, key), (se, key))
         print(line)
     print("%d of %d invocations differ" % (differ, len(set(a) | set(b))))
+    if worst is not None:
+        print("largest torus value shift: %.2f SE (%s)" % worst)
     return 1 if differ else 0
 
 
