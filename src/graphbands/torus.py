@@ -27,7 +27,7 @@ TWO_PI = 2.0 * np.pi
 # rows per membership call; at 16,384 lasso rows the phases and the
 # float32 temporaries of the kernel stay in a 2 MiB L2 cache: mc_volume on
 # 60,000 rows, draws included, took 1.3 ms against 1.4 ms at 8,192 and
-# 2.0 ms at 65,536 rows per call (best of 5, one BLAS thread, 2-core x86)
+# 2.0 ms at 65,536 rows per call (one process, one BLAS thread, 2-core x86)
 _MC_CHUNK = 16384
 
 

@@ -188,7 +188,7 @@ def test_core_shape_keeps_the_torus_volume():
     core_shape shrinks, the torus volumes of the graph and of its core
     agree: |V - V_core| <= z sqrt(SE^2 + SE_core^2).
 
-    The two estimates are independent (Philox seeds 2s and 2s + 1, 4,000
+    The two estimates are independent (mc_volume seeds 2s and 2s + 1, 4,000
     samples each; both fixed before the first run), so when the volumes
     are equal their difference is close to normal with that standard
     error.  The test makes one comparison per shrunk graph, N of them
@@ -216,7 +216,7 @@ def test_core_shape_keeps_the_torus_volume_of_multi_end_parts():
     flux-free part with a >= 2 edge ends at its vertex, seen as a
     self-loop of the core that is not one after merge_series:
     random_magnetic_graph(seed, n_edges, J) for seeds 0..199, n_edges 5,
-    6 and 7 and J = 1 and 2, N = 16 graphs.  Philox seeds 2s and 2s + 1,
+    6 and 7 and J = 1 and 2, N = 16 graphs.  mc_volume seeds 2s and 2s + 1,
     40,000 samples each (both fixed before the first run), and z =
     Phi^-1(1 - 5e-4 / N) = 3.99.
     """
